@@ -275,7 +275,7 @@ def _catalog_descriptor(name: str, args):
     raise ValueError(f"unknown catalog map {name!r}")
 
 
-def base_report(args, argv: list[str], seed: int | None, config: dict) -> dict:
+def base_report(argv: list[str], seed: int | None, config: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": list(argv),
@@ -292,14 +292,11 @@ def bp_report_obj(rep) -> dict:
         "iterations": rep.iterations,
         "tolerance": rep.tolerance,
     }
-    if rep.argmin is not None:
-        doc["argmin"] = {
-            "x": vector_to_obj(rep.argmin.x),
-            "y": vector_to_obj(rep.argmin.y),
-            "value": rep.argmin.value,
-        }
-    else:
-        doc["argmin"] = None
+    doc["argmin"] = {
+        "x": vector_to_obj(rep.argmin.x),
+        "y": vector_to_obj(rep.argmin.y),
+        "value": rep.argmin.value,
+    }
     return doc
 
 
@@ -326,7 +323,6 @@ def cmd_check(args, argv: list[str]) -> int:
     restarts = args.restarts if args.restarts is not None else 64
     config = SeeSawConfig(restarts=restarts)
     doc = base_report(
-        args,
         argv,
         seed,
         {
@@ -365,7 +361,7 @@ def cmd_detect(args, argv: list[str]) -> int:
     require_hermitian(W)
     n, m = split_dims(W.shape[0], args.dim_in, f"witness file {args.witness_file!r}")
     value, verdict = detect_entanglement(rho, map_from_choi(W, n, m))
-    doc = base_report(args, argv, None, {"zero_tol": DEFAULT_TOLERANCES.zero_tol})
+    doc = base_report(argv, None, {"zero_tol": DEFAULT_TOLERANCES.zero_tol})
     doc["value"] = value
     doc["verdict"] = verdict
     write_output(canonical_json(doc), args.out)
@@ -378,7 +374,6 @@ def cmd_exposedness(args, argv: list[str]) -> int:
     config = ExposednessConfig(sample_count=args.samples, budget=args.budget)
     rep = exposedness_report(desc, config, np.random.default_rng(seed))
     doc = base_report(
-        args,
         argv,
         seed,
         {
@@ -409,7 +404,6 @@ def cmd_verify(args, argv: list[str]) -> int:
     rng = np.random.default_rng(seed)
     trials = args.trials
     doc = base_report(
-        args,
         argv,
         seed,
         {"suite": args.suite, "trials": trials, "dim": args.dim},

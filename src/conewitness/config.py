@@ -21,10 +21,6 @@ class Tolerances:
         Relative Frobenius tolerance for the Hermiticity check,
         ``||A - A^dag||_F <= hermitian_rtol * max(1, ||A||_F)``.
         Matrices failing it are rejected, never symmetrized silently.
-    eigh_residual_rtol:
-        Per-column eigenpair residual bound relative to ``||A||_F``.
-    unitary_atol:
-        Frobenius bound on ``||U^dag U - I||_F`` for generated unitaries.
     antisym_atol:
         Frobenius bound on ``||U + U^t||_F`` and ``||U^dag U - I||_F`` for
         antisymmetric unitaries.
@@ -46,8 +42,6 @@ class Tolerances:
     """
 
     hermitian_rtol: float = 1e-12
-    eigh_residual_rtol: float = 1e-10
-    unitary_atol: float = 1e-12
     antisym_atol: float = 1e-10
     nullspace_rel_tol: float = 1e-8
     pairing_imag_tol: float = 1e-12

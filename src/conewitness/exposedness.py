@@ -132,8 +132,12 @@ def _polish_pair(T, x, y, steps=3):
     return x, y
 
 
-def _analytic_pair(desc, k, n, rng):
-    """One zero pair from the closed-form face description, or None."""
+def _analytic_pair(desc, U, k, n, rng):
+    """One zero pair from the closed-form face description, or None.
+
+    ``U`` is the antisymmetric unitary of a Breuer-Hall or Robertson
+    descriptor, built once per sample by the caller; other maps ignore it.
+    """
     if isinstance(desc, Transposition):
         if n < 2:
             return None
@@ -149,7 +153,6 @@ def _analytic_pair(desc, k, n, rng):
         x = random_unit_vector(n, rng)
         return x, x
     if isinstance(desc, (BreuerHall, Robertson)):
-        U = desc.U if isinstance(desc, BreuerHall) else robertson_unitary()
         x = random_unit_vector(n, rng)
         if k % 2 == 0:
             return x, x
@@ -182,9 +185,14 @@ def dual_face_samples(
     if descriptor is not None and isinstance(
         descriptor, (Transposition, Reduction, BreuerHall, Robertson)
     ):
+        U = None
+        if isinstance(descriptor, BreuerHall):
+            U = descriptor.U
+        elif isinstance(descriptor, Robertson):
+            U = robertson_unitary()
         attempts = 0
         while len(pairs) < count and attempts < 20 * count:
-            out = _analytic_pair(descriptor, len(pairs), n, rng)
+            out = _analytic_pair(descriptor, U, len(pairs), n, rng)
             attempts += 1
             if out is None:
                 break
@@ -226,6 +234,20 @@ def dual_face_samples(
     return DualFaceSample(pairs=pairs, source="numeric")
 
 
+def _stacked_pairs(sample: DualFaceSample, n: int, m: int):
+    """The sample's ``x`` and ``y`` vectors as ``(k, n)`` and ``(k, m)`` arrays."""
+    if not sample.pairs:
+        raise DimensionMismatch("no pairs to build constraints from")
+    xs = [np.asarray(pair.x, dtype=complex) for pair in sample.pairs]
+    ys = [np.asarray(pair.y, dtype=complex) for pair in sample.pairs]
+    for x, y in zip(xs, ys):
+        if x.shape != (n,) or y.shape != (m,):
+            raise DimensionMismatch(
+                f"pair dims {(x.shape, y.shape)} do not match {(n, m)}"
+            )
+    return np.stack(xs), np.stack(ys)
+
+
 def face_constraint_matrix(
     sample: DualFaceSample, n: int, m: int
 ) -> np.ndarray:
@@ -235,18 +257,7 @@ def face_constraint_matrix(
     because the row is the coordinate vector of the rank-one projector onto
     the pair's product vector.
     """
-    if not sample.pairs:
-        raise DimensionMismatch("no pairs to build constraints from")
-    Z = []
-    for pair in sample.pairs:
-        x = np.asarray(pair.x, dtype=complex)
-        y = np.asarray(pair.y, dtype=complex)
-        if x.shape != (n,) or y.shape != (m,):
-            raise DimensionMismatch(
-                f"pair dims {(x.shape, y.shape)} do not match {(n, m)}"
-            )
-        Z.append(product_vector(x, y))
-    Z = np.stack(Z)
+    Z = product_vector(*_stacked_pairs(sample, n, m))
     P = Z[:, :, np.newaxis] * Z.conj()[:, np.newaxis, :]
     return hermitian_to_coords(P)
 
@@ -262,21 +273,24 @@ def stationarity_rows(sample: DualFaceSample, n: int, m: int) -> np.ndarray:
     the symmetric-monomial complement in the null space (already dimension
     7 for the smallest reduction map), which no amount of pair sampling
     can remove.
+
+    Rows come pair by pair, then slice by slice (the n slices
+    ``e_i (x) y`` before the m slices ``conj(x) (x) e_k``), the real part
+    of each condition before its imaginary part.
     """
-    rows = []
-    eye_n = np.eye(n)
-    eye_m = np.eye(m)
-    for pair in sample.pairs:
-        x = np.asarray(pair.x, dtype=complex)
-        y = np.asarray(pair.y, dtype=complex)
-        z = product_vector(x, y)
-        ws = [product_vector(eye_n[i], y) for i in range(n)]
-        ws += [product_vector(x, eye_m[k]) for k in range(m)]
-        for w in ws:
-            zw = np.outer(w, z.conj())
-            rows.append((zw + zw.conj().T) / 2)
-            rows.append((1j * zw - 1j * zw.conj().T) / 2)
-    return hermitian_to_coords(np.stack(rows))
+    X, Y = _stacked_pairs(sample, n, m)
+    z = product_vector(X, Y)  # (k, nm)
+    ws = np.concatenate(
+        [
+            product_vector(np.eye(n), Y[:, np.newaxis, :]),
+            product_vector(X[:, np.newaxis, :], np.eye(m)),
+        ],
+        axis=1,
+    )  # (k, n + m, nm)
+    zw = ws[..., :, np.newaxis] * z.conj()[:, np.newaxis, np.newaxis, :]
+    zw_h = zw.conj().swapaxes(-1, -2)
+    rows = np.stack([(zw + zw_h) / 2, (1j * zw - 1j * zw_h) / 2], axis=2)
+    return hermitian_to_coords(rows.reshape((-1,) + zw.shape[-2:]))
 
 
 def _head(sample: DualFaceSample, q: int) -> DualFaceSample:
@@ -308,19 +322,18 @@ def _nullspace_with_diagnostics(desc, sample_count, rel_tol, rng, tol):
 
     first = dual_face_samples(desc, k, rng, tol)
     C1 = _constraint_block(first, n, m)
-    rank1, _ = svd_nullspace(C1, rel_tol)
+    rank1, _, _ = svd_nullspace(C1, rel_tol)
     dim1 = d * d - rank1
 
     second = dual_face_samples(desc, k, rng, tol)
     C2 = np.vstack([C1, _constraint_block(second, n, m)])
-    rank2, basis_coords = svd_nullspace(C2, rel_tol)
+    rank2, basis_coords, sigma_max = svd_nullspace(C2, rel_tol)
     dim2 = d * d - rank2
     if dim1 != dim2:
         raise UnstableDimension(
             f"nullspace dim {dim1} at {k} samples vs {dim2} at {2 * k}"
         )
 
-    sigma_max = float(np.linalg.svd(C2, compute_uv=False)[0])
     c = hermitian_to_coords(ray_representative(phi.choi, tol))
     c = c / np.linalg.norm(c)
     containment = float(np.linalg.norm(C2 @ c))
@@ -621,7 +634,7 @@ def optimality_spanning_check(
     d = n * m
     k = 2 * d * d if sample_count is None else int(sample_count)
     sample = dual_face_samples(desc, k, rng, tol)
-    Z = np.stack([product_vector(p.x, p.y) for p in sample.pairs])
+    Z = product_vector(*_stacked_pairs(sample, n, m))
     s = np.linalg.svd(Z, compute_uv=False)
     span_dim = int(np.sum(s > tol.nullspace_rel_tol * s[0]))
     return span_dim == d, span_dim

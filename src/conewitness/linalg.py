@@ -70,11 +70,17 @@ def eigh(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
 
 
 def svd_nullspace(M: np.ndarray, rel_tol: float):
-    """Numerical rank and orthonormal null-space basis of a real matrix.
+    """Numerical rank, null-space basis and largest singular value of a real matrix.
 
     Singular values at most ``rel_tol`` times the largest one count as zero.
-    Returns ``(rank, basis)`` where ``basis`` has orthonormal columns
-    spanning the null space (shape ``(cols, cols - rank)``).
+    Returns ``(rank, basis, sigma_max)`` where ``basis`` has orthonormal
+    columns spanning the null space (shape ``(cols, cols - rank)``) and
+    ``sigma_max`` is the spectral norm, all from one decomposition.
+
+    A tall matrix gets the thin SVD: its ``V`` is already square, and the
+    full ``U`` (rows x rows) would be built only to be discarded.  A wide
+    matrix needs the full ``V``, whose trailing rows beyond the row count
+    span part of the null space.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
@@ -82,12 +88,12 @@ def svd_nullspace(M: np.ndarray, rel_tol: float):
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     try:
-        _, s, vh = np.linalg.svd(M, full_matrices=True)
+        _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
         raise ConvergenceFailure(str(exc)) from exc
-    smax = s[0] if s.size else 0.0
+    smax = float(s[0])
     rank = int(np.count_nonzero(s > rel_tol * smax)) if smax > 0 else 0
-    return rank, vh[rank:].T.copy()
+    return rank, vh[rank:].T.copy(), smax
 
 
 def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -122,9 +122,15 @@ def compose_with_transpose(phi: LinearMatrixMap) -> LinearMatrixMap:
 def product_vector(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Witness-coordinate embedding ``conj(x) (x) y`` of a map-level pair.
 
-    The single place where the pairing conjugation happens.
+    The single place where the pairing conjugation happens.  Stacked inputs
+    of shapes ``(..., n)`` and ``(..., m)`` broadcast to one embedding per
+    pair, shape ``(..., n*m)``; every entry is the single product
+    ``conj(x_i) * y_k``, so a stacked call and per-pair calls agree bitwise.
     """
-    return np.kron(np.conj(np.asarray(x, dtype=complex)), np.asarray(y, dtype=complex))
+    x = np.conj(np.asarray(x, dtype=complex))
+    y = np.asarray(y, dtype=complex)
+    z = x[..., :, np.newaxis] * y[..., np.newaxis, :]
+    return z.reshape(z.shape[:-2] + (-1,))
 
 
 def witness_pairing(

@@ -155,6 +155,37 @@ def test_stationarity_rows_annihilate_the_map():
         assert np.max(np.abs(S @ coords)) < 1e-9
 
 
+def _per_pair_rows(sample, n, m):
+    """Value and stationarity rows built one pair at a time from product_vector."""
+    value_rows, stat_rows = [], []
+    eye_n, eye_m = np.eye(n), np.eye(m)
+    for pair in sample.pairs:
+        z = product_vector(pair.x, pair.y)
+        value_rows.append(np.outer(z, z.conj()))
+        ws = [product_vector(eye_n[i], pair.y) for i in range(n)]
+        ws += [product_vector(pair.x, eye_m[k]) for k in range(m)]
+        for w in ws:
+            zw = np.outer(w, z.conj())
+            stat_rows.append((zw + zw.conj().T) / 2)
+            stat_rows.append((1j * zw - 1j * zw.conj().T) / 2)
+    return hermitian_to_coords(np.stack(value_rows)), hermitian_to_coords(np.stack(stat_rows))
+
+
+def test_constraint_rows_match_per_pair_reference():
+    rng = np.random.default_rng(7)
+    U = random_antisymmetric_unitary(4, rng)
+    W = choi_of(co_ad_map(np.eye(3)))  # transposition, but hidden from dispatch
+    for desc, n, m, source in (
+        (BreuerHall(U=U), 4, 4, "analytic"),
+        (FromChoi(W=W, dim_in=3, dim_out=3), 3, 3, "numeric"),
+    ):
+        sample = dual_face_samples(desc, 12, rng)
+        assert sample.source == source
+        want_values, want_stat = _per_pair_rows(sample, n, m)
+        assert np.array_equal(face_constraint_matrix(sample, n, m), want_values)
+        assert np.array_equal(stationarity_rows(sample, n, m), want_stat)
+
+
 # ---------------------------------------------------------------------------
 # null spaces
 
@@ -196,8 +227,8 @@ def test_constraint_monotonicity():
     sample = dual_face_samples(Transposition(n=2), 64, rng)
     C_half = face_constraint_matrix(DualFaceSample(sample.pairs[:32], sample.source), 2, 2)
     C_full = face_constraint_matrix(sample, 2, 2)
-    rank_half, _ = svd_nullspace(C_half, 1e-8)
-    rank_full, _ = svd_nullspace(C_full, 1e-8)
+    rank_half, _, _ = svd_nullspace(C_half, 1e-8)
+    rank_full, _, _ = svd_nullspace(C_full, 1e-8)
     assert 16 - rank_full <= 16 - rank_half
 
 

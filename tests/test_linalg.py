@@ -49,20 +49,39 @@ def test_eigh_reconstructs_and_orders():
 def test_svd_nullspace_known_matrix():
     # rank 2 with kernel spanned by e3
     M = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    rank, basis = svd_nullspace(M, 1e-10)
+    rank, basis, _ = svd_nullspace(M, 1e-10)
     assert rank == 2
     assert basis.shape == (3, 1)
     assert abs(abs(basis[2, 0]) - 1.0) < 1e-12
 
-    rank, basis = svd_nullspace(np.array([[1.0, 1.0, 0.0]]), 1e-10)
+    rank, basis, _ = svd_nullspace(np.array([[1.0, 1.0, 0.0]]), 1e-10)
     assert rank == 1
     assert basis.shape == (3, 2)
     assert np.max(np.abs(np.array([[1.0, 1.0, 0.0]]) @ basis)) < 1e-12
     assert frobenius(basis.T @ basis - np.eye(2)) < 1e-12
 
 
+def test_svd_nullspace_tall_rank_deficient():
+    # 40 x 6 with two dependent columns: kernel spanned by k1, k2 exactly
+    rng = np.random.default_rng(5)
+    M = rng.integers(-5, 6, size=(40, 6)).astype(float)
+    M[:, 4] = M[:, 0] + M[:, 1]
+    M[:, 5] = M[:, 2] - M[:, 3]
+    K = np.array([[1.0, 1.0, 0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 1.0, -1.0, 0.0, -1.0]]).T
+    assert np.all(M @ K == 0.0)
+    rank, basis, sigma_max = svd_nullspace(M, 1e-10)
+    assert rank == 4
+    assert basis.shape == (6, 2)
+    assert frobenius(basis.T @ basis - np.eye(2)) < 1e-12
+    assert np.max(np.abs(M @ basis)) < 1e-12 * sigma_max
+    # the basis spans exactly the known kernel
+    Q, _ = np.linalg.qr(K)
+    assert frobenius(basis @ basis.T - Q @ Q.T) < 1e-12
+    assert abs(sigma_max - np.linalg.norm(M, 2)) <= 1e-12 * np.linalg.norm(M, 2)
+
+
 def test_svd_nullspace_zero_matrix_and_bad_tol():
-    rank, basis = svd_nullspace(np.zeros((2, 2)), 1e-8)
+    rank, basis, _ = svd_nullspace(np.zeros((2, 2)), 1e-8)
     assert rank == 0 and basis.shape == (2, 2)
     with pytest.raises(ValueError):
         svd_nullspace(np.eye(2), 0.0)

@@ -91,6 +91,13 @@ def test_product_vector_conjugates_input_factor():
     y = np.array([1.0, 0.0])
     z = product_vector(x, y)
     assert np.allclose(z, np.array([1.0, 0.0, -1.0j, 0.0]) / np.sqrt(2))
+    # stacked pairs give the per-pair embeddings, bit for bit
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    Y = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    Z = product_vector(X, Y)
+    assert Z.shape == (5, 6)
+    assert np.array_equal(Z, np.stack([np.kron(X[r].conj(), Y[r]) for r in range(5)]))
 
 
 def test_pairing_identity_random_maps():
