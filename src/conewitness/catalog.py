@@ -177,7 +177,14 @@ def _require_family_params(a: float, b: float, c: float) -> None:
 
 
 def choi_family_is_positive(a: float, b: float, c: float) -> bool:
-    """Analytic positivity test for the generalized Choi family."""
+    """Whether ``Phi[a, b, c]`` is positive but not completely positive.
+
+    For ``a, b, c >= 0`` the map is positive exactly when ``a + b + c >= 2``
+    and, if ``a <= 1``, ``bc >= (1 - a)^2``, and completely positive exactly
+    when ``a >= 2`` (Cho, Kye and Lee, Linear Algebra Appl. 171, 1992).
+    This predicate is the positive region minus the CP one, so it returns
+    False for the CP maps with ``a >= 2`` although they are positive.
+    """
     _require_family_params(a, b, c)
     return a < 2 and a + b + c >= 2 and (a > 1 or b * c >= (1 - a) ** 2)
 

@@ -132,32 +132,50 @@ def _polish_pair(T, x, y, steps=3):
     return x, y
 
 
-def _analytic_pair(desc, U, k, n, rng):
-    """One zero pair from the closed-form face description, or None.
+def _unit_rows(V):
+    """``V`` with every vector along the last axis normalized, and the norms.
 
+    A stacked matmul runs the same BLAS dot per vector that
+    ``np.linalg.norm`` runs on one vector, so each norm and quotient equals
+    its per-vector result bitwise; ``np.linalg.norm(axis=-1)`` sums in
+    another order.
+    """
+    re, im = V.real[..., np.newaxis, :], V.imag[..., np.newaxis, :]
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    norms = np.sqrt(sq[..., 0, 0])
+    return V / norms[..., np.newaxis], norms
+
+
+def _analytic_candidates(desc, U, count, n, rng):
+    """``count`` draws from the closed-form face description, as stacked arrays.
+
+    Returns ``(X, Ys, stop)``: ``X`` has one ``x`` per row, ``Ys`` has shape
+    ``(p, rows, n)`` with one candidate ``y`` per face circle, and face pair
+    ``k`` takes its ``y`` from ``Ys[k % p]`` (Breuer-Hall and Robertson
+    alternate ``y = x`` and ``y = U conj(x)``).  ``stop`` ends analytic
+    sampling: a transposition draw whose ``y`` has no component off
+    ``conj(x)`` truncates ``X`` before it.  Draws come in the order of one
+    ``random_unit_vector`` call per vector, ``x`` before its ``y``.
     ``U`` is the antisymmetric unitary of a Breuer-Hall or Robertson
     descriptor, built once per sample by the caller; other maps ignore it.
     """
     if isinstance(desc, Transposition):
         if n < 2:
-            return None
-        x = random_unit_vector(n, rng)
-        y = random_unit_vector(n, rng)
+            return np.empty((0, n), complex), np.empty((1, 0, n), complex), True
+        G = rng.standard_normal((count, 2, 2, n))
+        X, _ = _unit_rows(G[:, 0, 0] + 1j * G[:, 0, 1])
+        Y, _ = _unit_rows(G[:, 1, 0] + 1j * G[:, 1, 1])
         # remove the component along conj(x); the face is y orthogonal to it
-        y = y - x.conj() * (x @ y)
-        norm = np.linalg.norm(y)
-        if norm < 1e-8:
-            return None
-        return x, y / norm
+        Y = Y - X.conj() * (X[:, np.newaxis, :] @ Y[:, :, np.newaxis])[:, 0]
+        Y, norms = _unit_rows(Y)
+        degenerate = np.flatnonzero(norms < 1e-8)
+        rows = degenerate[0] if degenerate.size else count
+        return X[:rows], Y[np.newaxis, :rows], degenerate.size > 0
+    G = rng.standard_normal((count, 2, n))
+    X, _ = _unit_rows(G[:, 0] + 1j * G[:, 1])
     if isinstance(desc, Reduction):
-        x = random_unit_vector(n, rng)
-        return x, x
-    if isinstance(desc, (BreuerHall, Robertson)):
-        x = random_unit_vector(n, rng)
-        if k % 2 == 0:
-            return x, x
-        return x, U @ x.conj()
-    return None
+        return X, X[np.newaxis], False
+    return X, np.stack([X, (U @ X.conj()[:, :, np.newaxis])[:, :, 0]]), False
 
 
 def dual_face_samples(
@@ -192,14 +210,18 @@ def dual_face_samples(
             U = robertson_unitary()
         attempts = 0
         while len(pairs) < count and attempts < 20 * count:
-            out = _analytic_pair(descriptor, U, len(pairs), n, rng)
-            attempts += 1
-            if out is None:
+            # draw only the missing pairs: with no rejection this is the last batch
+            batch = min(count - len(pairs), 20 * count - attempts)
+            X, Ys, stop = _analytic_candidates(descriptor, U, batch, n, rng)
+            attempts += batch
+            values = witness_pairing(W_hat, X, Ys, tol)
+            X, Ys = fix_phase(X), fix_phase(Ys)
+            for j in range(X.shape[0]):
+                c = len(pairs) % Ys.shape[0]
+                if abs(values[c, j]) <= tol.zero_tol:
+                    pairs.append(ProductPair(x=X[j], y=Ys[c, j], value=float(values[c, j])))
+            if stop:
                 break
-            x, y = out
-            value = witness_pairing(W_hat, x, y, tol)
-            if abs(value) <= tol.zero_tol:
-                pairs.append(ProductPair(x=fix_phase(x), y=fix_phase(y), value=value))
         if len(pairs) == count:
             return DualFaceSample(pairs=pairs, source="analytic")
 

@@ -77,18 +77,23 @@ def svd_nullspace(M: np.ndarray, rel_tol: float):
     columns spanning the null space (shape ``(cols, cols - rank)``) and
     ``sigma_max`` is the spectral norm, all from one decomposition.
 
-    A tall matrix gets the thin SVD: its ``V`` is already square, and the
-    full ``U`` (rows x rows) would be built only to be discarded.  A wide
-    matrix needs the full ``V``, whose trailing rows beyond the row count
-    span part of the null space.
+    A tall matrix is decomposed through its Householder ``R`` factor: the
+    SVD of ``R`` has the same singular values and ``V`` (Chan's R-SVD, which
+    LAPACK's ``gesdd`` runs internally on a tall enough matrix anyway), and
+    neither ``Q`` nor a rows x cols ``U`` is ever formed.  A wide matrix
+    needs the full ``V``, whose trailing rows beyond the row count span part
+    of the null space.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         raise ValueError("svd_nullspace requires a nonempty matrix")
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    rows, cols = M.shape
     try:
-        _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+        if rows > cols:
+            M = np.linalg.qr(M, mode="r")
+        _, s, vh = np.linalg.svd(M, full_matrices=rows < cols)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
         raise ConvergenceFailure(str(exc)) from exc
     smax = float(s[0])
@@ -122,13 +127,17 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 def fix_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Rotate a vector's global phase so its first sizable entry is positive real.
 
-    Used to break eigenvector degeneracies deterministically.
+    Used to break eigenvector degeneracies deterministically.  Stacked
+    vectors of shape ``(..., n)`` are fixed one by one along the last axis,
+    each bitwise as its own call; a vector with no sizable entry comes back
+    unchanged.
     """
-    idx = np.flatnonzero(np.abs(v) > tol)
-    if idx.size == 0:
-        return v
-    pivot = v[idx[0]]
-    return v * (np.conj(pivot) / np.abs(pivot))
+    v = np.asarray(v)
+    sizable = np.abs(v) > tol
+    found = sizable.any(axis=-1, keepdims=True)
+    pivot = np.take_along_axis(v, np.argmax(sizable, axis=-1)[..., np.newaxis], axis=-1)
+    pivot = np.where(found, pivot, 1.0)
+    return np.where(found, v * (np.conj(pivot) / np.abs(pivot)), v)
 
 
 # --- real parameterization of Hermitian matrices --------------------------

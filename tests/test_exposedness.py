@@ -22,6 +22,7 @@ from conewitness.errors import (
     OddDimension,
 )
 from conewitness.linalg import (
+    fix_phase,
     frobenius,
     hermitian_to_coords,
     random_unit_vector,
@@ -94,6 +95,39 @@ def test_breuer_hall_face_pairs_hit_both_circles():
     assert saw_x and saw_ux
 
 
+def test_analytic_face_pairs_match_per_pair_reference():
+    """The batched sampler keeps the per-pair RNG order and bits."""
+
+    def per_pair(desc, U, count, n, rng):
+        pairs = []
+        while len(pairs) < count:
+            x = random_unit_vector(n, rng)
+            if isinstance(desc, Transposition):
+                y = random_unit_vector(n, rng)
+                y = y - x.conj() * (x @ y)
+                y = y / np.linalg.norm(y)
+            elif isinstance(desc, Reduction) or len(pairs) % 2 == 0:
+                y = x
+            else:
+                y = U @ x.conj()
+            pairs.append((fix_phase(x), fix_phase(y)))
+        return pairs
+
+    U = random_antisymmetric_unitary(4, np.random.default_rng(8))
+    for desc, U_desc, n in (
+        (Transposition(n=3), None, 3),
+        (Reduction(n=4), None, 4),
+        (Robertson(), robertson_unitary(), 4),
+        (BreuerHall(U=U), U, 4),
+    ):
+        sample = dual_face_samples(desc, 60, np.random.default_rng(9))
+        assert sample.source == "analytic"
+        want = per_pair(desc, U_desc, 60, n, np.random.default_rng(9))
+        assert len(sample.pairs) == len(want)
+        for pair, (x, y) in zip(sample.pairs, want):
+            assert np.array_equal(pair.x, x) and np.array_equal(pair.y, y)
+
+
 def test_numeric_harvest_for_plain_choi_input():
     W = choi_of(co_ad_map(np.eye(3)))  # transposition, but hidden from dispatch
     sample = dual_face_samples(FromChoi(W=W, dim_in=3, dim_out=3), 30, np.random.default_rng(3))
@@ -107,6 +141,9 @@ def test_interior_choi_has_no_zeros():
     # phi(X) = Tr(X) I has pairing 1 on every product pair
     with pytest.raises(InsufficientZeros):
         dual_face_samples(FromChoi(W=np.eye(4), dim_in=2, dim_out=2), 5, np.random.default_rng(4))
+    # M_1 has no transposition face to draw from, and no zeros to harvest
+    with pytest.raises(InsufficientZeros):
+        dual_face_samples(Transposition(n=1), 3, np.random.default_rng(4))
     with pytest.raises(ValueError):
         dual_face_samples(Reduction(n=3), 0)
 

@@ -62,22 +62,25 @@ def test_svd_nullspace_known_matrix():
 
 
 def test_svd_nullspace_tall_rank_deficient():
-    # 40 x 6 with two dependent columns: kernel spanned by k1, k2 exactly
-    rng = np.random.default_rng(5)
-    M = rng.integers(-5, 6, size=(40, 6)).astype(float)
-    M[:, 4] = M[:, 0] + M[:, 1]
-    M[:, 5] = M[:, 2] - M[:, 3]
-    K = np.array([[1.0, 1.0, 0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 1.0, -1.0, 0.0, -1.0]]).T
-    assert np.all(M @ K == 0.0)
-    rank, basis, sigma_max = svd_nullspace(M, 1e-10)
-    assert rank == 4
-    assert basis.shape == (6, 2)
-    assert frobenius(basis.T @ basis - np.eye(2)) < 1e-12
-    assert np.max(np.abs(M @ basis)) < 1e-12 * sigma_max
-    # the basis spans exactly the known kernel
-    Q, _ = np.linalg.qr(K)
-    assert frobenius(basis @ basis.T - Q @ Q.T) < 1e-12
-    assert abs(sigma_max - np.linalg.norm(M, 2)) <= 1e-12 * np.linalg.norm(M, 2)
+    # 8 rows is below the 11/6 * cols at which LAPACK's gesdd would take the
+    # QR itself, so there the R-factor route and a direct SVD really differ
+    for rows in (40, 8):
+        # rows x 6 with two dependent columns: kernel spanned by k1, k2 exactly
+        rng = np.random.default_rng(5)
+        M = rng.integers(-5, 6, size=(rows, 6)).astype(float)
+        M[:, 4] = M[:, 0] + M[:, 1]
+        M[:, 5] = M[:, 2] - M[:, 3]
+        K = np.array([[1.0, 1.0, 0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 1.0, -1.0, 0.0, -1.0]]).T
+        assert np.all(M @ K == 0.0)
+        rank, basis, sigma_max = svd_nullspace(M, 1e-10)
+        assert rank == 4
+        assert basis.shape == (6, 2)
+        assert frobenius(basis.T @ basis - np.eye(2)) < 1e-12
+        assert np.max(np.abs(M @ basis)) < 1e-12 * sigma_max
+        # the basis spans exactly the known kernel
+        Q, _ = np.linalg.qr(K)
+        assert frobenius(basis @ basis.T - Q @ Q.T) < 1e-12
+        assert abs(sigma_max - np.linalg.norm(M, 2)) <= 1e-12 * np.linalg.norm(M, 2)
 
 
 def test_svd_nullspace_zero_matrix_and_bad_tol():
@@ -118,6 +121,12 @@ def test_fix_phase_pins_first_entry():
     assert np.allclose(fix_phase(v * np.exp(0.7j)), u)
     z = np.zeros(3, dtype=complex)
     assert np.allclose(fix_phase(z), z)
+    # stacked vectors, a zero one among them, are fixed one by one, bit for bit
+    V = rng.standard_normal((2, 5, 4)) + 1j * rng.standard_normal((2, 5, 4))
+    V[0, 1] = 0.0
+    V[1, 2, :2] = 1e-13
+    want = np.stack([np.stack([fix_phase(v) for v in rows]) for rows in V])
+    assert np.array_equal(fix_phase(V), want)
 
 
 @settings(max_examples=40, deadline=None)

@@ -112,6 +112,13 @@ def test_pairing_identity_random_maps():
             lhs = np.vdot(y, apply(phi, np.outer(x, x.conj())) @ y).real
             rhs = witness_pairing(W, x, y)
             assert abs(lhs - rhs) < 1e-11 * max(1.0, frobenius(W))
+        # stacked pairs give the per-pair pairings, bit for bit
+        X = np.stack([random_unit_vector(n, rng) for _ in range(6)]).reshape(2, 3, n)
+        Y = np.stack([random_unit_vector(m, rng) for _ in range(6)]).reshape(2, 3, m)
+        values = witness_pairing(W, X, Y)
+        assert values.shape == (2, 3)
+        want = [[witness_pairing(W, x, y) for x, y in zip(xs, ys)] for xs, ys in zip(X, Y)]
+        assert np.array_equal(values, np.array(want))
 
 
 def test_witness_pairing_errors():
@@ -121,6 +128,11 @@ def test_witness_pairing_errors():
     y = np.array([1.0, 1.0j]) / np.sqrt(2)
     with pytest.raises(NonRealPairing):
         witness_pairing(W, x, y)
+    # one complex pairing in a stack is enough; the real one alone passes
+    X, Y = np.stack([x, x]), np.stack([np.array([1.0, 0.0]), y])
+    assert np.array_equal(witness_pairing(W, X[:1], Y[:1]), [0.0])
+    with pytest.raises(NonRealPairing):
+        witness_pairing(W, X, Y)
     with pytest.raises(DimensionMismatch):
         witness_pairing(np.eye(4), np.ones(3), np.ones(3))
 
