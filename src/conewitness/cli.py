@@ -56,7 +56,7 @@ from .exposedness import (
     verify_lemma1,
 )
 from .linalg import is_hermitian, random_unit_vector, random_unitary, require_hermitian
-from .maps import choi_of, map_from_choi
+from .maps import choi_of
 from .positivity import (
     SeeSawConfig,
     detect_entanglement,
@@ -237,11 +237,16 @@ def descriptor_from_args(args):
         raise ValueError(
             f"{name!r} is neither a catalog name {CATALOG_NAMES} nor a file"
         )
-    W = load_matrix(name, what="choi file")
+    return _load_choi(name, getattr(args, "dim_in", None), "choi file")
+
+
+def _load_choi(path: str, dim_in: int | None, what: str) -> FromChoi:
+    """A square Hermitian Choi matrix file, split into (input, output) dims."""
+    W = load_matrix(path, what=what)
     if W.shape[0] != W.shape[1]:
-        raise ValueError(f"choi file {name!r}: matrix must be square")
+        raise ValueError(f"{what} {path!r}: matrix must be square")
     require_hermitian(W)
-    n, m = split_dims(W.shape[0], getattr(args, "dim_in", None), f"choi file {name!r}")
+    n, m = split_dims(W.shape[0], dim_in, f"{what} {path!r}")
     return FromChoi(W=W, dim_in=n, dim_out=m)
 
 
@@ -313,12 +318,9 @@ def cmd_catalog(args, argv: list[str]) -> int:
 
 def cmd_check(args, argv: list[str]) -> int:
     seed = resolve_seed(args)
-    W = load_matrix(args.choi_file, what="choi file")
-    if W.shape[0] != W.shape[1]:
-        raise ValueError(f"choi file {args.choi_file!r}: matrix must be square")
-    require_hermitian(W)
-    n, m = split_dims(W.shape[0], args.dim_in, f"choi file {args.choi_file!r}")
-    phi = map_from_choi(W, n, m)
+    desc = _load_choi(args.choi_file, args.dim_in, "choi file")
+    n, m = desc.dim_in, desc.dim_out
+    phi = build_map(desc)
 
     restarts = args.restarts if args.restarts is not None else 64
     config = SeeSawConfig(restarts=restarts)
@@ -355,12 +357,8 @@ def cmd_check(args, argv: list[str]) -> int:
 
 def cmd_detect(args, argv: list[str]) -> int:
     rho = load_matrix(args.state_file, what="state file")
-    W = load_matrix(args.witness_file, what="witness file")
-    if W.shape[0] != W.shape[1]:
-        raise ValueError(f"witness file {args.witness_file!r}: matrix must be square")
-    require_hermitian(W)
-    n, m = split_dims(W.shape[0], args.dim_in, f"witness file {args.witness_file!r}")
-    value, verdict = detect_entanglement(rho, map_from_choi(W, n, m))
+    witness = _load_choi(args.witness_file, args.dim_in, "witness file")
+    value, verdict = detect_entanglement(rho, build_map(witness))
     doc = base_report(argv, None, {"zero_tol": DEFAULT_TOLERANCES.zero_tol})
     doc["value"] = value
     doc["verdict"] = verdict
@@ -403,6 +401,8 @@ def cmd_verify(args, argv: list[str]) -> int:
     seed = resolve_seed(args)
     rng = np.random.default_rng(seed)
     trials = args.trials
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
     doc = base_report(
         argv,
         seed,

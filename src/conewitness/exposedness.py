@@ -61,6 +61,8 @@ from .positivity import (
     BlockPositivityReport,
     ProductPair,
     SeeSawConfig,
+    _sweep,
+    _y_side,
     is_block_positive,
     seesaw_endpoints,
 )
@@ -118,18 +120,6 @@ def _as_map(desc) -> tuple[MapDescriptor | None, LinearMatrixMap]:
     if isinstance(desc, LinearMatrixMap):
         return None, desc
     return desc, build_map(desc)
-
-
-def _polish_pair(T, x, y, steps=3):
-    """A few exact alternating minimizations to land a pair on the face."""
-    for _ in range(steps):
-        N = np.einsum("k,ikjl,l->ij", y.conj(), T, y).conj()
-        _, v = np.linalg.eigh((N + N.conj().T) / 2)
-        x = v[:, 0]
-        M = np.einsum("i,ikjl,j->kl", x, T, x.conj())
-        _, v = np.linalg.eigh((M + M.conj().T) / 2)
-        y = v[:, 0]
-    return x, y
 
 
 def _unit_rows(V):
@@ -234,16 +224,15 @@ def dual_face_samples(
     max_rounds = max(6, (4 * count) // restarts + 2)
     while len(pairs) < count and rounds < max_rounds:
         X, Y, vals, _, _ = seesaw_endpoints(phi_hat, cfg, rng)
-        for r in range(restarts):
-            if len(pairs) >= count:
-                break
-            if vals[r] <= tol.zero_tol:
-                x, y = _polish_pair(T, X[r], Y[r])
-                value = witness_pairing(W_hat, x, y, tol)
-                if abs(value) <= tol.zero_tol:
-                    pairs.append(
-                        ProductPair(x=fix_phase(x), y=fix_phase(y), value=value)
-                    )
+        # a few exact alternating minimizations land near-zero endpoints on the face
+        near = vals <= tol.zero_tol
+        X, Y = X[near], Y[near]
+        for _ in range(3):
+            X, Y, _ = _sweep(T, X, Y)
+        values = witness_pairing(W_hat, X, Y, tol)
+        X, Y = fix_phase(X), fix_phase(Y)
+        for j in np.flatnonzero(np.abs(values) <= tol.zero_tol)[: count - len(pairs)]:
+            pairs.append(ProductPair(x=X[j], y=Y[j], value=float(values[j])))
         rounds += 1
         # a clearly positive global minimum will never yield zeros
         if not pairs and vals.min() > max(1e-3, 100 * tol.zero_tol):
@@ -408,14 +397,14 @@ def _probe_vectors(phi, face_pairs, rng, tol):
     scale = max(1.0, frobenius(phi.choi))
     probes = []
 
-    xs = [np.asarray(p.x, dtype=complex) for p in face_pairs]
-    if not xs:
+    if face_pairs:
+        X = np.stack([np.asarray(p.x, dtype=complex) for p in face_pairs[:48]])
+    else:
         cfg = SeeSawConfig(restarts=48, max_iters=150)
         X, _, vals, _, _ = seesaw_endpoints(phi, cfg, rng)
-        xs = [X[r] for r in range(X.shape[0]) if vals[r] <= 1e-7 * scale]
-    for x in xs[:48]:
-        M = np.einsum("i,ikjl,j->kl", x, T, x.conj())
-        w, v = np.linalg.eigh((M + M.conj().T) / 2)
+        X = X[vals <= 1e-7 * scale]
+    W, V = np.linalg.eigh(_y_side(T, X))
+    for x, w, v in zip(X, W, V):
         kernel = v[:, w <= 1e-7 * scale]
         kdim = kernel.shape[1]
         if kdim == 0:
@@ -438,6 +427,11 @@ def _probe_vectors(phi, face_pairs, rng, tol):
     return np.stack(probes)
 
 
+def _pairings(Z, basis):
+    """Real pairing ``<z|B_i|z>`` of every product vector row z with every basis element."""
+    return np.einsum("pa,iab,pb->pi", Z.conj(), basis, Z, optimize=True).real
+
+
 def cone_search_off_ray(
     phi: LinearMatrixMap,
     basis: np.ndarray,
@@ -457,6 +451,8 @@ def cone_search_off_ray(
     before giving up on it.  First surviving candidate wins; None is a
     legitimate outcome and the only possible one when dim < 2.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     basis = np.asarray(basis)
     dim = basis.shape[0]
     if dim < 2:
@@ -472,19 +468,8 @@ def cone_search_off_ray(
     c = c / np.linalg.norm(c)
     gamma_ray = Bc @ c
 
-    Z = _probe_vectors(phi, face_pairs or [], rng, tol)
-    Q = np.einsum("pa,iab,pb->pi", Z.conj(), basis, Z, optimize=True).real
-
+    Q = _pairings(_probe_vectors(phi, face_pairs or [], rng, tol), basis)
     reject_below = -10 * tol.zero_tol
-
-    def screen(gamma):
-        vals = Q @ gamma
-        j = int(np.argmin(vals))
-        return float(vals[j]), j
-
-    def materialize(gamma):
-        return coords_to_hermitian(gamma @ Bc, d)
-
     spent = 0
     seed_index = 0
     while spent < budget:
@@ -507,43 +492,34 @@ def cone_search_off_ray(
             if spent >= budget:
                 break
             spent += 1
-            worst, j = screen(gamma)
-            if worst < reject_below:
-                # repair: lift the worst probe pairing back to zero
-                q = Q[j]
-                qq = float(q @ q)
-                if qq < 1e-14:
+            vals = Q @ gamma
+            j = int(np.argmin(vals))
+            worst = float(vals[j])
+            if worst >= reject_below:
+                cand = ray_representative(coords_to_hermitian(gamma @ Bc, d), tol)
+                if is_ray_proportional(cand, phi.choi, tol):
                     break
-                gamma = gamma - (worst / qq) * q
-                norm = np.linalg.norm(gamma)
-                if norm < 1e-12:
+                cand_map = map_from_choi(cand, n, m)
+                verdict, report = is_block_positive(cand_map, search_seesaw, rng, tol)
+                if verdict != "CERTIFIED_NOT_BP":
+                    confirm_verdict, _ = is_block_positive(cand_map, confirm_seesaw, rng, tol)
+                    if confirm_verdict == "EVIDENCE_BP":
+                        return cand
                     break
-                gamma = gamma / norm
-                continue
-            cand = materialize(gamma)
-            cand = ray_representative(cand, tol)
-            if is_ray_proportional(cand, phi.choi, tol):
-                break
-            cand_map = map_from_choi(cand, n, m)
-            verdict, report = is_block_positive(cand_map, search_seesaw, rng, tol)
-            if verdict == "CERTIFIED_NOT_BP":
                 # cutting plane: remember this violation and repair along it
                 z = product_vector(report.argmin.x, report.argmin.y)
-                q = np.einsum("a,iab,b->i", z.conj(), basis, z).real
-                Q = np.vstack([Q, q])
-                qq = float(q @ q)
-                if qq < 1e-14:
-                    break
-                gamma = gamma - (report.min_value / qq) * q
-                norm = np.linalg.norm(gamma)
-                if norm < 1e-12:
-                    break
-                gamma = gamma / norm
-                continue
-            confirm_verdict, _ = is_block_positive(cand_map, confirm_seesaw, rng, tol)
-            if confirm_verdict == "EVIDENCE_BP":
-                return cand
-            break
+                Q = np.vstack([Q, _pairings(z[np.newaxis], basis)])
+                worst, j = report.min_value, len(Q) - 1
+            # repair: lift the violated pairing back to zero
+            q = Q[j]
+            qq = float(q @ q)
+            if qq < 1e-14:
+                break
+            gamma = gamma - (worst / qq) * q
+            norm = np.linalg.norm(gamma)
+            if norm < 1e-12:
+                break
+            gamma = gamma / norm
     return None
 
 
@@ -559,6 +535,8 @@ def exposedness_report(
     counterexample that survives independent re-validation: block-positive
     evidence, off the map's ray, and vanishing on freshly drawn face pairs.
     """
+    if config.budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {config.budget}")
     if rng is None:
         rng = np.random.default_rng(0)
     descriptor, phi = _as_map(desc)

@@ -56,6 +56,30 @@ def _random_unit_rows(rows: int, dim: int, rng: np.random.Generator) -> np.ndarr
     return Z / np.linalg.norm(Z, axis=1, keepdims=True)
 
 
+def _y_side(T: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Hermitized ``phi(P_x)`` for every row x of X: the pairing is ``<y|phi(P_x)|y>``."""
+    M = np.einsum("ri,ikjl,rj->rkl", X, T, X.conj(), optimize=True)
+    return (M + M.conj().transpose(0, 2, 1)) / 2
+
+
+def _sweep(
+    T: np.ndarray, X: np.ndarray, Y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One see-saw step for every row: x at fixed y, then y at the new x.
+
+    Each half-step replaces one factor by the bottom eigenvector of the
+    partially contracted witness ``T`` (the Choi matrix as ``(n, m, n, m)``).
+    Returns the new ``(X, Y)`` and each row's pairing, the bottom eigenvalue
+    of the y-side matrix.
+    """
+    # minimize over x at fixed y: the pairing is <x|conj(N_y)|x>
+    N = np.einsum("rk,ikjl,rl->rij", Y.conj(), T, Y, optimize=True).conj()
+    _, v = np.linalg.eigh((N + N.conj().transpose(0, 2, 1)) / 2)
+    X = v[:, :, 0]
+    w, v = np.linalg.eigh(_y_side(T, X))
+    return X, v[:, :, 0], w[:, 0]
+
+
 def seesaw_endpoints(
     phi: LinearMatrixMap,
     config: SeeSawConfig,
@@ -63,10 +87,10 @@ def seesaw_endpoints(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
     """Run all see-saw restarts together; return every restart's endpoint.
 
-    Each half-step replaces one factor by the bottom eigenvector of the
-    partially contracted witness, so the value is monotone non-increasing
-    along every restart.  Returns (X, Y, values, iterations, converged)
-    with X of shape (restarts, dim_in) and Y of shape (restarts, dim_out).
+    Every iteration is one :func:`_sweep`, so the value is monotone
+    non-increasing along every restart.  Returns (X, Y, values, iterations,
+    converged) with X of shape (restarts, dim_in) and Y of shape
+    (restarts, dim_out).
     """
     n, m = phi.dim_in, phi.dim_out
     R = int(config.restarts)
@@ -82,15 +106,7 @@ def seesaw_endpoints(
     iters_done = 0
     converged = False
     for it in range(1, config.max_iters + 1):
-        # minimize over x at fixed y: the pairing is <x|conj(N_y)|x>
-        N = np.einsum("rk,ikjl,rl->rij", Y.conj(), T, Y, optimize=True).conj()
-        w, v = np.linalg.eigh((N + N.conj().transpose(0, 2, 1)) / 2)
-        X = v[:, :, 0]
-        # minimize over y at fixed x: the pairing is <y|phi(P_x)|y>
-        M = np.einsum("ri,ikjl,rj->rkl", X, T, X.conj(), optimize=True)
-        w, v = np.linalg.eigh((M + M.conj().transpose(0, 2, 1)) / 2)
-        Y = v[:, :, 0]
-        vals = w[:, 0]
+        X, Y, vals = _sweep(T, X, Y)
         iters_done = it
         if config.stop_below is not None and vals.min() < config.stop_below:
             converged = True

@@ -161,6 +161,20 @@ def test_check_input_validation(tmp_path, capsys):
     ok = write_choi(tmp_path, choi_of(reduction(2)), "ok.json")
     assert cli.main(["check", ok, "--mode", "cp", "--dim-in", "3"]) == 2
     capsys.readouterr()
+    # detect and exposedness load their Choi files through the same checks
+    state = write_choi(tmp_path, np.eye(4) / 4, "state.json")
+    for argv, message in (
+        ([rect], "matrix must be square"),
+        ([skew], "Hermiticity defect"),
+        ([str(garbage)], "Expecting value"),
+        ([ok, "--dim-in", "3"], "--dim-in 3 does not divide size 4"),
+    ):
+        assert cli.main(["detect", state, *argv]) == 2
+        assert message in capsys.readouterr().err
+        assert cli.main(["exposedness", *argv]) == 2
+        assert message in capsys.readouterr().err
+    assert cli.main(["exposedness", str(tmp_path / "missing.json")]) == 2
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
@@ -302,3 +316,10 @@ def test_usage_errors_exit_two(capsys):
     assert cli.main(["verify"]) == 2
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()
+    # a suite that runs no trial checks nothing and must not pass
+    for suite, trials in (("bh-structure", "0"), ("bh-structure", "-3"), ("lemma1", "0")):
+        assert cli.main(["verify", "--suite", suite, "--trials", trials]) == 2
+        assert "--trials must be at least 1" in capsys.readouterr().err
+    # a negative cone-search budget is rejected before any search
+    assert cli.main(["exposedness", "reduction", "--n", "3", "--budget", "-1"]) == 2
+    assert "budget must be nonnegative" in capsys.readouterr().err
