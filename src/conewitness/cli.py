@@ -15,14 +15,16 @@ byte-identical reports.  Output lands on stdout unless ``--out`` is given,
 in which case the file is written atomically (temp file, then rename).
 
 Exit codes: 0 success (verdicts are data, not exit codes), 2 malformed
-input or invalid parameters, 3 see-saw convergence failure, 4 exposedness
-input that fails block-positivity, 5 verify-suite failure.  The env var
-CONEWITNESS_SEED supplies a default seed; an explicit --seed wins.
+input, invalid parameters or a problem too large for memory, 3 see-saw
+convergence failure, 4 exposedness input that fails block-positivity, 5
+verify-suite failure.  The env var CONEWITNESS_SEED supplies a default
+seed; an explicit --seed wins.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -522,11 +524,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first :func:`main` call and shared after it.
+
+    Parsing reads the parser and never changes it, so one parser serves
+    every call in the process.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -539,6 +550,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (ConeWitnessError, ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

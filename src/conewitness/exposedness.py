@@ -40,6 +40,8 @@ from .errors import (
     UnstableDimension,
 )
 from .linalg import (
+    _coordinate_entries,
+    _coords_axis_first,
     fix_phase,
     frobenius,
     hermitian_to_coords,
@@ -266,11 +268,14 @@ def face_constraint_matrix(
 
     Row r dotted with coords(W) equals the pairing of W at pair r, exactly,
     because the row is the coordinate vector of the rank-one projector onto
-    the pair's product vector.
+    the pair's product vector.  Each coordinate is computed directly from
+    the entries it reads, with the projector's own entrywise products, and
+    the rows come back column-major.
     """
-    Z = product_vector(*_stacked_pairs(sample, n, m))
-    P = Z[:, :, np.newaxis] * Z.conj()[:, np.newaxis, :]
-    return hermitian_to_coords(P)
+    d = n * m
+    z = product_vector(*_stacked_pairs(sample, n, m)).T  # (nm, k)
+    a, b = _coordinate_entries(d)
+    return _coords_axis_first(z[a] * z.conj()[b], d).T
 
 
 def stationarity_rows(sample: DualFaceSample, n: int, m: int) -> np.ndarray:
@@ -280,44 +285,49 @@ def stationarity_rows(sample: DualFaceSample, n: int, m: int) -> np.ndarray:
     there, so both partial contractions annihilate the pair's vectors:
     ``<w|A|z> = 0`` for w running over the coordinate slices ``e_i (x) y``
     and ``conj(x) (x) e_k``.  Each complex condition realifies into two
-    Hermitian rows.  Without these rows the value constraints alone leave
-    the symmetric-monomial complement in the null space (already dimension
-    7 for the smallest reduction map), which no amount of pair sampling
-    can remove.
+    Hermitian rows, the Hermitian parts of ``w z^H`` and ``i w z^H``.
+    Without these rows the value constraints alone leave the
+    symmetric-monomial complement in the null space (already dimension 7
+    for the smallest reduction map), which no amount of pair sampling can
+    remove.
 
     Rows come pair by pair, then slice by slice (the n slices
     ``e_i (x) y`` before the m slices ``conj(x) (x) e_k``), the real part
-    of each condition before its imaginary part.
+    of each condition before its imaginary part.  Only the entries the
+    coordinates read are formed, and the rows come back column-major.
     """
+    d = n * m
     X, Y = _stacked_pairs(sample, n, m)
-    z = product_vector(X, Y)  # (k, nm)
+    zc = product_vector(X, Y).conj().T[:, :, np.newaxis]  # (nm, k, 1)
     ws = np.concatenate(
         [
             product_vector(np.eye(n), Y[:, np.newaxis, :]),
             product_vector(X[:, np.newaxis, :], np.eye(m)),
         ],
         axis=1,
-    )  # (k, n + m, nm)
-    zw = ws[..., :, np.newaxis] * z.conj()[:, np.newaxis, np.newaxis, :]
-    zw_h = zw.conj().swapaxes(-1, -2)
-    rows = np.stack([(zw + zw_h) / 2, (1j * zw - 1j * zw_h) / 2], axis=2)
-    return hermitian_to_coords(rows.reshape((-1,) + zw.shape[-2:]))
+    ).transpose(2, 0, 1)  # (nm, k, n + m)
+    a, b = _coordinate_entries(d)
+    wz = ws[a] * zc[b]  # entry (a, b) of w z^H
+    wz_h = (ws[b] * zc[a]).conj()  # entry (a, b) of z w^H
+    parts = np.stack([(wz + wz_h) / 2, (1j * wz - 1j * wz_h) / 2], axis=-1)
+    return _coords_axis_first(parts, d).reshape(d * d, -1).T
 
 
 def _head(sample: DualFaceSample, q: int) -> DualFaceSample:
     return DualFaceSample(pairs=sample.pairs[:q], source=sample.source)
 
 
-def _constraint_block(sample, n, m):
+def _stationarity_pairs(n, m):
     # stationarity rows for a quarter of the pairs saturate the rank at a
     # quarter of the cost; the value rows still cover every sampled pair
-    q = max(1, (2 * (n * m) ** 2) // (2 * (n + m)))
-    return np.vstack(
-        [
-            face_constraint_matrix(sample, n, m),
-            stationarity_rows(_head(sample, q), n, m),
-        ]
-    )
+    return max(1, (2 * (n * m) ** 2) // (2 * (n + m)))
+
+
+def _constraint_block(sample, n, m, out):
+    """Write the sample's value rows, then its stationarity rows, into ``out``."""
+    k = len(sample.pairs)
+    out[:k] = face_constraint_matrix(sample, n, m)
+    out[k:] = stationarity_rows(_head(sample, _stationarity_pairs(n, m)), n, m)
 
 
 def _nullspace_with_diagnostics(desc, sample_count, rel_tol, rng, tol):
@@ -331,14 +341,18 @@ def _nullspace_with_diagnostics(desc, sample_count, rel_tol, rng, tol):
     if rng is None:
         rng = np.random.default_rng(0)
 
+    # both blocks share one column-major matrix, which LAPACK reads without
+    # a transposing copy; the first block is its top half
+    r = k + 2 * (n + m) * _stationarity_pairs(n, m)
+    C = np.empty((2 * r, d * d), order="F")
     first = dual_face_samples(desc, k, rng, tol)
-    C1 = _constraint_block(first, n, m)
-    rank1, _, _ = svd_nullspace(C1, rel_tol)
+    _constraint_block(first, n, m, C[:r])
+    rank1, _, _ = svd_nullspace(C[:r], rel_tol, basis=False)
     dim1 = d * d - rank1
 
     second = dual_face_samples(desc, k, rng, tol)
-    C2 = np.vstack([C1, _constraint_block(second, n, m)])
-    rank2, basis_coords, sigma_max = svd_nullspace(C2, rel_tol)
+    _constraint_block(second, n, m, C[r:])
+    rank2, basis_coords, sigma_max = svd_nullspace(C, rel_tol)
     dim2 = d * d - rank2
     if dim1 != dim2:
         raise UnstableDimension(
@@ -347,7 +361,7 @@ def _nullspace_with_diagnostics(desc, sample_count, rel_tol, rng, tol):
 
     c = hermitian_to_coords(ray_representative(phi.choi, tol))
     c = c / np.linalg.norm(c)
-    containment = float(np.linalg.norm(C2 @ c))
+    containment = float(np.linalg.norm(C @ c))
     if containment > 10 * rel_tol * max(sigma_max, 1.0):
         raise UnstableDimension(
             f"sampled face excludes the map's own Choi (residual {containment:.3e})"

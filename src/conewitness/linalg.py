@@ -69,20 +69,25 @@ def eigh(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
     return w, v
 
 
-def svd_nullspace(M: np.ndarray, rel_tol: float):
+def svd_nullspace(M: np.ndarray, rel_tol: float, *, basis: bool = True):
     """Numerical rank, null-space basis and largest singular value of a real matrix.
 
     Singular values at most ``rel_tol`` times the largest one count as zero.
     Returns ``(rank, basis, sigma_max)`` where ``basis`` has orthonormal
     columns spanning the null space (shape ``(cols, cols - rank)``) and
-    ``sigma_max`` is the spectral norm, all from one decomposition.
+    ``sigma_max`` is the spectral norm, all from one decomposition.  With
+    ``basis=False`` only the singular values are computed and ``basis`` is
+    None; LAPACK then runs another algorithm, so ``sigma_max`` may differ
+    from the ``basis=True`` value in its last bits.
 
     A tall matrix is decomposed through its Householder ``R`` factor: the
     SVD of ``R`` has the same singular values and ``V`` (Chan's R-SVD, which
     LAPACK's ``gesdd`` runs internally on a tall enough matrix anyway), and
     neither ``Q`` nor a rows x cols ``U`` is ever formed.  A wide matrix
     needs the full ``V``, whose trailing rows beyond the row count span part
-    of the null space.
+    of the null space.  LAPACK works on column-major data: a column-major
+    ``M`` (or a row slice of one) is read without a transposing copy and
+    gives the same bits as its C-order copy.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
@@ -93,12 +98,15 @@ def svd_nullspace(M: np.ndarray, rel_tol: float):
     try:
         if rows > cols:
             M = np.linalg.qr(M, mode="r")
-        _, s, vh = np.linalg.svd(M, full_matrices=rows < cols)
+        if basis:
+            _, s, vh = np.linalg.svd(M, full_matrices=rows < cols)
+        else:
+            s = np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
         raise ConvergenceFailure(str(exc)) from exc
     smax = float(s[0])
     rank = int(np.count_nonzero(s > rel_tol * smax)) if smax > 0 else 0
-    return rank, vh[rank:].T.copy(), smax
+    return rank, vh[rank:].T.copy() if basis else None, smax
 
 
 def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -161,6 +169,35 @@ def hermitian_to_coords(A: np.ndarray) -> np.ndarray:
     return np.concatenate(
         [diag, _SQRT2 * upper.real, _SQRT2 * upper.imag], axis=-1
     )
+
+
+def _coordinate_entries(d: int):
+    """Row and column indices of the entries the coordinates read.
+
+    The d diagonal entries come first, then the strict upper triangle in
+    row-major order, so ``A[a, b]`` lists what :func:`hermitian_to_coords`
+    reads, in its order.
+    """
+    iu, ju = np.triu_indices(d, k=1)
+    diag = np.arange(d)
+    return np.concatenate([diag, iu]), np.concatenate([diag, ju])
+
+
+def _coords_axis_first(E: np.ndarray, d: int) -> np.ndarray:
+    """Coordinates, coordinate axis first, from the entries the coordinates read.
+
+    ``E[e, ...]`` is entry ``e`` of :func:`_coordinate_entries` of each
+    matrix; the result, of shape ``(d*d,) + E.shape[1:]``, holds the same
+    bits as :func:`hermitian_to_coords` of the full matrices, moved to the
+    front axis, without building them.
+    """
+    out = np.empty((d * d,) + E.shape[1:])
+    upper = E[d:]
+    p = upper.shape[0]
+    out[:d] = E[:d].real
+    np.multiply(_SQRT2, upper.real, out=out[d : d + p])
+    np.multiply(_SQRT2, upper.imag, out=out[d + p :])
+    return out
 
 
 def coords_to_hermitian(coords: np.ndarray, d: int) -> np.ndarray:

@@ -286,6 +286,26 @@ def test_reports_are_byte_identical(tmp_path):
     first = (tmp_path / "r.json").read_bytes()
     assert cli.main(argv) == 0
     assert (tmp_path / "r.json").read_bytes() == first
+    # the parser is shared within a process: a flag given in between leaks
+    # into no later run
+    argv = ["exposedness", "reduction", "--n", "3", "--seed", "3"]
+    code, doc, first = run(argv, tmp_path)
+    assert code == 0 and doc["config"]["samples"] is None
+    assert run([*argv, "--samples", "400"], tmp_path, "other.json")[0] == 0
+    code, doc, again = run(argv, tmp_path)
+    assert code == 0 and doc["config"]["samples"] is None
+    assert again == first
+
+
+def test_memory_error_exits_two(monkeypatch, capsys):
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 233. TiB for an array")
+
+    monkeypatch.setattr(cli, "exposedness_report", too_large)
+    assert cli.main(["exposedness", "reduction", "--n", "2", "--samples", "1000000000000"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: out of memory: Unable to allocate 233. TiB for an array\n"
 
 
 def test_seed_resolution(tmp_path, monkeypatch):

@@ -25,6 +25,7 @@ from conewitness.errors import (
     UnstableDimension,
 )
 from conewitness.linalg import (
+    coords_to_hermitian,
     fix_phase,
     frobenius,
     hermitian_to_coords,
@@ -195,13 +196,16 @@ def test_stationarity_rows_annihilate_the_map():
         assert np.max(np.abs(S @ coords)) < 1e-9
 
 
-def _per_pair_rows(sample, n, m):
-    """Value and stationarity rows built one pair at a time from product_vector."""
+def _per_pair_rows(sample, n, m, q=None):
+    """Value rows, and stationarity rows of the first q pairs (default all),
+    built one pair at a time from product_vector."""
     value_rows, stat_rows = [], []
     eye_n, eye_m = np.eye(n), np.eye(m)
-    for pair in sample.pairs:
+    for j, pair in enumerate(sample.pairs):
         z = product_vector(pair.x, pair.y)
         value_rows.append(np.outer(z, z.conj()))
+        if q is not None and j >= q:
+            continue
         ws = [product_vector(eye_n[i], pair.y) for i in range(n)]
         ws += [product_vector(pair.x, eye_m[k]) for k in range(m)]
         for w in ws:
@@ -259,6 +263,23 @@ def test_nullspace_dim_reduction3_is_coad_span():
 def test_nullspace_rejects_undersampling():
     with pytest.raises(ValueError):
         double_dual_nullspace(Transposition(n=2), sample_count=10)
+
+
+def test_nullspace_basis_bits_match_stacked_c_order_blocks():
+    """One column-major system gives the bits of C-order blocks stacked by vstack."""
+    U = random_antisymmetric_unitary(4, np.random.default_rng(3))
+    for desc, n in ((Robertson(), 4), (BreuerHall(U=U), 4), (Reduction(n=3), 3)):
+        d = n * n
+        q = max(1, (2 * d * d) // (4 * n))  # pairs that get stationarity rows
+        rng = np.random.default_rng(11)
+        blocks = []
+        for _ in range(2):
+            sample = dual_face_samples(desc, 2 * d * d, rng)
+            blocks.append(np.vstack(_per_pair_rows(sample, n, n, q)))
+        rank, basis_coords, _ = svd_nullspace(np.vstack(blocks), 1e-8)
+        dim, basis = double_dual_nullspace(desc, rng=np.random.default_rng(11))
+        assert dim == d * d - rank
+        assert np.array_equal(basis, coords_to_hermitian(basis_coords.T, d))
 
 
 def test_constraint_monotonicity():

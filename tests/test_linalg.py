@@ -81,6 +81,10 @@ def test_svd_nullspace_tall_rank_deficient():
         Q, _ = np.linalg.qr(K)
         assert frobenius(basis @ basis.T - Q @ Q.T) < 1e-12
         assert abs(sigma_max - np.linalg.norm(M, 2)) <= 1e-12 * np.linalg.norm(M, 2)
+        # the values-only path ranks alike and builds no basis
+        rank_v, basis_v, sigma_v = svd_nullspace(M, 1e-10, basis=False)
+        assert rank_v == rank and basis_v is None
+        assert abs(sigma_v - sigma_max) <= 1e-14 * sigma_max
 
 
 def test_svd_nullspace_zero_matrix_and_bad_tol():
