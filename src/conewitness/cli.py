@@ -380,7 +380,7 @@ def cmd_exposedness(args, argv: list[str]) -> int:
             "samples": args.samples,
             "budget": args.budget,
             "restarts": config.seesaw.restarts,
-            "rel_tol": config.rel_tol,
+            "rel_tol": DEFAULT_TOLERANCES.nullspace_rel_tol,
         },
     )
     doc["verdict"] = rep.verdict

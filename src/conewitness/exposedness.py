@@ -72,23 +72,31 @@ from .positivity import (
 
 @dataclass(frozen=True, eq=False)
 class DualFaceSample:
-    """Product pairs on which the map's pairing vanishes."""
+    """Product pairs on which the map's pairing vanishes, one pair per row."""
 
-    pairs: list
+    X: np.ndarray  # (k, n), phases fixed
+    Y: np.ndarray  # (k, m), phases fixed
+    values: np.ndarray  # (k,) pairings
     source: str  # "analytic" | "numeric"
+
+    @property
+    def pairs(self) -> list:
+        """The rows as ``ProductPair`` objects, built on every read."""
+        return [ProductPair(x, y, float(v)) for x, y, v in zip(self.X, self.Y, self.values)]
+
+
+# the cone search's quick certifier; the full see-saw confirms what survives it
+SEARCH_SEESAW = SeeSawConfig(restarts=24, max_iters=200, stop_below=-1e-6)
 
 
 @dataclass(frozen=True)
 class ExposednessConfig:
-    """Sampling, rank, and search knobs for the exposedness pipeline."""
+    """Sampling and search knobs for the exposedness pipeline."""
 
     sample_count: int | None = None  # default 2*(nm)^2
-    rel_tol: float = 1e-8
     budget: int = 2000
     seesaw: SeeSawConfig = SeeSawConfig()
-    search_seesaw: SeeSawConfig = SeeSawConfig(
-        restarts=24, max_iters=200, stop_below=-1e-6
-    )
+    search_seesaw: SeeSawConfig = SEARCH_SEESAW
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +199,10 @@ def dual_face_samples(
     n, m = phi.dim_in, phi.dim_out
     W_hat = ray_representative(phi.choi, tol)
 
-    pairs = []
+    X_out = np.empty((count, n), complex)
+    Y_out = np.empty((count, m), complex)
+    values_out = np.empty(count)
+    k = 0  # rows accepted so far
     if descriptor is not None and isinstance(
         descriptor, (Transposition, Reduction, BreuerHall, Robertson)
     ):
@@ -201,21 +212,28 @@ def dual_face_samples(
         elif isinstance(descriptor, Robertson):
             U = robertson_unitary()
         attempts = 0
-        while len(pairs) < count and attempts < 20 * count:
+        while k < count and attempts < 20 * count:
             # draw only the missing pairs: with no rejection this is the last batch
-            batch = min(count - len(pairs), 20 * count - attempts)
+            batch = min(count - k, 20 * count - attempts)
             X, Ys, stop = _analytic_candidates(descriptor, U, batch, n, rng)
             attempts += batch
             values = witness_pairing(W_hat, X, Ys, tol)
             X, Ys = fix_phase(X), fix_phase(Ys)
-            for j in range(X.shape[0]):
-                c = len(pairs) % Ys.shape[0]
-                if abs(values[c, j]) <= tol.zero_tol:
-                    pairs.append(ProductPair(x=X[j], y=Ys[c, j], value=float(values[c, j])))
+            # pair k takes circle k % p, so a rejected draw shifts the circle
+            # of every later one: accept runs up to each rejection
+            rows = np.arange(X.shape[0])
+            while rows.size:
+                c = (k + np.arange(rows.size)) % Ys.shape[0]
+                run = int(np.append(np.abs(values[c, rows]) <= tol.zero_tol, False).argmin())
+                take, c = rows[:run], c[:run]
+                X_out[k : k + run], Y_out[k : k + run] = X[take], Ys[c, take]
+                values_out[k : k + run] = values[c, take]
+                k += run
+                rows = rows[run + 1 :]
             if stop:
                 break
-        if len(pairs) == count:
-            return DualFaceSample(pairs=pairs, source="analytic")
+        if k == count:
+            return DualFaceSample(X_out, Y_out, values_out, source="analytic")
 
     # numeric harvest from see-saw endpoints
     phi_hat = map_from_choi(W_hat, n, m)
@@ -224,7 +242,7 @@ def dual_face_samples(
     cfg = SeeSawConfig(restarts=restarts, max_iters=250, stationarity_tol=1e-13)
     rounds = 0
     max_rounds = max(6, (4 * count) // restarts + 2)
-    while len(pairs) < count and rounds < max_rounds:
+    while k < count and rounds < max_rounds:
         X, Y, vals, _, _ = seesaw_endpoints(phi_hat, cfg, rng)
         # a few exact alternating minimizations land near-zero endpoints on the face
         near = vals <= tol.zero_tol
@@ -233,38 +251,24 @@ def dual_face_samples(
             X, Y, _ = _sweep(T, X, Y)
         values = witness_pairing(W_hat, X, Y, tol)
         X, Y = fix_phase(X), fix_phase(Y)
-        for j in np.flatnonzero(np.abs(values) <= tol.zero_tol)[: count - len(pairs)]:
-            pairs.append(ProductPair(x=X[j], y=Y[j], value=float(values[j])))
+        take = np.flatnonzero(np.abs(values) <= tol.zero_tol)[: count - k]
+        X_out[k : k + take.size], Y_out[k : k + take.size] = X[take], Y[take]
+        values_out[k : k + take.size] = values[take]
+        k += take.size
         rounds += 1
         # a clearly positive global minimum will never yield zeros
-        if not pairs and vals.min() > max(1e-3, 100 * tol.zero_tol):
+        if not k and vals.min() > max(1e-3, 100 * tol.zero_tol):
             break
-    if len(pairs) < count:
+    if k < count:
         raise InsufficientZeros(
-            f"found {len(pairs)} of {count} zero pairs; "
+            f"found {k} of {count} zero pairs; "
             "the pairing may be bounded away from zero on product states"
         )
-    return DualFaceSample(pairs=pairs, source="numeric")
+    return DualFaceSample(X_out, Y_out, values_out, source="numeric")
 
 
-def _stacked_pairs(sample: DualFaceSample, n: int, m: int):
-    """The sample's ``x`` and ``y`` vectors as ``(k, n)`` and ``(k, m)`` arrays."""
-    if not sample.pairs:
-        raise DimensionMismatch("no pairs to build constraints from")
-    xs = [np.asarray(pair.x, dtype=complex) for pair in sample.pairs]
-    ys = [np.asarray(pair.y, dtype=complex) for pair in sample.pairs]
-    for x, y in zip(xs, ys):
-        if x.shape != (n,) or y.shape != (m,):
-            raise DimensionMismatch(
-                f"pair dims {(x.shape, y.shape)} do not match {(n, m)}"
-            )
-    return np.stack(xs), np.stack(ys)
-
-
-def face_constraint_matrix(
-    sample: DualFaceSample, n: int, m: int
-) -> np.ndarray:
-    """One real row per pair, acting on Hermitian coordinate vectors.
+def face_constraint_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """One real row per pair ``(X[r], Y[r])``, acting on Hermitian coordinate vectors.
 
     Row r dotted with coords(W) equals the pairing of W at pair r, exactly,
     because the row is the coordinate vector of the rank-one projector onto
@@ -272,13 +276,13 @@ def face_constraint_matrix(
     the entries it reads, with the projector's own entrywise products, and
     the rows come back column-major.
     """
-    d = n * m
-    z = product_vector(*_stacked_pairs(sample, n, m)).T  # (nm, k)
+    d = X.shape[1] * Y.shape[1]
+    z = product_vector(X, Y).T  # (nm, k)
     a, b = _coordinate_entries(d)
     return _coords_axis_first(z[a] * z.conj()[b], d).T
 
 
-def stationarity_rows(sample: DualFaceSample, n: int, m: int) -> np.ndarray:
+def stationarity_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """First-order rows satisfied by every member of the double-dual face.
 
     A block-positive element that vanishes at a face pair attains a minimum
@@ -296,8 +300,8 @@ def stationarity_rows(sample: DualFaceSample, n: int, m: int) -> np.ndarray:
     of each condition before its imaginary part.  Only the entries the
     coordinates read are formed, and the rows come back column-major.
     """
+    n, m = X.shape[1], Y.shape[1]
     d = n * m
-    X, Y = _stacked_pairs(sample, n, m)
     zc = product_vector(X, Y).conj().T[:, :, np.newaxis]  # (nm, k, 1)
     ws = np.concatenate(
         [
@@ -313,25 +317,22 @@ def stationarity_rows(sample: DualFaceSample, n: int, m: int) -> np.ndarray:
     return _coords_axis_first(parts, d).reshape(d * d, -1).T
 
 
-def _head(sample: DualFaceSample, q: int) -> DualFaceSample:
-    return DualFaceSample(pairs=sample.pairs[:q], source=sample.source)
-
-
 def _stationarity_pairs(n, m):
     # stationarity rows for a quarter of the pairs saturate the rank at a
     # quarter of the cost; the value rows still cover every sampled pair
     return max(1, (2 * (n * m) ** 2) // (2 * (n + m)))
 
 
-def _constraint_block(sample, n, m, out):
+def _constraint_block(sample, out):
     """Write the sample's value rows, then its stationarity rows, into ``out``."""
-    k = len(sample.pairs)
-    out[:k] = face_constraint_matrix(sample, n, m)
-    out[k:] = stationarity_rows(_head(sample, _stationarity_pairs(n, m)), n, m)
+    X, Y = sample.X, sample.Y
+    q = _stationarity_pairs(X.shape[1], Y.shape[1])
+    out[: X.shape[0]] = face_constraint_matrix(X, Y)
+    out[X.shape[0] :] = stationarity_rows(X[:q], Y[:q])
 
 
-def _nullspace_with_diagnostics(desc, sample_count, rel_tol, rng, tol):
-    descriptor, phi = _as_map(desc)
+def _nullspace_with_diagnostics(desc, sample_count, rng, tol):
+    _, phi = _as_map(desc)
     n, m = phi.dim_in, phi.dim_out
     d = n * m
     k_min = 2 * d * d
@@ -340,18 +341,19 @@ def _nullspace_with_diagnostics(desc, sample_count, rel_tol, rng, tol):
         raise ValueError(f"sample_count must be at least 2*(nm)^2 = {k_min}")
     if rng is None:
         rng = np.random.default_rng(0)
+    rel_tol = tol.nullspace_rel_tol
 
     # both blocks share one column-major matrix, which LAPACK reads without
     # a transposing copy; the first block is its top half
     r = k + 2 * (n + m) * _stationarity_pairs(n, m)
     C = np.empty((2 * r, d * d), order="F")
     first = dual_face_samples(desc, k, rng, tol)
-    _constraint_block(first, n, m, C[:r])
+    _constraint_block(first, C[:r])
     rank1, _, _ = svd_nullspace(C[:r], rel_tol, basis=False)
     dim1 = d * d - rank1
 
     second = dual_face_samples(desc, k, rng, tol)
-    _constraint_block(second, n, m, C[r:])
+    _constraint_block(second, C[r:])
     rank2, basis_coords, sigma_max = svd_nullspace(C, rel_tol)
     dim2 = d * d - rank2
     if dim1 != dim2:
@@ -381,7 +383,6 @@ def _nullspace_with_diagnostics(desc, sample_count, rel_tol, rng, tol):
 def double_dual_nullspace(
     desc,
     sample_count: int | None = None,
-    rel_tol: float | None = None,
     rng: np.random.Generator | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[int, np.ndarray]:
@@ -391,28 +392,28 @@ def double_dual_nullspace(
     constraints (see :func:`stationarity_rows`), both of which every member
     of the double-dual face satisfies.  The dimension is recomputed on a
     doubled sample and must agree (UnstableDimension otherwise); the map's
-    own Choi must lie inside.
+    own Choi must lie inside.  Singular values at most
+    ``tol.nullspace_rel_tol`` times the largest count as zero.
     """
-    if rel_tol is None:
-        rel_tol = tol.nullspace_rel_tol
-    dim, basis, _, _ = _nullspace_with_diagnostics(desc, sample_count, rel_tol, rng, tol)
+    dim, basis, _, _ = _nullspace_with_diagnostics(desc, sample_count, rng, tol)
     return dim, basis
 
 
-def _probe_vectors(phi, face_pairs, rng, tol):
+def _probe_vectors(phi, face_x, rng, tol):
     """Product vectors used to refute candidates cheaply.
 
     Face-kernel probes matter most: at a face point x the contracted
     witness has a kernel, and any null-space direction that dips negative
     somewhere on that kernel circle is caught by a single inner product.
+    The face points are the first rows of ``face_x``, else see-saw minima.
     """
     n, m = phi.dim_in, phi.dim_out
     T = phi.choi.reshape(n, m, n, m)
     scale = max(1.0, frobenius(phi.choi))
     probes = []
 
-    if face_pairs:
-        X = np.stack([np.asarray(p.x, dtype=complex) for p in face_pairs[:48]])
+    if face_x is not None and len(face_x):
+        X = face_x[:48]
     else:
         cfg = SeeSawConfig(restarts=48, max_iters=150)
         X, _, vals, _, _ = seesaw_endpoints(phi, cfg, rng)
@@ -451,8 +452,8 @@ def cone_search_off_ray(
     basis: np.ndarray,
     budget: int = 2000,
     rng: np.random.Generator | None = None,
-    face_pairs: list | None = None,
-    search_seesaw: SeeSawConfig = SeeSawConfig(restarts=24, max_iters=200, stop_below=-1e-6),
+    face_x: np.ndarray | None = None,
+    search_seesaw: SeeSawConfig = SEARCH_SEESAW,
     confirm_seesaw: SeeSawConfig = SeeSawConfig(),
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray | None:
@@ -482,7 +483,7 @@ def cone_search_off_ray(
     c = c / np.linalg.norm(c)
     gamma_ray = Bc @ c
 
-    Q = _pairings(_probe_vectors(phi, face_pairs or [], rng, tol), basis)
+    Q = _pairings(_probe_vectors(phi, face_x, rng, tol), basis)
     reject_below = -10 * tol.zero_tol
     spent = 0
     seed_index = 0
@@ -553,8 +554,7 @@ def exposedness_report(
         raise ValueError(f"budget must be nonnegative, got {config.budget}")
     if rng is None:
         rng = np.random.default_rng(0)
-    descriptor, phi = _as_map(desc)
-    n, m = phi.dim_in, phi.dim_out
+    _, phi = _as_map(desc)
 
     verdict_bp, bp_report = is_block_positive(phi, config.seesaw, rng, tol)
     if verdict_bp != "EVIDENCE_BP":
@@ -563,7 +563,7 @@ def exposedness_report(
         )
 
     dim, basis, diagnostics, samples = _nullspace_with_diagnostics(
-        desc, config.sample_count, config.rel_tol, rng, tol
+        desc, config.sample_count, rng, tol
     )
     diagnostics = dict(diagnostics)
     samples_used = diagnostics["sample_count"]
@@ -583,7 +583,7 @@ def exposedness_report(
         basis,
         budget=config.budget,
         rng=rng,
-        face_pairs=samples.pairs,
+        face_x=samples.X,
         search_seesaw=config.search_seesaw,
         confirm_seesaw=config.seesaw,
         tol=tol,
@@ -621,7 +621,7 @@ def _validate_counterexample(desc, phi, cand, config, rng, tol):
     if verdict != "EVIDENCE_BP":
         return False, report
     fresh = dual_face_samples(desc, max(64, 2 * n * m), rng, tol)
-    C = face_constraint_matrix(fresh, n, m)
+    C = face_constraint_matrix(fresh.X, fresh.Y)
     coords = hermitian_to_coords(cand)
     coords = coords / np.linalg.norm(coords)
     residual = float(np.max(np.abs(C @ coords)))
@@ -643,12 +643,11 @@ def optimality_spanning_check(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    descriptor, phi = _as_map(desc)
-    n, m = phi.dim_in, phi.dim_out
-    d = n * m
+    _, phi = _as_map(desc)
+    d = phi.dim_in * phi.dim_out
     k = 2 * d * d if sample_count is None else int(sample_count)
     sample = dual_face_samples(desc, k, rng, tol)
-    Z = product_vector(*_stacked_pairs(sample, n, m))
+    Z = product_vector(sample.X, sample.Y)
     s = np.linalg.svd(Z, compute_uv=False)
     span_dim = int(np.sum(s > tol.nullspace_rel_tol * s[0]))
     return span_dim == d, span_dim

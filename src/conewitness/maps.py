@@ -141,11 +141,11 @@ def witness_pairing(
 ) -> float | np.ndarray:
     """The real pairing of W with the pair's product state, ``<y|phi(P_x)|y>``.
 
-    Stacked pairs, shaped as for :func:`product_vector`, give an array with
-    one pairing per pair.  They are computed by stacked matmuls, which run
-    the same BLAS ``gemv`` and dot per pair as the single-pair call, so each
-    entry equals its per-pair call bitwise.  NonRealPairing is raised if any
-    pairing has an imaginary residue above the bound.
+    A single pair gives a float.  Stacked pairs, shaped as for
+    :func:`product_vector`, give an array with one pairing per pair.  Every
+    shape runs the same stacked matmuls, one BLAS ``gemv`` and dot per pair,
+    so each entry equals its single-pair call bitwise.  NonRealPairing is
+    raised if any pairing has an imaginary residue above the bound.
     """
     W = np.asarray(W, dtype=complex)
     z = product_vector(x, y)
@@ -155,18 +155,14 @@ def witness_pairing(
             f"witness of shape {W.shape} does not pair with a product vector of length {d}"
         )
     bound = tol.pairing_imag_tol * max(1.0, frobenius(W))
-    if z.ndim == 1:
-        value = complex(np.vdot(z, W @ z))
-        imag = value.imag
-    else:
-        value = (z.conj()[..., np.newaxis, :] @ (W @ z[..., np.newaxis]))[..., 0, 0]
-        imag = value.imag.ravel()
-        imag = float(imag[np.argmax(np.abs(imag))]) if imag.size else 0.0
+    value = (z.conj()[..., np.newaxis, :] @ (W @ z[..., np.newaxis]))[..., 0, 0]
+    imag = value.imag.ravel()
+    imag = float(imag[np.argmax(np.abs(imag))]) if imag.size else 0.0
     if abs(imag) > bound:
         raise NonRealPairing(
             f"imaginary residue {imag:.3e} exceeds bound {bound:.3e}"
         )
-    return value.real
+    return value.real if value.ndim else float(value.real)
 
 
 def ray_representative(W: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

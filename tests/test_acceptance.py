@@ -190,7 +190,7 @@ def _validated_not_exposed(desc, n, seed):
     if is_ray_proportional(W_prime, choi_of(build_map(desc))):
         return False
     sample = dual_face_samples(desc, 64, np.random.default_rng(seed + 1))
-    C = face_constraint_matrix(sample, n, n)
+    C = face_constraint_matrix(sample.X, sample.Y)
     coords = hermitian_to_coords(W_prime)
     coords = coords / np.linalg.norm(coords)
     if np.max(np.abs(C @ coords)) > 1e-8:

@@ -10,12 +10,14 @@ from conewitness.catalog import (
     Reduction,
     Robertson,
     Transposition,
+    build_map,
     co_ad_map,
     random_antisymmetric_unitary,
     reduction,
     robertson,
     robertson_unitary,
 )
+from conewitness.config import DEFAULT_TOLERANCES, Tolerances
 from conewitness.errors import (
     InsufficientZeros,
     NotBlockPositive,
@@ -43,7 +45,6 @@ from conewitness.maps import (
 )
 from conewitness.positivity import SeeSawConfig, is_block_positive
 from conewitness.exposedness import (
-    DualFaceSample,
     ExposednessConfig,
     cone_search_off_ray,
     double_dual_nullspace,
@@ -99,11 +100,23 @@ def test_breuer_hall_face_pairs_hit_both_circles():
     assert saw_x and saw_ux
 
 
-def test_analytic_face_pairs_match_per_pair_reference():
-    """The batched sampler keeps the per-pair RNG order and bits."""
+def _assert_rows_are_pairs(sample, k, n, m):
+    """The stacked arrays have one row per pair, equal to the pairs view bitwise."""
+    assert sample.X.shape == (k, n) and sample.Y.shape == (k, m)
+    assert sample.values.shape == (k,)
+    pairs = sample.pairs
+    assert len(pairs) == k
+    for x, y, v, pair in zip(sample.X, sample.Y, sample.values, pairs):
+        assert np.array_equal(x, pair.x) and np.array_equal(y, pair.y)
+        assert type(pair.value) is float and v == pair.value
 
-    def per_pair(desc, U, count, n, rng):
-        pairs = []
+
+def test_analytic_face_pairs_match_per_pair_reference():
+    """The batched sampler keeps the per-pair RNG order, bits and rejection rule."""
+
+    def per_pair(desc, U, count, n, rng, tol):
+        W_hat = ray_representative(choi_of(build_map(desc)))
+        pairs, rejected = [], 0
         while len(pairs) < count:
             x = random_unit_vector(n, rng)
             if isinstance(desc, Transposition):
@@ -114,19 +127,30 @@ def test_analytic_face_pairs_match_per_pair_reference():
                 y = x
             else:
                 y = U @ x.conj()
+            # a rejected draw leaves the next one on the same circle
+            if abs(witness_pairing(W_hat, x, y)) > tol.zero_tol:
+                rejected += 1
+                continue
             pairs.append((fix_phase(x), fix_phase(y)))
-        return pairs
+        return pairs, rejected
 
     U = random_antisymmetric_unitary(4, np.random.default_rng(8))
-    for desc, U_desc, n in (
+    cases = [
         (Transposition(n=3), None, 3),
         (Reduction(n=4), None, 4),
         (Robertson(), robertson_unitary(), 4),
         (BreuerHall(U=U), U, 4),
-    ):
-        sample = dual_face_samples(desc, 60, np.random.default_rng(9))
+    ]
+    # a zero bound below round-off rejects some draws and keeps the face analytic
+    tight = Tolerances(zero_tol=1e-16)
+    for (desc, U_desc, n), tol in [(c, DEFAULT_TOLERANCES) for c in cases] + [
+        (c, tight) for c in cases[:3]
+    ]:
+        sample = dual_face_samples(desc, 60, np.random.default_rng(9), tol)
         assert sample.source == "analytic"
-        want = per_pair(desc, U_desc, 60, n, np.random.default_rng(9))
+        _assert_rows_are_pairs(sample, 60, n, n)
+        want, rejected = per_pair(desc, U_desc, 60, n, np.random.default_rng(9), tol)
+        assert (rejected > 0) == (tol is tight)
         assert len(sample.pairs) == len(want)
         for pair, (x, y) in zip(sample.pairs, want):
             assert np.array_equal(pair.x, x) and np.array_equal(pair.y, y)
@@ -136,6 +160,7 @@ def test_numeric_harvest_for_plain_choi_input():
     W = choi_of(co_ad_map(np.eye(3)))  # transposition, but hidden from dispatch
     sample = dual_face_samples(FromChoi(W=W, dim_in=3, dim_out=3), 30, np.random.default_rng(3))
     assert sample.source == "numeric"
+    _assert_rows_are_pairs(sample, 30, 3, 3)
     W_hat = ray_representative(W)
     for pair in sample.pairs:
         assert abs(witness_pairing(W_hat, pair.x, pair.y)) <= 1e-9
@@ -159,7 +184,7 @@ def test_interior_choi_has_no_zeros():
 def test_face_constraint_matrix_rows():
     rng = np.random.default_rng(5)
     sample = dual_face_samples(Reduction(n=3), 20, rng)
-    C = face_constraint_matrix(sample, 3, 3)
+    C = face_constraint_matrix(sample.X, sample.Y)
     assert C.shape == (20, 81)
 
     # row functional equals the pairing for arbitrary Hermitian W
@@ -178,7 +203,7 @@ def test_face_constraint_matrix_rows():
     # the sampled map itself sits on the face
     w_coords = hermitian_to_coords(ray_representative(choi_of(co_ad_map(np.eye(3)))))
     sample_tau = dual_face_samples(Transposition(n=3), 20, rng)
-    C_tau = face_constraint_matrix(sample_tau, 3, 3)
+    C_tau = face_constraint_matrix(sample_tau.X, sample_tau.Y)
     assert np.max(np.abs(C_tau @ w_coords)) < 1e-9
 
 
@@ -190,7 +215,7 @@ def test_stationarity_rows_annihilate_the_map():
 
         phi = build_map(desc)
         n, m = phi.dim_in, phi.dim_out
-        S = stationarity_rows(sample, n, m)
+        S = stationarity_rows(sample.X, sample.Y)
         assert S.shape == (2 * 10 * (n + m), (n * m) ** 2)
         coords = hermitian_to_coords(ray_representative(choi_of(phi)))
         assert np.max(np.abs(S @ coords)) < 1e-9
@@ -226,8 +251,8 @@ def test_constraint_rows_match_per_pair_reference():
         sample = dual_face_samples(desc, 12, rng)
         assert sample.source == source
         want_values, want_stat = _per_pair_rows(sample, n, m)
-        assert np.array_equal(face_constraint_matrix(sample, n, m), want_values)
-        assert np.array_equal(stationarity_rows(sample, n, m), want_stat)
+        assert np.array_equal(face_constraint_matrix(sample.X, sample.Y), want_values)
+        assert np.array_equal(stationarity_rows(sample.X, sample.Y), want_stat)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +311,8 @@ def test_constraint_monotonicity():
     """Adding pairs never grows the null space."""
     rng = np.random.default_rng(10)
     sample = dual_face_samples(Transposition(n=2), 64, rng)
-    C_half = face_constraint_matrix(DualFaceSample(sample.pairs[:32], sample.source), 2, 2)
-    C_full = face_constraint_matrix(sample, 2, 2)
+    C_half = face_constraint_matrix(sample.X[:32], sample.Y[:32])
+    C_full = face_constraint_matrix(sample.X, sample.Y)
     rank_half, _, _ = svd_nullspace(C_half, 1e-8)
     rank_full, _, _ = svd_nullspace(C_full, 1e-8)
     assert 16 - rank_full <= 16 - rank_half
@@ -339,7 +364,7 @@ def test_exposedness_verdicts():
 
     assert not is_ray_proportional(W_prime, choi_of(reduction(3)))
     fresh = dual_face_samples(Reduction(n=3), 64, np.random.default_rng(16))
-    C = face_constraint_matrix(fresh, 3, 3)
+    C = face_constraint_matrix(fresh.X, fresh.Y)
     coords = hermitian_to_coords(W_prime)
     coords = coords / np.linalg.norm(coords)
     assert np.max(np.abs(C @ coords)) <= 1e-8
@@ -504,7 +529,7 @@ def test_reduction4_decomposes_into_breuer_hall_pair():
         assert verdict == "EVIDENCE_BP"
     # and the pair witnesses non-extremeness: both sit on the face of R4
     sample = dual_face_samples(Reduction(n=4), 32, rng)
-    C = face_constraint_matrix(sample, 4, 4)
+    C = face_constraint_matrix(sample.X, sample.Y)
     for W in (W_prime, W_second):
         coords = hermitian_to_coords(W)
         coords = coords / np.linalg.norm(coords)

@@ -118,6 +118,8 @@ def test_pairing_identity_random_maps():
         values = witness_pairing(W, X, Y)
         assert values.shape == (2, 3)
         want = [[witness_pairing(W, x, y) for x, y in zip(xs, ys)] for xs, ys in zip(X, Y)]
+        # a single pair gives a Python float, which reports render and repr
+        assert all(type(w) is float for row in want for w in row)
         assert np.array_equal(values, np.array(want))
 
 
