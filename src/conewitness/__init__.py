@@ -79,7 +79,6 @@ from .positivity import (
 from .exposedness import (
     BHStructureReport,
     DualFaceSample,
-    ExposednessConfig,
     ExposednessReport,
     cone_search_off_ray,
     double_dual_nullspace,

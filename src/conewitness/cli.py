@@ -51,12 +51,7 @@ from .catalog import (
 )
 from .config import DEFAULT_TOLERANCES
 from .errors import ConeWitnessError, ConvergenceFailure, NotBlockPositive
-from .exposedness import (
-    ExposednessConfig,
-    exposedness_report,
-    verify_bh_structure,
-    verify_lemma1,
-)
+from .exposedness import exposedness_report, verify_bh_structure, verify_lemma1
 from .linalg import is_hermitian, random_unit_vector, random_unitary, require_hermitian
 from .maps import choi_of
 from .positivity import (
@@ -324,8 +319,7 @@ def cmd_check(args, argv: list[str]) -> int:
     n, m = desc.dim_in, desc.dim_out
     phi = build_map(desc)
 
-    restarts = args.restarts if args.restarts is not None else 64
-    config = SeeSawConfig(restarts=restarts)
+    config = SeeSawConfig() if args.restarts is None else SeeSawConfig(restarts=args.restarts)
     doc = base_report(
         argv,
         seed,
@@ -333,7 +327,7 @@ def cmd_check(args, argv: list[str]) -> int:
             "mode": args.mode,
             "dim_in": n,
             "dim_out": m,
-            "restarts": restarts,
+            "restarts": config.restarts,
             "max_iters": config.max_iters,
             "violation_tol": config.violation_tol,
         },
@@ -371,15 +365,14 @@ def cmd_detect(args, argv: list[str]) -> int:
 def cmd_exposedness(args, argv: list[str]) -> int:
     seed = resolve_seed(args)
     desc = descriptor_from_args(args)
-    config = ExposednessConfig(sample_count=args.samples, budget=args.budget)
-    rep = exposedness_report(desc, config, np.random.default_rng(seed))
+    rep = exposedness_report(desc, args.samples, args.budget, np.random.default_rng(seed))
     doc = base_report(
         argv,
         seed,
         {
             "samples": args.samples,
             "budget": args.budget,
-            "restarts": config.seesaw.restarts,
+            "restarts": SeeSawConfig().restarts,
             "rel_tol": DEFAULT_TOLERANCES.nullspace_rel_tol,
         },
     )
@@ -430,6 +423,11 @@ def cmd_verify(args, argv: list[str]) -> int:
             fixed_U = require_antisymmetric_unitary(
                 load_matrix(args.u, what="unitary file")
             )
+            if fixed_U.shape[0] != args.dim:
+                raise ValueError(
+                    f"unitary file {args.u!r} is {fixed_U.shape[0]}x{fixed_U.shape[0]}, "
+                    f"but --dim is {args.dim}"
+                )
         passed = True
         max_apply = 0.0
         max_remark1 = 0.0

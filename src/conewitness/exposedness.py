@@ -11,13 +11,12 @@ search is incomplete by nature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import (
     BreuerHall,
-    MapDescriptor,
     Reduction,
     Robertson,
     Transposition,
@@ -89,16 +88,6 @@ class DualFaceSample:
 SEARCH_SEESAW = SeeSawConfig(restarts=24, max_iters=200, stop_below=-1e-6)
 
 
-@dataclass(frozen=True)
-class ExposednessConfig:
-    """Sampling and search knobs for the exposedness pipeline."""
-
-    sample_count: int | None = None  # default 2*(nm)^2
-    budget: int = 2000
-    seesaw: SeeSawConfig = SeeSawConfig()
-    search_seesaw: SeeSawConfig = SEARCH_SEESAW
-
-
 @dataclass(frozen=True, eq=False)
 class ExposednessReport:
     nullspace_dim: int
@@ -124,12 +113,6 @@ class BHStructureReport:
     check_iii: bool
     check_iv: bool
     passed: bool
-
-
-def _as_map(desc) -> tuple[MapDescriptor | None, LinearMatrixMap]:
-    if isinstance(desc, LinearMatrixMap):
-        return None, desc
-    return desc, build_map(desc)
 
 
 def _unit_rows(V):
@@ -195,7 +178,7 @@ def dual_face_samples(
         raise ValueError("count must be at least 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    descriptor, phi = _as_map(desc)
+    phi = build_map(desc)
     n, m = phi.dim_in, phi.dim_out
     W_hat = ray_representative(phi.choi, tol)
 
@@ -203,19 +186,17 @@ def dual_face_samples(
     Y_out = np.empty((count, m), complex)
     values_out = np.empty(count)
     k = 0  # rows accepted so far
-    if descriptor is not None and isinstance(
-        descriptor, (Transposition, Reduction, BreuerHall, Robertson)
-    ):
+    if isinstance(desc, (Transposition, Reduction, BreuerHall, Robertson)):
         U = None
-        if isinstance(descriptor, BreuerHall):
-            U = descriptor.U
-        elif isinstance(descriptor, Robertson):
+        if isinstance(desc, BreuerHall):
+            U = desc.U
+        elif isinstance(desc, Robertson):
             U = robertson_unitary()
         attempts = 0
         while k < count and attempts < 20 * count:
             # draw only the missing pairs: with no rejection this is the last batch
             batch = min(count - k, 20 * count - attempts)
-            X, Ys, stop = _analytic_candidates(descriptor, U, batch, n, rng)
+            X, Ys, stop = _analytic_candidates(desc, U, batch, n, rng)
             attempts += batch
             values = witness_pairing(W_hat, X, Ys, tol)
             X, Ys = fix_phase(X), fix_phase(Ys)
@@ -332,7 +313,7 @@ def _constraint_block(sample, out):
 
 
 def _nullspace_with_diagnostics(desc, sample_count, rng, tol):
-    _, phi = _as_map(desc)
+    phi = build_map(desc)
     n, m = phi.dim_in, phi.dim_out
     d = n * m
     k_min = 2 * d * d
@@ -399,25 +380,20 @@ def double_dual_nullspace(
     return dim, basis
 
 
-def _probe_vectors(phi, face_x, rng, tol):
+def _probe_vectors(phi, face_x, rng):
     """Product vectors used to refute candidates cheaply.
 
     Face-kernel probes matter most: at a face point x the contracted
     witness has a kernel, and any null-space direction that dips negative
     somewhere on that kernel circle is caught by a single inner product.
-    The face points are the first rows of ``face_x``, else see-saw minima.
+    The face points are the first rows of ``face_x``.
     """
     n, m = phi.dim_in, phi.dim_out
     T = phi.choi.reshape(n, m, n, m)
     scale = max(1.0, frobenius(phi.choi))
     probes = []
 
-    if face_x is not None and len(face_x):
-        X = face_x[:48]
-    else:
-        cfg = SeeSawConfig(restarts=48, max_iters=150)
-        X, _, vals, _, _ = seesaw_endpoints(phi, cfg, rng)
-        X = X[vals <= 1e-7 * scale]
+    X = face_x[:48]
     W, V = np.linalg.eigh(_y_side(T, X))
     for x, w, v in zip(X, W, V):
         kernel = v[:, w <= 1e-7 * scale]
@@ -450,21 +426,20 @@ def _pairings(Z, basis):
 def cone_search_off_ray(
     phi: LinearMatrixMap,
     basis: np.ndarray,
+    face_x: np.ndarray,
     budget: int = 2000,
     rng: np.random.Generator | None = None,
-    face_x: np.ndarray | None = None,
-    search_seesaw: SeeSawConfig = SEARCH_SEESAW,
-    confirm_seesaw: SeeSawConfig = SeeSawConfig(),
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray | None:
     """Search span(basis) for a block-positive element off the map's ray.
 
-    Candidates are screened against precomputed product-vector probes (a
-    negative probe pairing is an exact refutation), then certified by
-    see-saw; certified violations feed back as new probe rows, and the
-    violated candidate is repaired along the cutting direction a few times
-    before giving up on it.  First surviving candidate wins; None is a
-    legitimate outcome and the only possible one when dim < 2.
+    Candidates are screened against product-vector probes built on the
+    face points ``face_x`` (a negative probe pairing is an exact
+    refutation), then certified by see-saw; certified violations feed back
+    as new probe rows, and the violated candidate is repaired along the
+    cutting direction a few times before giving up on it.  First surviving
+    candidate wins; None is a legitimate outcome and the only possible one
+    when dim < 2.
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
@@ -483,7 +458,7 @@ def cone_search_off_ray(
     c = c / np.linalg.norm(c)
     gamma_ray = Bc @ c
 
-    Q = _pairings(_probe_vectors(phi, face_x, rng, tol), basis)
+    Q = _pairings(_probe_vectors(phi, face_x, rng), basis)
     reject_below = -10 * tol.zero_tol
     spent = 0
     seed_index = 0
@@ -515,9 +490,9 @@ def cone_search_off_ray(
                 if is_ray_proportional(cand, phi.choi, tol):
                     break
                 cand_map = map_from_choi(cand, n, m)
-                verdict, report = is_block_positive(cand_map, search_seesaw, rng, tol)
+                verdict, report = is_block_positive(cand_map, SEARCH_SEESAW, rng, tol)
                 if verdict != "CERTIFIED_NOT_BP":
-                    confirm_verdict, _ = is_block_positive(cand_map, confirm_seesaw, rng, tol)
+                    confirm_verdict, _ = is_block_positive(cand_map, SeeSawConfig(), rng, tol)
                     if confirm_verdict == "EVIDENCE_BP":
                         return cand
                     break
@@ -540,84 +515,63 @@ def cone_search_off_ray(
 
 def exposedness_report(
     desc,
-    config: ExposednessConfig = ExposednessConfig(),
+    sample_count: int | None = None,
+    budget: int = 2000,
     rng: np.random.Generator | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ExposednessReport:
     """Full verdict pipeline; requires the map to look block-positive first.
 
+    ``sample_count`` face pairs (default ``2*(nm)^2``) fix the null space,
+    and the cone search tries at most ``budget`` candidates in it.
     CERTIFIED_EXPOSED needs linear dimension one.  NOT_EXPOSED needs a
     counterexample that survives independent re-validation: block-positive
     evidence, off the map's ray, and vanishing on freshly drawn face pairs.
     """
-    if config.budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {config.budget}")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     if rng is None:
         rng = np.random.default_rng(0)
-    _, phi = _as_map(desc)
+    phi = build_map(desc)
 
-    verdict_bp, bp_report = is_block_positive(phi, config.seesaw, rng, tol)
+    verdict_bp, bp_report = is_block_positive(phi, SeeSawConfig(), rng, tol)
     if verdict_bp != "EVIDENCE_BP":
         raise NotBlockPositive(
             f"map has a product pair with pairing {bp_report.min_value:.6e}"
         )
 
     dim, basis, diagnostics, samples = _nullspace_with_diagnostics(
-        desc, config.sample_count, rng, tol
+        desc, sample_count, rng, tol
     )
-    diagnostics = dict(diagnostics)
-    samples_used = diagnostics["sample_count"]
-
-    if dim == 1:
-        return ExposednessReport(
-            nullspace_dim=1,
-            verdict="CERTIFIED_EXPOSED",
-            counterexample=None,
-            counterexample_report=None,
-            samples_used=samples_used,
-            diagnostics=diagnostics,
-        )
-
-    cand = cone_search_off_ray(
-        phi,
-        basis,
-        budget=config.budget,
-        rng=rng,
-        face_x=samples.X,
-        search_seesaw=config.search_seesaw,
-        confirm_seesaw=config.seesaw,
-        tol=tol,
-    )
-    if cand is not None:
-        ok, cand_report = _validate_counterexample(desc, phi, cand, config, rng, tol)
-        if ok:
-            diagnostics["counterexample_min_pairing"] = cand_report.min_value
-            return ExposednessReport(
-                nullspace_dim=dim,
-                verdict="NOT_EXPOSED",
-                counterexample=cand,
-                counterexample_report=cand_report,
-                samples_used=samples_used,
-                diagnostics=diagnostics,
-            )
-        diagnostics["rejected_candidate"] = True
+    verdict, cand, cand_report = "CERTIFIED_EXPOSED", None, None
+    if dim != 1:
+        verdict = "CONSISTENT_WITH_EXPOSED"
+        cand = cone_search_off_ray(phi, basis, samples.X, budget, rng, tol)
+        if cand is not None:
+            ok, cand_report = _validate_counterexample(desc, phi, cand, rng, tol)
+            if ok:
+                verdict = "NOT_EXPOSED"
+                diagnostics["counterexample_min_pairing"] = cand_report.min_value
+            else:
+                diagnostics["rejected_candidate"] = True
+                cand, cand_report = None, None
     return ExposednessReport(
         nullspace_dim=dim,
-        verdict="CONSISTENT_WITH_EXPOSED",
-        counterexample=None,
-        counterexample_report=None,
-        samples_used=samples_used,
+        verdict=verdict,
+        counterexample=cand,
+        counterexample_report=cand_report,
+        samples_used=diagnostics["sample_count"],
         diagnostics=diagnostics,
     )
 
 
-def _validate_counterexample(desc, phi, cand, config, rng, tol):
+def _validate_counterexample(desc, phi, cand, rng, tol):
     """Re-check a candidate independently of the search that found it."""
     n, m = phi.dim_in, phi.dim_out
     if is_ray_proportional(cand, phi.choi, tol):
         return False, None
     cand_map = map_from_choi(cand, n, m)
-    verdict, report = is_block_positive(cand_map, config.seesaw, rng, tol)
+    verdict, report = is_block_positive(cand_map, SeeSawConfig(), rng, tol)
     if verdict != "EVIDENCE_BP":
         return False, report
     fresh = dual_face_samples(desc, max(64, 2 * n * m), rng, tol)
@@ -643,13 +597,12 @@ def optimality_spanning_check(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    _, phi = _as_map(desc)
+    phi = build_map(desc)
     d = phi.dim_in * phi.dim_out
     k = 2 * d * d if sample_count is None else int(sample_count)
     sample = dual_face_samples(desc, k, rng, tol)
     Z = product_vector(sample.X, sample.Y)
-    s = np.linalg.svd(Z, compute_uv=False)
-    span_dim = int(np.sum(s > tol.nullspace_rel_tol * s[0]))
+    span_dim, _, _ = svd_nullspace(Z, tol.nullspace_rel_tol, basis=False)
     return span_dim == d, span_dim
 
 

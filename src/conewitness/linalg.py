@@ -70,7 +70,9 @@ def eigh(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
 
 
 def svd_nullspace(M: np.ndarray, rel_tol: float, *, basis: bool = True):
-    """Numerical rank, null-space basis and largest singular value of a real matrix.
+    """Numerical rank, null-space basis and largest singular value of a matrix.
+
+    ``M`` may be real or complex; a complex ``M`` gets a complex basis.
 
     Singular values at most ``rel_tol`` times the largest one count as zero.
     Returns ``(rank, basis, sigma_max)`` where ``basis`` has orthonormal
@@ -89,7 +91,7 @@ def svd_nullspace(M: np.ndarray, rel_tol: float, *, basis: bool = True):
     ``M`` (or a row slice of one) is read without a transposing copy and
     gives the same bits as its C-order copy.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M = np.atleast_2d(np.asarray(M, dtype=complex if np.iscomplexobj(M) else float))
     if M.size == 0:
         raise ValueError("svd_nullspace requires a nonempty matrix")
     if not 0.0 < rel_tol < 1.0:
@@ -106,7 +108,7 @@ def svd_nullspace(M: np.ndarray, rel_tol: float, *, basis: bool = True):
         raise ConvergenceFailure(str(exc)) from exc
     smax = float(s[0])
     rank = int(np.count_nonzero(s > rel_tol * smax)) if smax > 0 else 0
-    return rank, vh[rank:].T.copy() if basis else None, smax
+    return rank, vh[rank:].conj().T.copy() if basis else None, smax
 
 
 def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -30,7 +30,6 @@ from conewitness.catalog import (
     transposition,
 )
 from conewitness.exposedness import (
-    ExposednessConfig,
     dual_face_samples,
     exposedness_report,
     face_constraint_matrix,
@@ -216,10 +215,9 @@ def test_criterion_6_exposedness_verdicts():
             notes.append(f"{label} wrongly refuted")
     rng = np.random.default_rng(64)
     hall_descs = [BreuerHall(U=random_antisymmetric_unitary(4, rng)) for _ in range(5)]
-    config = ExposednessConfig(budget=2000)
     for seed in (0, 1, 2):
         for desc in hall_descs + [Robertson()]:
-            rep = exposedness_report(desc, config=config, rng=np.random.default_rng(seed))
+            rep = exposedness_report(desc, budget=2000, rng=np.random.default_rng(seed))
             if rep.verdict == "NOT_EXPOSED":
                 ok = False
                 notes.append(f"{desc} wrongly refuted at seed {seed}")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conewitness import cli
-from conewitness.catalog import reduction, transposition
+from conewitness.catalog import reduction, robertson_unitary, transposition
 from conewitness.maps import choi_of
 
 
@@ -330,7 +330,7 @@ def test_out_write_is_atomic(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
     assert cli.main([]) == 2
     assert cli.main(["check"]) == 2
     assert cli.main(["verify"]) == 2
@@ -340,6 +340,13 @@ def test_usage_errors_exit_two(capsys):
     for suite, trials in (("bh-structure", "0"), ("bh-structure", "-3"), ("lemma1", "0")):
         assert cli.main(["verify", "--suite", suite, "--trials", trials]) == 2
         assert "--trials must be at least 1" in capsys.readouterr().err
+    # a fixed unitary must have the size --dim states
+    u = tmp_path / "u4.json"
+    u.write_text(cli.canonical_json(cli.matrix_to_obj(robertson_unitary())))
+    for dim in ("6", "3"):
+        argv = ["verify", "--suite", "bh-structure", "--trials", "1", "--u", str(u), "--dim", dim]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().out == ""
     # a negative cone-search budget is rejected before any search
     assert cli.main(["exposedness", "reduction", "--n", "3", "--budget", "-1"]) == 2
     assert "budget must be nonnegative" in capsys.readouterr().err

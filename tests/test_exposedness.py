@@ -44,8 +44,8 @@ from conewitness.maps import (
     witness_pairing,
 )
 from conewitness.positivity import SeeSawConfig, is_block_positive
+from conewitness import exposedness
 from conewitness.exposedness import (
-    ExposednessConfig,
     cone_search_off_ray,
     double_dual_nullspace,
     dual_face_samples,
@@ -329,7 +329,8 @@ def test_cone_search_finds_reduction3_counterexample():
 
     phi = build_map(phi_desc)
     dim, basis = double_dual_nullspace(phi_desc, rng=rng)
-    cand = cone_search_off_ray(phi, basis, budget=2000, rng=rng)
+    face_x = dual_face_samples(phi_desc, 162, rng).X
+    cand = cone_search_off_ray(phi, basis, face_x, budget=2000, rng=rng)
     assert cand is not None
     assert not is_ray_proportional(cand, choi_of(phi))
     verdict, _ = is_block_positive(map_from_choi(cand, 3, 3), SeeSawConfig(), rng)
@@ -342,7 +343,8 @@ def test_cone_search_trivial_when_dim_one():
 
     phi = build_map(Reduction(n=2))
     dim, basis = double_dual_nullspace(Reduction(n=2), rng=rng)
-    assert cone_search_off_ray(phi, basis, budget=100, rng=rng) is None
+    face_x = dual_face_samples(Reduction(n=2), 32, rng).X
+    assert cone_search_off_ray(phi, basis, face_x, budget=100, rng=rng) is None
 
 
 def test_exposedness_verdicts():
@@ -372,6 +374,25 @@ def test_exposedness_verdicts():
         map_from_choi(W_prime, 3, 3), SeeSawConfig(), np.random.default_rng(17)
     )
     assert verdict == "EVIDENCE_BP"
+
+
+def test_rejected_candidate_leaves_no_counterexample(monkeypatch):
+    # the search finds a candidate on Reduction(3) at this seed (see
+    # test_exposedness_verdicts); a failed re-validation must withhold it
+    # and the certifier report that came with it
+    validate = exposedness._validate_counterexample
+
+    def reject(*args):
+        _, report = validate(*args)
+        assert report is not None
+        return False, report
+
+    monkeypatch.setattr(exposedness, "_validate_counterexample", reject)
+    rep = exposedness_report(Reduction(n=3), rng=np.random.default_rng(15))
+    assert rep.verdict == "CONSISTENT_WITH_EXPOSED"
+    assert rep.counterexample is None
+    assert rep.counterexample_report is None
+    assert rep.diagnostics["rejected_candidate"] is True
 
 
 def test_exposedness_breuer_hall_and_robertson_not_refuted():
@@ -449,8 +470,7 @@ HA_KYE = ChoiFamily(a=0.5, b=0.19098300562505255, c=1.3090169943749475)
 )
 def test_numeric_harvest_literature_verdicts(desc, seed, expected, budget):
     """Verdicts decided through the numeric face harvest match the literature."""
-    config = ExposednessConfig(budget=budget)
-    rep = exposedness_report(desc, config, rng=np.random.default_rng(seed))
+    rep = exposedness_report(desc, budget=budget, rng=np.random.default_rng(seed))
     assert rep.verdict == expected
 
 

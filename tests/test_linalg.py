@@ -85,6 +85,21 @@ def test_svd_nullspace_tall_rank_deficient():
         rank_v, basis_v, sigma_v = svd_nullspace(M, 1e-10, basis=False)
         assert rank_v == rank and basis_v is None
         assert abs(sigma_v - sigma_max) <= 1e-14 * sigma_max
+    # complex input keeps its imaginary parts: a complex 40 x 6 of rank 3
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+    B = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+    M = A @ B
+    rank, basis, sigma_max = svd_nullspace(M, 1e-10)
+    assert rank == 3 and basis.shape == (6, 3)
+    assert frobenius(basis.conj().T @ basis - np.eye(3)) < 1e-12
+    assert np.max(np.abs(M @ basis)) < 1e-12 * sigma_max
+    assert svd_nullspace(M, 1e-10, basis=False)[0] == 3
+    # [[1, i], [i, -1]] has rank one; its real part alone has rank two
+    M = np.array([[1, 1j], [1j, -1]])
+    rank, basis, _ = svd_nullspace(M, 1e-10)
+    assert rank == 1
+    assert np.max(np.abs(M @ basis)) < 1e-12
 
 
 def test_svd_nullspace_zero_matrix_and_bad_tol():
