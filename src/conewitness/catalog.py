@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import ANTISYM_ATOL
 from .errors import (
     DimensionMismatch,
     NegativeParameter,
@@ -86,28 +86,26 @@ MapDescriptor = (
 # --- validation helpers ----------------------------------------------------
 
 
-def require_unitary(U: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def require_unitary(U: np.ndarray) -> np.ndarray:
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise NotUnitary(f"expected a square matrix, got shape {U.shape}")
     defect = frobenius(U.conj().T @ U - np.eye(U.shape[0]))
-    if defect > tol.antisym_atol:
+    if defect > ANTISYM_ATOL:
         raise NotUnitary(f"unitarity defect {defect:.3e}")
     return U
 
 
-def require_antisymmetric_unitary(
-    U: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def require_antisymmetric_unitary(U: np.ndarray) -> np.ndarray:
     """Validate ``U^t = -U`` and ``U^dag U = I``; even dimension is implied but checked."""
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {U.shape}")
     if U.shape[0] % 2 != 0:
         raise OddDimension("antisymmetric unitaries exist only in even dimension")
-    if frobenius(U + U.T) > tol.antisym_atol:
+    if frobenius(U + U.T) > ANTISYM_ATOL:
         raise NotAntisymmetric(f"antisymmetry defect {frobenius(U + U.T):.3e}")
-    require_unitary(U, tol)
+    require_unitary(U)
     return U
 
 
@@ -209,9 +207,9 @@ def choi_family_boundary_margin(a: float, b: float, c: float) -> float:
     return min(margins)
 
 
-def breuer_hall(U: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> LinearMatrixMap:
+def breuer_hall(U: np.ndarray) -> LinearMatrixMap:
     """``X -> I tr X - X - U X^t U*`` for an antisymmetric unitary U."""
-    U = require_antisymmetric_unitary(U, tol)
+    U = require_antisymmetric_unitary(U)
     n2 = U.shape[0]
     eye = np.eye(n2)
     Ud = U.conj().T
@@ -246,7 +244,7 @@ def robertson_unitary() -> np.ndarray:
     return np.kron(np.eye(2), SIGMA_Y)
 
 
-def antisym_basis(V: np.ndarray, n2: int, tol: Tolerances = DEFAULT_TOLERANCES):
+def antisym_basis(V: np.ndarray, n2: int):
     """Basis of antisymmetric matrices ``V (e_ij - e_ji) V^t`` for i < j.
 
     The congruence by ``V^t`` (not the adjoint) is what preserves
@@ -254,7 +252,7 @@ def antisym_basis(V: np.ndarray, n2: int, tol: Tolerances = DEFAULT_TOLERANCES):
     unnormalized so that summing ``D P D^dag`` over the basis reproduces
     the rank-deflated identity.
     """
-    V = require_unitary(np.asarray(V, dtype=complex), tol)
+    V = require_unitary(np.asarray(V, dtype=complex))
     if V.shape[0] != n2:
         raise DimensionMismatch(f"V has shape {V.shape}, expected {(n2, n2)}")
     out = []
@@ -268,15 +266,13 @@ def antisym_basis(V: np.ndarray, n2: int, tol: Tolerances = DEFAULT_TOLERANCES):
     return out
 
 
-def random_antisymmetric_unitary(
-    n2: int, rng: np.random.Generator, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def random_antisymmetric_unitary(n2: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-conjugated antisymmetric unitary ``V (I (x) sigma_y) V^t``."""
     if n2 % 2 != 0:
         raise OddDimension("antisymmetric unitaries exist only in even dimension")
     V = random_unitary(n2, rng)
     J = np.kron(np.eye(n2 // 2), SIGMA_Y)
-    return require_antisymmetric_unitary(V @ J @ V.T, tol)
+    return require_antisymmetric_unitary(V @ J @ V.T)
 
 
 def build_map(desc: MapDescriptor) -> LinearMatrixMap:

@@ -49,7 +49,7 @@ from .catalog import (
     robertson_unitary,
     breuer_hall,
 )
-from .config import DEFAULT_TOLERANCES
+from .config import NULLSPACE_REL_TOL, VIOLATION_TOL, ZERO_TOL
 from .errors import ConeWitnessError, ConvergenceFailure, NotBlockPositive
 from .exposedness import exposedness_report, verify_bh_structure, verify_lemma1
 from .linalg import is_hermitian, random_unit_vector, random_unitary, require_hermitian
@@ -329,7 +329,7 @@ def cmd_check(args, argv: list[str]) -> int:
             "dim_out": m,
             "restarts": config.restarts,
             "max_iters": config.max_iters,
-            "violation_tol": config.violation_tol,
+            "violation_tol": VIOLATION_TOL,
         },
     )
     exit_code = 0
@@ -355,7 +355,7 @@ def cmd_detect(args, argv: list[str]) -> int:
     rho = load_matrix(args.state_file, what="state file")
     witness = _load_choi(args.witness_file, args.dim_in, "witness file")
     value, verdict = detect_entanglement(rho, build_map(witness))
-    doc = base_report(argv, None, {"zero_tol": DEFAULT_TOLERANCES.zero_tol})
+    doc = base_report(argv, None, {"zero_tol": ZERO_TOL})
     doc["value"] = value
     doc["verdict"] = verdict
     write_output(canonical_json(doc), args.out)
@@ -373,7 +373,7 @@ def cmd_exposedness(args, argv: list[str]) -> int:
             "samples": args.samples,
             "budget": args.budget,
             "restarts": SeeSawConfig().restarts,
-            "rel_tol": DEFAULT_TOLERANCES.nullspace_rel_tol,
+            "rel_tol": NULLSPACE_REL_TOL,
         },
     )
     doc["verdict"] = rep.verdict
@@ -398,6 +398,10 @@ def cmd_verify(args, argv: list[str]) -> int:
     trials = args.trials
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
+    if args.u is not None and args.suite != "bh-structure":
+        raise ValueError(f"--u applies only to the bh-structure suite, not {args.suite}")
+    if args.suite == "robertson-equality" and args.dim != 4:
+        raise ValueError(f"robertson-equality is a check on M_4, got --dim {args.dim}")
     doc = base_report(
         argv,
         seed,

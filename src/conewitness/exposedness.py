@@ -29,7 +29,7 @@ from .catalog import (
     require_unitary,
     robertson_unitary,
 )
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import NULLSPACE_REL_TOL, ZERO_TOL
 from .errors import (
     DimensionMismatch,
     InsufficientZeros,
@@ -165,7 +165,6 @@ def dual_face_samples(
     desc,
     count: int,
     rng: np.random.Generator | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> DualFaceSample:
     """Collect ``count`` product pairs with pairing zero.
 
@@ -180,7 +179,7 @@ def dual_face_samples(
         rng = np.random.default_rng(0)
     phi = build_map(desc)
     n, m = phi.dim_in, phi.dim_out
-    W_hat = ray_representative(phi.choi, tol)
+    W_hat = ray_representative(phi.choi)
 
     X_out = np.empty((count, n), complex)
     Y_out = np.empty((count, m), complex)
@@ -198,14 +197,14 @@ def dual_face_samples(
             batch = min(count - k, 20 * count - attempts)
             X, Ys, stop = _analytic_candidates(desc, U, batch, n, rng)
             attempts += batch
-            values = witness_pairing(W_hat, X, Ys, tol)
+            values = witness_pairing(W_hat, X, Ys)
             X, Ys = fix_phase(X), fix_phase(Ys)
             # pair k takes circle k % p, so a rejected draw shifts the circle
             # of every later one: accept runs up to each rejection
             rows = np.arange(X.shape[0])
             while rows.size:
                 c = (k + np.arange(rows.size)) % Ys.shape[0]
-                run = int(np.append(np.abs(values[c, rows]) <= tol.zero_tol, False).argmin())
+                run = int(np.append(np.abs(values[c, rows]) <= ZERO_TOL, False).argmin())
                 take, c = rows[:run], c[:run]
                 X_out[k : k + run], Y_out[k : k + run] = X[take], Ys[c, take]
                 values_out[k : k + run] = values[c, take]
@@ -226,19 +225,19 @@ def dual_face_samples(
     while k < count and rounds < max_rounds:
         X, Y, vals, _, _ = seesaw_endpoints(phi_hat, cfg, rng)
         # a few exact alternating minimizations land near-zero endpoints on the face
-        near = vals <= tol.zero_tol
+        near = vals <= ZERO_TOL
         X, Y = X[near], Y[near]
         for _ in range(3):
             X, Y, _ = _sweep(T, X, Y)
-        values = witness_pairing(W_hat, X, Y, tol)
+        values = witness_pairing(W_hat, X, Y)
         X, Y = fix_phase(X), fix_phase(Y)
-        take = np.flatnonzero(np.abs(values) <= tol.zero_tol)[: count - k]
+        take = np.flatnonzero(np.abs(values) <= ZERO_TOL)[: count - k]
         X_out[k : k + take.size], Y_out[k : k + take.size] = X[take], Y[take]
         values_out[k : k + take.size] = values[take]
         k += take.size
         rounds += 1
         # a clearly positive global minimum will never yield zeros
-        if not k and vals.min() > max(1e-3, 100 * tol.zero_tol):
+        if not k and vals.min() > max(1e-3, 100 * ZERO_TOL):
             break
     if k < count:
         raise InsufficientZeros(
@@ -312,40 +311,45 @@ def _constraint_block(sample, out):
     out[X.shape[0] :] = stationarity_rows(X[:q], Y[:q])
 
 
-def _nullspace_with_diagnostics(desc, sample_count, rng, tol):
-    phi = build_map(desc)
-    n, m = phi.dim_in, phi.dim_out
-    d = n * m
-    k_min = 2 * d * d
+def _checked_sample_count(phi, sample_count):
+    """``sample_count``, by default ``2*(nm)^2``, the fewest pairs that fix the null space."""
+    k_min = 2 * (phi.dim_in * phi.dim_out) ** 2
     k = k_min if sample_count is None else int(sample_count)
     if k < k_min:
         raise ValueError(f"sample_count must be at least 2*(nm)^2 = {k_min}")
+    return k
+
+
+def _nullspace_with_diagnostics(desc, sample_count, rng):
+    phi = build_map(desc)
+    n, m = phi.dim_in, phi.dim_out
+    d = n * m
+    k = _checked_sample_count(phi, sample_count)
     if rng is None:
         rng = np.random.default_rng(0)
-    rel_tol = tol.nullspace_rel_tol
 
     # both blocks share one column-major matrix, which LAPACK reads without
     # a transposing copy; the first block is its top half
     r = k + 2 * (n + m) * _stationarity_pairs(n, m)
     C = np.empty((2 * r, d * d), order="F")
-    first = dual_face_samples(desc, k, rng, tol)
+    first = dual_face_samples(desc, k, rng)
     _constraint_block(first, C[:r])
-    rank1, _, _ = svd_nullspace(C[:r], rel_tol, basis=False)
+    rank1, _, _ = svd_nullspace(C[:r], NULLSPACE_REL_TOL, basis=False)
     dim1 = d * d - rank1
 
-    second = dual_face_samples(desc, k, rng, tol)
+    second = dual_face_samples(desc, k, rng)
     _constraint_block(second, C[r:])
-    rank2, basis_coords, sigma_max = svd_nullspace(C, rel_tol)
+    rank2, basis_coords, sigma_max = svd_nullspace(C, NULLSPACE_REL_TOL)
     dim2 = d * d - rank2
     if dim1 != dim2:
         raise UnstableDimension(
             f"nullspace dim {dim1} at {k} samples vs {dim2} at {2 * k}"
         )
 
-    c = hermitian_to_coords(ray_representative(phi.choi, tol))
+    c = hermitian_to_coords(ray_representative(phi.choi))
     c = c / np.linalg.norm(c)
     containment = float(np.linalg.norm(C @ c))
-    if containment > 10 * rel_tol * max(sigma_max, 1.0):
+    if containment > 10 * NULLSPACE_REL_TOL * max(sigma_max, 1.0):
         raise UnstableDimension(
             f"sampled face excludes the map's own Choi (residual {containment:.3e})"
         )
@@ -365,7 +369,6 @@ def double_dual_nullspace(
     desc,
     sample_count: int | None = None,
     rng: np.random.Generator | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[int, np.ndarray]:
     """Null space of the sampled face constraints, as Hermitian matrices.
 
@@ -374,9 +377,9 @@ def double_dual_nullspace(
     of the double-dual face satisfies.  The dimension is recomputed on a
     doubled sample and must agree (UnstableDimension otherwise); the map's
     own Choi must lie inside.  Singular values at most
-    ``tol.nullspace_rel_tol`` times the largest count as zero.
+    ``NULLSPACE_REL_TOL`` times the largest count as zero.
     """
-    dim, basis, _, _ = _nullspace_with_diagnostics(desc, sample_count, rng, tol)
+    dim, basis, _, _ = _nullspace_with_diagnostics(desc, sample_count, rng)
     return dim, basis
 
 
@@ -429,7 +432,6 @@ def cone_search_off_ray(
     face_x: np.ndarray,
     budget: int = 2000,
     rng: np.random.Generator | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray | None:
     """Search span(basis) for a block-positive element off the map's ray.
 
@@ -453,13 +455,13 @@ def cone_search_off_ray(
     d = n * m
 
     Bc = hermitian_to_coords(basis)  # (dim, d^2), orthonormal rows from the SVD
-    W_hat = ray_representative(phi.choi, tol)
+    W_hat = ray_representative(phi.choi)
     c = hermitian_to_coords(W_hat)
     c = c / np.linalg.norm(c)
     gamma_ray = Bc @ c
 
     Q = _pairings(_probe_vectors(phi, face_x, rng), basis)
-    reject_below = -10 * tol.zero_tol
+    reject_below = -10 * ZERO_TOL
     spent = 0
     seed_index = 0
     while spent < budget:
@@ -486,13 +488,13 @@ def cone_search_off_ray(
             j = int(np.argmin(vals))
             worst = float(vals[j])
             if worst >= reject_below:
-                cand = ray_representative(coords_to_hermitian(gamma @ Bc, d), tol)
-                if is_ray_proportional(cand, phi.choi, tol):
+                cand = ray_representative(coords_to_hermitian(gamma @ Bc, d))
+                if is_ray_proportional(cand, phi.choi):
                     break
                 cand_map = map_from_choi(cand, n, m)
-                verdict, report = is_block_positive(cand_map, SEARCH_SEESAW, rng, tol)
+                verdict, report = is_block_positive(cand_map, SEARCH_SEESAW, rng)
                 if verdict != "CERTIFIED_NOT_BP":
-                    confirm_verdict, _ = is_block_positive(cand_map, SeeSawConfig(), rng, tol)
+                    confirm_verdict, _ = is_block_positive(cand_map, SeeSawConfig(), rng)
                     if confirm_verdict == "EVIDENCE_BP":
                         return cand
                     break
@@ -518,7 +520,6 @@ def exposedness_report(
     sample_count: int | None = None,
     budget: int = 2000,
     rng: np.random.Generator | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ExposednessReport:
     """Full verdict pipeline; requires the map to look block-positive first.
 
@@ -533,22 +534,21 @@ def exposedness_report(
     if rng is None:
         rng = np.random.default_rng(0)
     phi = build_map(desc)
+    _checked_sample_count(phi, sample_count)
 
-    verdict_bp, bp_report = is_block_positive(phi, SeeSawConfig(), rng, tol)
+    verdict_bp, bp_report = is_block_positive(phi, SeeSawConfig(), rng)
     if verdict_bp != "EVIDENCE_BP":
         raise NotBlockPositive(
             f"map has a product pair with pairing {bp_report.min_value:.6e}"
         )
 
-    dim, basis, diagnostics, samples = _nullspace_with_diagnostics(
-        desc, sample_count, rng, tol
-    )
+    dim, basis, diagnostics, samples = _nullspace_with_diagnostics(desc, sample_count, rng)
     verdict, cand, cand_report = "CERTIFIED_EXPOSED", None, None
     if dim != 1:
         verdict = "CONSISTENT_WITH_EXPOSED"
-        cand = cone_search_off_ray(phi, basis, samples.X, budget, rng, tol)
+        cand = cone_search_off_ray(phi, basis, samples.X, budget, rng)
         if cand is not None:
-            ok, cand_report = _validate_counterexample(desc, phi, cand, rng, tol)
+            ok, cand_report = _validate_counterexample(desc, phi, cand, rng)
             if ok:
                 verdict = "NOT_EXPOSED"
                 diagnostics["counterexample_min_pairing"] = cand_report.min_value
@@ -565,16 +565,16 @@ def exposedness_report(
     )
 
 
-def _validate_counterexample(desc, phi, cand, rng, tol):
+def _validate_counterexample(desc, phi, cand, rng):
     """Re-check a candidate independently of the search that found it."""
     n, m = phi.dim_in, phi.dim_out
-    if is_ray_proportional(cand, phi.choi, tol):
+    if is_ray_proportional(cand, phi.choi):
         return False, None
     cand_map = map_from_choi(cand, n, m)
-    verdict, report = is_block_positive(cand_map, SeeSawConfig(), rng, tol)
+    verdict, report = is_block_positive(cand_map, SeeSawConfig(), rng)
     if verdict != "EVIDENCE_BP":
         return False, report
-    fresh = dual_face_samples(desc, max(64, 2 * n * m), rng, tol)
+    fresh = dual_face_samples(desc, max(64, 2 * n * m), rng)
     C = face_constraint_matrix(fresh.X, fresh.Y)
     coords = hermitian_to_coords(cand)
     coords = coords / np.linalg.norm(coords)
@@ -588,7 +588,6 @@ def optimality_spanning_check(
     desc,
     sample_count: int | None = None,
     rng: np.random.Generator | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[bool, int]:
     """Whether the face's product vectors span the whole product space.
 
@@ -600,23 +599,19 @@ def optimality_spanning_check(
     phi = build_map(desc)
     d = phi.dim_in * phi.dim_out
     k = 2 * d * d if sample_count is None else int(sample_count)
-    sample = dual_face_samples(desc, k, rng, tol)
+    sample = dual_face_samples(desc, k, rng)
     Z = product_vector(sample.X, sample.Y)
-    span_dim, _, _ = svd_nullspace(Z, tol.nullspace_rel_tol, basis=False)
+    span_dim, _, _ = svd_nullspace(Z, NULLSPACE_REL_TOL, basis=False)
     return span_dim == d, span_dim
 
 
-def verify_lemma1(
-    V: np.ndarray,
-    x: np.ndarray,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
+def verify_lemma1(V: np.ndarray, x: np.ndarray) -> float:
     """Residual of the rank-deflation identity behind the exposedness proof.
 
     Summing ``D |conj(x)><conj(x)| D^dag`` over the antisymmetric basis
     attached to V must give ``I - |x><x|`` for every unit x.
     """
-    V = require_unitary(np.asarray(V, dtype=complex), tol)
+    V = require_unitary(np.asarray(V, dtype=complex))
     n2 = V.shape[0]
     if n2 % 2 != 0:
         raise OddDimension("the identity is stated in even dimension")
@@ -627,17 +622,13 @@ def verify_lemma1(
         raise NotUnitVector(f"x has norm {np.linalg.norm(x)!r}")
     P_bar = np.outer(x.conj(), x)
     S = np.zeros((n2, n2), dtype=complex)
-    for D in antisym_basis(V, n2, tol):
+    for D in antisym_basis(V, n2):
         S += D @ P_bar @ D.conj().T
     target = np.eye(n2) - np.outer(x, x.conj())
     return float(frobenius(S - target))
 
 
-def verify_bh_structure(
-    U: np.ndarray,
-    x: np.ndarray,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> BHStructureReport:
+def verify_bh_structure(U: np.ndarray, x: np.ndarray) -> BHStructureReport:
     """Check the four structural facts the exposedness argument rests on.
 
     (i) the map sends |x><x| to the two-projector deflation,
@@ -646,7 +637,7 @@ def verify_bh_structure(
     (iv) the sign-flipped alternative is refuted by an explicit vector
     orthogonal to both kernel directions, where its expectation is -1.
     """
-    U = require_antisymmetric_unitary(np.asarray(U, dtype=complex), tol)
+    U = require_antisymmetric_unitary(np.asarray(U, dtype=complex))
     n2 = U.shape[0]
     x = np.asarray(x, dtype=complex)
     if x.shape != (n2,):
@@ -654,7 +645,7 @@ def verify_bh_structure(
     if abs(np.linalg.norm(x) - 1.0) > 1e-9:
         raise NotUnitVector(f"x has norm {np.linalg.norm(x)!r}")
 
-    phi = breuer_hall(U, tol)
+    phi = breuer_hall(U)
     P_x = np.outer(x, x.conj())
     u = U @ x.conj()
     P_u = np.outer(u, u.conj())

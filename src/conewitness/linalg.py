@@ -1,9 +1,8 @@
 """Dense complex linear algebra kernel.
 
-Everything downstream consumes these primitives: Hermitian
-eigendecomposition, SVD-based null spaces, Haar-random unit vectors and
-unitaries, and the real parameterization of Hermitian matrices used by the
-face constraint systems.
+Everything downstream consumes these primitives: the Hermiticity check,
+SVD-based null spaces, Haar-random unit vectors and unitaries, and the real
+parameterization of Hermitian matrices used by the face constraint systems.
 
 All randomized functions take an explicit ``numpy.random.Generator``; there
 is no ambient RNG state anywhere in the library.
@@ -13,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import HERMITIAN_RTOL
 from .errors import ConvergenceFailure, NonHermitianInput
 
 
@@ -22,14 +21,14 @@ def frobenius(A: np.ndarray) -> float:
     return float(np.linalg.norm(A))
 
 
-def is_hermitian(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def is_hermitian(A: np.ndarray) -> bool:
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         return False
-    return frobenius(A - A.conj().T) <= tol.hermitian_rtol * max(1.0, frobenius(A))
+    return frobenius(A - A.conj().T) <= HERMITIAN_RTOL * max(1.0, frobenius(A))
 
 
-def require_hermitian(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def require_hermitian(A: np.ndarray) -> np.ndarray:
     """Return ``A`` as a complex array, or raise ``NonHermitianInput``.
 
     Matrices failing the check are rejected rather than symmetrized; silent
@@ -39,34 +38,12 @@ def require_hermitian(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NonHermitianInput(f"expected a square matrix, got shape {A.shape}")
     defect = frobenius(A - A.conj().T)
-    bound = tol.hermitian_rtol * max(1.0, frobenius(A))
+    bound = HERMITIAN_RTOL * max(1.0, frobenius(A))
     if defect > bound:
         raise NonHermitianInput(
             f"Hermiticity defect {defect:.3e} exceeds bound {bound:.3e}"
         )
     return A
-
-
-def eigh(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Parameters
-    ----------
-    A:
-        Square matrix, Hermitian within ``tol.hermitian_rtol``.
-
-    Returns
-    -------
-    (eigenvalues, eigenvectors):
-        Eigenvalues ascending (real 1-D array); eigenvectors as the columns
-        of a unitary matrix, ``A @ v_k = w_k * v_k``.
-    """
-    A = require_hermitian(A, tol)
-    try:
-        w, v = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
-        raise ConvergenceFailure(str(exc)) from exc
-    return w, v
 
 
 def svd_nullspace(M: np.ndarray, rel_tol: float, *, basis: bool = True):
@@ -134,7 +111,7 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases[np.newaxis, :]
 
 
-def fix_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def fix_phase(v: np.ndarray) -> np.ndarray:
     """Rotate a vector's global phase so its first sizable entry is positive real.
 
     Used to break eigenvector degeneracies deterministically.  Stacked
@@ -143,7 +120,7 @@ def fix_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     unchanged.
     """
     v = np.asarray(v)
-    sizable = np.abs(v) > tol
+    sizable = np.abs(v) > 1e-12
     found = sizable.any(axis=-1, keepdims=True)
     pivot = np.take_along_axis(v, np.argmax(sizable, axis=-1)[..., np.newaxis], axis=-1)
     pivot = np.where(found, pivot, 1.0)

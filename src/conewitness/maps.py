@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import PAIRING_IMAG_TOL, RAY_TOL
 from .errors import DimensionMismatch, NonRealPairing
 from .linalg import frobenius, hermitian_to_coords, require_hermitian
 
@@ -133,12 +133,7 @@ def product_vector(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return z.reshape(z.shape[:-2] + (z.shape[-2] * z.shape[-1],))
 
 
-def witness_pairing(
-    W: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> float | np.ndarray:
+def witness_pairing(W: np.ndarray, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     """The real pairing of W with the pair's product state, ``<y|phi(P_x)|y>``.
 
     A single pair gives a float.  Stacked pairs, shaped as for
@@ -154,7 +149,7 @@ def witness_pairing(
         raise DimensionMismatch(
             f"witness of shape {W.shape} does not pair with a product vector of length {d}"
         )
-    bound = tol.pairing_imag_tol * max(1.0, frobenius(W))
+    bound = PAIRING_IMAG_TOL * max(1.0, frobenius(W))
     value = (z.conj()[..., np.newaxis, :] @ (W @ z[..., np.newaxis]))[..., 0, 0]
     imag = value.imag.ravel()
     imag = float(imag[np.argmax(np.abs(imag))]) if imag.size else 0.0
@@ -165,33 +160,31 @@ def witness_pairing(
     return value.real if value.ndim else float(value.real)
 
 
-def ray_representative(W: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def ray_representative(W: np.ndarray) -> np.ndarray:
     """Deterministic representative of the ray through ``W``.
 
     Trace-positive matrices are scaled so ``Tr W = n*m``; otherwise the
     matrix is Frobenius normalized and its sign fixed by the first real
-    coordinate exceeding ``tol.ray_tol`` in magnitude.
+    coordinate exceeding ``RAY_TOL`` in magnitude.
     """
     W = np.asarray(W, dtype=complex)
     tr = float(np.trace(W).real)
-    if tr > tol.ray_tol * max(1.0, frobenius(W)):
+    if tr > RAY_TOL * max(1.0, frobenius(W)):
         return W * (W.shape[0] / tr)
     norm = frobenius(W)
     if norm == 0.0:
         return W.copy()
     What = W / norm
     coords = hermitian_to_coords(What)
-    idx = np.flatnonzero(np.abs(coords) > tol.ray_tol)
+    idx = np.flatnonzero(np.abs(coords) > RAY_TOL)
     if idx.size and coords[idx[0]] < 0:
         What = -What
     return What
 
 
-def is_ray_proportional(
-    W1: np.ndarray, W2: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> bool:
+def is_ray_proportional(W1: np.ndarray, W2: np.ndarray) -> bool:
     """Whether two nonzero witnesses generate the same ray (positive scalars only)."""
     n1, n2 = frobenius(W1), frobenius(W2)
     if n1 == 0.0 or n2 == 0.0:
         return False
-    return frobenius(W1 / n1 - W2 / n2) <= tol.ray_tol
+    return frobenius(W1 / n1 - W2 / n2) <= RAY_TOL

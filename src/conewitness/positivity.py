@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import PAIRING_IMAG_TOL, PSD_ATOL, STATE_ATOL, VIOLATION_TOL, ZERO_TOL
 from .errors import ConvergenceFailure, DimensionMismatch, NotAState
 from .linalg import fix_phase, frobenius, require_hermitian
 from .maps import LinearMatrixMap, compose_with_transpose, witness_pairing
@@ -28,7 +28,6 @@ class SeeSawConfig:
     restarts: int = 64
     max_iters: int = 500
     stationarity_tol: float = 1e-12
-    violation_tol: float = 1e-9
     stop_below: float | None = None
 
 
@@ -122,7 +121,6 @@ def block_positivity_min(
     phi: LinearMatrixMap,
     config: SeeSawConfig = SeeSawConfig(),
     rng: np.random.Generator | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> BlockPositivityReport:
     """Minimize ``<x (x) conj(y)| W |x (x) conj(y)>`` over unit product pairs."""
     if rng is None:
@@ -132,7 +130,7 @@ def block_positivity_min(
     x = fix_phase(X[r])
     y = fix_phase(Y[r])
     # the certificate value is the pairing itself, not the last eigenvalue
-    value = witness_pairing(phi.choi, x, y, tol)
+    value = witness_pairing(phi.choi, x, y)
     pair = ProductPair(x=x, y=y, value=value)
     return BlockPositivityReport(
         min_value=value,
@@ -148,54 +146,45 @@ def is_block_positive(
     phi: LinearMatrixMap,
     config: SeeSawConfig = SeeSawConfig(),
     rng: np.random.Generator | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[str, BlockPositivityReport]:
     """One-sided verdict: CERTIFIED_NOT_BP on a witnessed violation, else EVIDENCE_BP."""
-    report = block_positivity_min(phi, config=config, rng=rng, tol=tol)
-    if report.min_value < -config.violation_tol:
+    report = block_positivity_min(phi, config=config, rng=rng)
+    if report.min_value < -VIOLATION_TOL:
         return "CERTIFIED_NOT_BP", report
     return "EVIDENCE_BP", report
 
 
-def is_completely_positive(
-    phi: LinearMatrixMap, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[bool, float]:
+def is_completely_positive(phi: LinearMatrixMap) -> tuple[bool, float]:
     """Complete positivity is a spectral fact of the Choi matrix."""
     w = np.linalg.eigvalsh(phi.choi)
     lam = float(w[0])
-    return lam >= -tol.psd_atol * max(1.0, frobenius(phi.choi)), lam
+    return lam >= -PSD_ATOL * max(1.0, frobenius(phi.choi)), lam
 
 
-def is_completely_copositive(
-    phi: LinearMatrixMap, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[bool, float]:
+def is_completely_copositive(phi: LinearMatrixMap) -> tuple[bool, float]:
     """Complete copositivity of phi is complete positivity of phi o transpose."""
-    return is_completely_positive(compose_with_transpose(phi), tol)
+    return is_completely_positive(compose_with_transpose(phi))
 
 
-def detect_entanglement(
-    rho: np.ndarray,
-    phi: LinearMatrixMap,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[float, str]:
+def detect_entanglement(rho: np.ndarray, phi: LinearMatrixMap) -> tuple[float, str]:
     """Evaluate ``tr(W rho)`` for the map's Choi witness against a state.
 
     A strictly negative value certifies entanglement of rho across the
     (input, output) split; nonnegative values decide nothing.
     """
     W = phi.choi
-    rho = require_hermitian(np.asarray(rho, dtype=complex), tol)
+    rho = require_hermitian(np.asarray(rho, dtype=complex))
     if rho.shape != W.shape:
         raise DimensionMismatch(f"state has shape {rho.shape}, witness {W.shape}")
     lam = float(np.linalg.eigvalsh(rho)[0])
-    if lam < -tol.state_atol:
+    if lam < -STATE_ATOL:
         raise NotAState(f"state has negative eigenvalue {lam:.3e}")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol.state_atol * max(1.0, abs(tr)):
+    if abs(tr - 1.0) > STATE_ATOL * max(1.0, abs(tr)):
         raise NotAState(f"state trace {tr!r} is not 1")
     value = np.trace(W @ rho)
-    if abs(value.imag) > tol.pairing_imag_tol * max(1.0, frobenius(W)):
+    if abs(value.imag) > PAIRING_IMAG_TOL * max(1.0, frobenius(W)):
         raise ConvergenceFailure(f"witness expectation has imaginary part {value.imag:.3e}")
     value = float(value.real)
-    verdict = "DETECTED" if value < -tol.zero_tol else "NOT_DETECTED"
+    verdict = "DETECTED" if value < -ZERO_TOL else "NOT_DETECTED"
     return value, verdict

@@ -347,6 +347,31 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         argv = ["verify", "--suite", "bh-structure", "--trials", "1", "--u", str(u), "--dim", dim]
         assert cli.main(argv) == 2
         assert capsys.readouterr().out == ""
+    # a flag the chosen suite does not read is refused, not echoed as checked
+    for argv in (
+        ["--suite", "robertson-equality", "--dim", "6"],
+        ["--suite", "lemma1", "--u", str(tmp_path / "missing.json")],
+        ["--suite", "robertson-equality", "--u", str(u)],
+    ):
+        assert cli.main(["verify", "--trials", "1", *argv]) == 2
+        assert capsys.readouterr().out == ""
     # a negative cone-search budget is rejected before any search
     assert cli.main(["exposedness", "reduction", "--n", "3", "--budget", "-1"]) == 2
     assert "budget must be nonnegative" in capsys.readouterr().err
+
+
+def test_reports_echo_fixed_cutoffs(tmp_path):
+    """The cutoffs each report echoes, pinned in its raw bytes."""
+    witness = write_choi(tmp_path, choi_of(reduction(3)), "wit.json")
+    state = write_choi(tmp_path, np.eye(9) / 9, "state.json")
+    for argv, echo in (
+        (["exposedness", "robertson", "--seed", "0"], b'"rel_tol": 1e-08,'),
+        (["detect", state, witness], b'"zero_tol": 1.0000000000000001e-09\n'),
+        (
+            ["check", witness, "--mode", "block-positive", "--restarts", "4"],
+            b'"violation_tol": 1.0000000000000001e-09\n',
+        ),
+    ):
+        code, _, raw = run(argv, tmp_path)
+        assert code == 0
+        assert echo in raw

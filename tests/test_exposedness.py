@@ -17,7 +17,7 @@ from conewitness.catalog import (
     robertson,
     robertson_unitary,
 )
-from conewitness.config import DEFAULT_TOLERANCES, Tolerances
+from conewitness.config import ZERO_TOL
 from conewitness.errors import (
     InsufficientZeros,
     NotBlockPositive,
@@ -111,10 +111,10 @@ def _assert_rows_are_pairs(sample, k, n, m):
         assert type(pair.value) is float and v == pair.value
 
 
-def test_analytic_face_pairs_match_per_pair_reference():
+def test_analytic_face_pairs_match_per_pair_reference(monkeypatch):
     """The batched sampler keeps the per-pair RNG order, bits and rejection rule."""
 
-    def per_pair(desc, U, count, n, rng, tol):
+    def per_pair(desc, U, count, n, rng, zero_tol):
         W_hat = ray_representative(choi_of(build_map(desc)))
         pairs, rejected = [], 0
         while len(pairs) < count:
@@ -128,7 +128,7 @@ def test_analytic_face_pairs_match_per_pair_reference():
             else:
                 y = U @ x.conj()
             # a rejected draw leaves the next one on the same circle
-            if abs(witness_pairing(W_hat, x, y)) > tol.zero_tol:
+            if abs(witness_pairing(W_hat, x, y)) > zero_tol:
                 rejected += 1
                 continue
             pairs.append((fix_phase(x), fix_phase(y)))
@@ -142,15 +142,14 @@ def test_analytic_face_pairs_match_per_pair_reference():
         (BreuerHall(U=U), U, 4),
     ]
     # a zero bound below round-off rejects some draws and keeps the face analytic
-    tight = Tolerances(zero_tol=1e-16)
-    for (desc, U_desc, n), tol in [(c, DEFAULT_TOLERANCES) for c in cases] + [
-        (c, tight) for c in cases[:3]
-    ]:
-        sample = dual_face_samples(desc, 60, np.random.default_rng(9), tol)
+    for (desc, U_desc, n), tight in [(c, False) for c in cases] + [(c, True) for c in cases[:3]]:
+        zero_tol = 1e-16 if tight else ZERO_TOL
+        monkeypatch.setattr(exposedness, "ZERO_TOL", zero_tol)
+        sample = dual_face_samples(desc, 60, np.random.default_rng(9))
         assert sample.source == "analytic"
         _assert_rows_are_pairs(sample, 60, n, n)
-        want, rejected = per_pair(desc, U_desc, 60, n, np.random.default_rng(9), tol)
-        assert (rejected > 0) == (tol is tight)
+        want, rejected = per_pair(desc, U_desc, 60, n, np.random.default_rng(9), zero_tol)
+        assert (rejected > 0) == tight
         assert len(sample.pairs) == len(want)
         for pair, (x, y) in zip(sample.pairs, want):
             assert np.array_equal(pair.x, x) and np.array_equal(pair.y, y)
@@ -285,9 +284,17 @@ def test_nullspace_dim_reduction3_is_coad_span():
         assert residual < 1e-8
 
 
-def test_nullspace_rejects_undersampling():
+def test_nullspace_rejects_undersampling(monkeypatch):
     with pytest.raises(ValueError):
         double_dual_nullspace(Transposition(n=2), sample_count=10)
+
+    # the report refuses an undersized sample before its see-saw runs
+    def no_seesaw(*args, **kwargs):
+        raise AssertionError("block-positivity check ran")
+
+    monkeypatch.setattr(exposedness, "is_block_positive", no_seesaw)
+    with pytest.raises(ValueError, match=r"sample_count must be at least 2\*\(nm\)\^2 = 512"):
+        exposedness_report(Reduction(n=4), sample_count=10)
 
 
 def test_nullspace_basis_bits_match_stacked_c_order_blocks():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conewitness.errors import NonHermitianInput
 from conewitness.linalg import (
     coords_to_hermitian,
-    eigh,
     fix_phase,
     frobenius,
     hermitian_to_coords,
@@ -35,15 +34,6 @@ def test_require_hermitian_accepts_and_rejects():
         require_hermitian(np.zeros((2, 3)))
     assert not is_hermitian(np.zeros((2, 3)))
     assert is_hermitian(np.eye(4))
-
-
-def test_eigh_reconstructs_and_orders():
-    rng = np.random.default_rng(0)
-    A = random_hermitian(5, rng)
-    w, v = eigh(A)
-    assert np.all(np.diff(w) >= 0)
-    assert frobenius(v @ np.diag(w) @ v.conj().T - A) < 1e-12 * max(1.0, frobenius(A))
-    assert frobenius(v.conj().T @ v - np.eye(5)) < 1e-12
 
 
 def test_svd_nullspace_known_matrix():
