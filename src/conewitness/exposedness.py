@@ -62,6 +62,7 @@ from .positivity import (
     BlockPositivityReport,
     ProductPair,
     SeeSawConfig,
+    _einsum,
     _sweep,
     _y_side,
     is_block_positive,
@@ -165,19 +166,23 @@ def dual_face_samples(
     desc,
     count: int,
     rng: np.random.Generator | None = None,
+    *,
+    phi: LinearMatrixMap | None = None,
 ) -> DualFaceSample:
     """Collect ``count`` product pairs with pairing zero.
 
     Descriptors with a known face get closed-form pairs; everything else
     harvests near-zero see-saw endpoints, polished before acceptance.
     Maps whose pairing is bounded away from zero (interior Choi) cannot
-    produce pairs and raise InsufficientZeros.
+    produce pairs and raise InsufficientZeros.  A caller that has already
+    built ``desc`` passes the map as ``phi``.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    phi = build_map(desc)
+    if phi is None:
+        phi = build_map(desc)
     n, m = phi.dim_in, phi.dim_out
     W_hat = ray_representative(phi.choi)
 
@@ -320,8 +325,7 @@ def _checked_sample_count(phi, sample_count):
     return k
 
 
-def _nullspace_with_diagnostics(desc, sample_count, rng):
-    phi = build_map(desc)
+def _nullspace_with_diagnostics(desc, phi, sample_count, rng):
     n, m = phi.dim_in, phi.dim_out
     d = n * m
     k = _checked_sample_count(phi, sample_count)
@@ -332,12 +336,12 @@ def _nullspace_with_diagnostics(desc, sample_count, rng):
     # a transposing copy; the first block is its top half
     r = k + 2 * (n + m) * _stationarity_pairs(n, m)
     C = np.empty((2 * r, d * d), order="F")
-    first = dual_face_samples(desc, k, rng)
+    first = dual_face_samples(desc, k, rng, phi=phi)
     _constraint_block(first, C[:r])
     rank1, _, _ = svd_nullspace(C[:r], NULLSPACE_REL_TOL, basis=False)
     dim1 = d * d - rank1
 
-    second = dual_face_samples(desc, k, rng)
+    second = dual_face_samples(desc, k, rng, phi=phi)
     _constraint_block(second, C[r:])
     rank2, basis_coords, sigma_max = svd_nullspace(C, NULLSPACE_REL_TOL)
     dim2 = d * d - rank2
@@ -379,7 +383,7 @@ def double_dual_nullspace(
     own Choi must lie inside.  Singular values at most
     ``NULLSPACE_REL_TOL`` times the largest count as zero.
     """
-    dim, basis, _, _ = _nullspace_with_diagnostics(desc, sample_count, rng)
+    dim, basis, _, _ = _nullspace_with_diagnostics(desc, build_map(desc), sample_count, rng)
     return dim, basis
 
 
@@ -416,14 +420,16 @@ def _probe_vectors(phi, face_x, rng):
             y = kernel[:, 0] + delta * random_unit_vector(m, rng)
             probes.append(product_vector(x, y / np.linalg.norm(y)))
 
-    for _ in range(128):
-        probes.append(product_vector(random_unit_vector(n, rng), random_unit_vector(m, rng)))
-    return np.stack(probes)
+    # random probes, drawn in the order of one random_unit_vector per x and y
+    G = rng.standard_normal((128, 2 * (n + m)))
+    x, _ = _unit_rows(G[:, :n] + 1j * G[:, n : 2 * n])
+    y, _ = _unit_rows(G[:, 2 * n : 2 * n + m] + 1j * G[:, 2 * n + m :])
+    return np.concatenate([np.reshape(probes, (-1, n * m)), product_vector(x, y)])
 
 
 def _pairings(Z, basis):
     """Real pairing ``<z|B_i|z>`` of every product vector row z with every basis element."""
-    return np.einsum("pa,iab,pb->pi", Z.conj(), basis, Z, optimize=True).real
+    return _einsum("pa,iab,pb->pi", Z.conj(), basis, Z).real
 
 
 def cone_search_off_ray(
@@ -542,7 +548,7 @@ def exposedness_report(
             f"map has a product pair with pairing {bp_report.min_value:.6e}"
         )
 
-    dim, basis, diagnostics, samples = _nullspace_with_diagnostics(desc, sample_count, rng)
+    dim, basis, diagnostics, samples = _nullspace_with_diagnostics(desc, phi, sample_count, rng)
     verdict, cand, cand_report = "CERTIFIED_EXPOSED", None, None
     if dim != 1:
         verdict = "CONSISTENT_WITH_EXPOSED"
@@ -574,7 +580,7 @@ def _validate_counterexample(desc, phi, cand, rng):
     verdict, report = is_block_positive(cand_map, SeeSawConfig(), rng)
     if verdict != "EVIDENCE_BP":
         return False, report
-    fresh = dual_face_samples(desc, max(64, 2 * n * m), rng)
+    fresh = dual_face_samples(desc, max(64, 2 * n * m), rng, phi=phi)
     C = face_constraint_matrix(fresh.X, fresh.Y)
     coords = hermitian_to_coords(cand)
     coords = coords / np.linalg.norm(coords)
@@ -599,7 +605,7 @@ def optimality_spanning_check(
     phi = build_map(desc)
     d = phi.dim_in * phi.dim_out
     k = 2 * d * d if sample_count is None else int(sample_count)
-    sample = dual_face_samples(desc, k, rng)
+    sample = dual_face_samples(desc, k, rng, phi=phi)
     Z = product_vector(sample.X, sample.Y)
     span_dim, _, _ = svd_nullspace(Z, NULLSPACE_REL_TOL, basis=False)
     return span_dim == d, span_dim

@@ -55,9 +55,23 @@ def _random_unit_rows(rows: int, dim: int, rng: np.random.Generator) -> np.ndarr
     return Z / np.linalg.norm(Z, axis=1, keepdims=True)
 
 
+# greedy einsum paths by (subscripts, operand shapes): planning reads only
+# the shapes, and one path always runs the same contractions
+_PATHS: dict[tuple, list] = {}
+
+
+def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, *operands, optimize=True)``, planned once per operand shapes."""
+    key = (subscripts, *(op.shape for op in operands))
+    path = _PATHS.get(key)
+    if path is None:
+        path = _PATHS[key] = np.einsum_path(subscripts, *operands, optimize=True)[0]
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
 def _y_side(T: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Hermitized ``phi(P_x)`` for every row x of X: the pairing is ``<y|phi(P_x)|y>``."""
-    M = np.einsum("ri,ikjl,rj->rkl", X, T, X.conj(), optimize=True)
+    M = _einsum("ri,ikjl,rj->rkl", X, T, X.conj())
     return (M + M.conj().transpose(0, 2, 1)) / 2
 
 
@@ -72,7 +86,7 @@ def _sweep(
     of the y-side matrix.
     """
     # minimize over x at fixed y: the pairing is <x|conj(N_y)|x>
-    N = np.einsum("rk,ikjl,rl->rij", Y.conj(), T, Y, optimize=True).conj()
+    N = _einsum("rk,ikjl,rl->rij", Y.conj(), T, Y).conj()
     _, v = np.linalg.eigh((N + N.conj().transpose(0, 2, 1)) / 2)
     X = v[:, :, 0]
     w, v = np.linalg.eigh(_y_side(T, X))

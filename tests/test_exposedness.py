@@ -567,3 +567,32 @@ def test_exposedness_reduction4():
     rep = exposedness_report(Reduction(n=4), rng=np.random.default_rng(30))
     assert rep.verdict == "NOT_EXPOSED"
     assert rep.nullspace_dim == 36
+
+
+def test_exposedness_report_builds_the_map_once(monkeypatch):
+    calls = []
+
+    def counting_build_map(desc):
+        calls.append(desc)
+        return build_map(desc)
+
+    monkeypatch.setattr(exposedness, "build_map", counting_build_map)
+    # Reduction(3) at this seed reaches validation, the last sampler call
+    rep = exposedness_report(Reduction(n=3), rng=np.random.default_rng(15))
+    assert rep.verdict == "NOT_EXPOSED"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (4, 4), (2, 3), (8, 8)])
+def test_random_probes_match_per_probe_draws(n, m):
+    phi = map_from_choi(random_hermitian(n * m, np.random.default_rng(n + m)), n, m)
+    rng, ref_rng = np.random.default_rng(40), np.random.default_rng(40)
+    probes = exposedness._probe_vectors(phi, np.empty((0, n), complex), rng)
+    ref = np.stack(
+        [
+            product_vector(random_unit_vector(n, ref_rng), random_unit_vector(m, ref_rng))
+            for _ in range(128)
+        ]
+    )
+    assert np.array_equal(probes, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

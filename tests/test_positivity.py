@@ -16,6 +16,7 @@ from conewitness.catalog import (
 from conewitness.errors import DimensionMismatch, NotAState
 from conewitness.linalg import frobenius, random_unit_vector
 from conewitness.maps import choi_of, map_from_choi, witness_pairing
+from conewitness import positivity
 from conewitness.positivity import (
     SeeSawConfig,
     block_positivity_min,
@@ -194,3 +195,30 @@ def test_product_states_score_nonnegative_on_block_positive_witness():
         value, _ = detect_entanglement(rho, reduction(3))
         assert value >= -1e-10
     assert W.shape == (9, 9)
+
+
+def test_planned_einsum_matches_einsum_optimize_bitwise():
+    # greedy picks (0, 2),(0, 1), (0, 1),(0, 1) or a single (0, 1, 2) across
+    # this grid, so one fixed path cannot pass it
+    rng = np.random.default_rng(9)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    cases = []
+    for R in (1, 2, 8, 24, 64, 256):
+        for n, m in [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (2, 6), (6, 6)]:
+            T = cplx(n, m, n, m)
+            X, Y = cplx(R, n), cplx(R, m)
+            cases.append(("ri,ikjl,rj->rkl", X, T, X.conj()))
+            cases.append(("rk,ikjl,rl->rij", Y.conj(), T, Y))
+    for p in (1, 7, 200):
+        for k in (1, 2, 5, 16):
+            for d in (4, 9, 16):
+                Z = cplx(p, d)
+                cases.append(("pa,iab,pb->pi", Z.conj(), cplx(k, d, d), Z))
+    for _ in range(2):  # planned on the first pass, read back on the second
+        for spec, *ops in cases:
+            assert np.array_equal(
+                positivity._einsum(spec, *ops), np.einsum(spec, *ops, optimize=True)
+            ), (spec, [op.shape for op in ops])
