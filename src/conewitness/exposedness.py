@@ -162,6 +162,11 @@ def _analytic_candidates(desc, U, count, n, rng):
     return X, np.stack([X, (U @ X.conj()[:, :, np.newaxis])[:, :, 0]]), False
 
 
+def _closed_form_face(desc) -> bool:
+    """Whether the descriptor's dual face has a closed form to draw from."""
+    return isinstance(desc, (Transposition, Reduction, BreuerHall, Robertson))
+
+
 def dual_face_samples(
     desc,
     count: int,
@@ -190,7 +195,7 @@ def dual_face_samples(
     Y_out = np.empty((count, m), complex)
     values_out = np.empty(count)
     k = 0  # rows accepted so far
-    if isinstance(desc, (Transposition, Reduction, BreuerHall, Robertson)):
+    if _closed_form_face(desc):
         U = None
         if isinstance(desc, BreuerHall):
             U = desc.U
@@ -229,10 +234,10 @@ def dual_face_samples(
     max_rounds = max(6, (4 * count) // restarts + 2)
     while k < count and rounds < max_rounds:
         X, Y, vals, _, _ = seesaw_endpoints(phi_hat, cfg, rng)
-        # a few exact alternating minimizations land near-zero endpoints on the face
+        # a fixed polish makes near-zero endpoints stationary to round-off
         near = vals <= ZERO_TOL
         X, Y = X[near], Y[near]
-        for _ in range(3):
+        for _ in range(64):
             X, Y, _ = _sweep(T, X, Y)
         values = witness_pairing(W_hat, X, Y)
         X, Y = fix_phase(X), fix_phase(Y)
@@ -275,10 +280,10 @@ def stationarity_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     ``<w|A|z> = 0`` for w running over the coordinate slices ``e_i (x) y``
     and ``conj(x) (x) e_k``.  Each complex condition realifies into two
     Hermitian rows, the Hermitian parts of ``w z^H`` and ``i w z^H``.
-    Without these rows the value constraints alone leave the
-    symmetric-monomial complement in the null space (already dimension 7
-    for the smallest reduction map), which no amount of pair sampling can
-    remove.
+    As ``z = sum_i conj(x_i) (e_i (x) y)``, a pair's value row is a real
+    combination of its own rows, so these rows alone fix the null space;
+    value rows alone leave the symmetric-monomial complement in it (already
+    dimension 7 for the smallest reduction map) at any sample size.
 
     Rows come pair by pair, then slice by slice (the n slices
     ``e_i (x) y`` before the m slices ``conj(x) (x) e_k``), the real part
@@ -302,47 +307,41 @@ def stationarity_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return _coords_axis_first(parts, d).reshape(d * d, -1).T
 
 
-def _stationarity_pairs(n, m):
-    # stationarity rows for a quarter of the pairs saturate the rank at a
-    # quarter of the cost; the value rows still cover every sampled pair
-    return max(1, (2 * (n * m) ** 2) // (2 * (n + m)))
+def _checked_sample_count(desc, phi, sample_count):
+    """``sample_count``, by default its floor, the fewest face pairs per sample.
 
-
-def _constraint_block(sample, out):
-    """Write the sample's value rows, then its stationarity rows, into ``out``."""
-    X, Y = sample.X, sample.Y
-    q = _stationarity_pairs(X.shape[1], Y.shape[1])
-    out[: X.shape[0]] = face_constraint_matrix(X, Y)
-    out[X.shape[0] :] = stationarity_rows(X[:q], Y[:q])
-
-
-def _checked_sample_count(phi, sample_count):
-    """``sample_count``, by default ``2*(nm)^2``, the fewest pairs that fix the null space."""
-    k_min = 2 * (phi.dim_in * phi.dim_out) ** 2
+    The floor is ``q = (nm)^2 // (2(n+m) - 3) + 4`` (the divisor estimates
+    one pair's independent real rows), and ``3q`` on a harvested face,
+    whose pairs cluster on a few orbits.
+    """
+    n, m = phi.dim_in, phi.dim_out
+    k_min = (n * m) ** 2 // (2 * (n + m) - 3) + 4
+    if not _closed_form_face(desc):
+        k_min *= 3
     k = k_min if sample_count is None else int(sample_count)
     if k < k_min:
-        raise ValueError(f"sample_count must be at least 2*(nm)^2 = {k_min}")
+        raise ValueError(f"sample_count must be at least {k_min}")
     return k
 
 
 def _nullspace_with_diagnostics(desc, phi, sample_count, rng):
     n, m = phi.dim_in, phi.dim_out
     d = n * m
-    k = _checked_sample_count(phi, sample_count)
+    k = _checked_sample_count(desc, phi, sample_count)
     if rng is None:
         rng = np.random.default_rng(0)
 
-    # both blocks share one column-major matrix, which LAPACK reads without
-    # a transposing copy; the first block is its top half
-    r = k + 2 * (n + m) * _stationarity_pairs(n, m)
+    # both blocks of stationarity rows share one column-major matrix, which
+    # LAPACK reads without a transposing copy; the first block is its top half
+    r = 2 * (n + m) * k
     C = np.empty((2 * r, d * d), order="F")
     first = dual_face_samples(desc, k, rng, phi=phi)
-    _constraint_block(first, C[:r])
+    C[:r] = stationarity_rows(first.X, first.Y)
     rank1, _, _ = svd_nullspace(C[:r], NULLSPACE_REL_TOL, basis=False)
     dim1 = d * d - rank1
 
     second = dual_face_samples(desc, k, rng, phi=phi)
-    _constraint_block(second, C[r:])
+    C[r:] = stationarity_rows(second.X, second.Y)
     rank2, basis_coords, sigma_max = svd_nullspace(C, NULLSPACE_REL_TOL)
     dim2 = d * d - rank2
     if dim1 != dim2:
@@ -376,12 +375,12 @@ def double_dual_nullspace(
 ) -> tuple[int, np.ndarray]:
     """Null space of the sampled face constraints, as Hermitian matrices.
 
-    Rows are the per-pair value constraints plus first-order stationarity
-    constraints (see :func:`stationarity_rows`), both of which every member
-    of the double-dual face satisfies.  The dimension is recomputed on a
-    doubled sample and must agree (UnstableDimension otherwise); the map's
-    own Choi must lie inside.  Singular values at most
-    ``NULLSPACE_REL_TOL`` times the largest count as zero.
+    Rows are the first-order stationarity constraints of the sampled pairs
+    (see :func:`stationarity_rows`), which every member of the double-dual
+    face satisfies.  The dimension is recomputed on a doubled sample and
+    must agree (UnstableDimension otherwise); the map's own Choi must lie
+    inside.  Singular values at most ``NULLSPACE_REL_TOL`` times the
+    largest count as zero.
     """
     dim, basis, _, _ = _nullspace_with_diagnostics(desc, build_map(desc), sample_count, rng)
     return dim, basis
@@ -529,8 +528,9 @@ def exposedness_report(
 ) -> ExposednessReport:
     """Full verdict pipeline; requires the map to look block-positive first.
 
-    ``sample_count`` face pairs (default ``2*(nm)^2``) fix the null space,
-    and the cone search tries at most ``budget`` candidates in it.
+    Two samples of ``sample_count`` face pairs fix the null space (default
+    and floor in :func:`_checked_sample_count`), and the cone search tries
+    at most ``budget`` candidates in it.
     CERTIFIED_EXPOSED needs linear dimension one.  NOT_EXPOSED needs a
     counterexample that survives independent re-validation: block-positive
     evidence, off the map's ray, and vanishing on freshly drawn face pairs.
@@ -540,7 +540,7 @@ def exposedness_report(
     if rng is None:
         rng = np.random.default_rng(0)
     phi = build_map(desc)
-    _checked_sample_count(phi, sample_count)
+    _checked_sample_count(desc, phi, sample_count)
 
     verdict_bp, bp_report = is_block_positive(phi, SeeSawConfig(), rng)
     if verdict_bp != "EVIDENCE_BP":

@@ -24,7 +24,6 @@ from conewitness.errors import (
     NotUnitVector,
     NotUnitary,
     OddDimension,
-    UnstableDimension,
 )
 from conewitness.linalg import (
     coords_to_hermitian,
@@ -220,16 +219,13 @@ def test_stationarity_rows_annihilate_the_map():
         assert np.max(np.abs(S @ coords)) < 1e-9
 
 
-def _per_pair_rows(sample, n, m, q=None):
-    """Value rows, and stationarity rows of the first q pairs (default all),
-    built one pair at a time from product_vector."""
+def _per_pair_rows(sample, n, m):
+    """Value rows and stationarity rows, built one pair at a time from product_vector."""
     value_rows, stat_rows = [], []
     eye_n, eye_m = np.eye(n), np.eye(m)
-    for j, pair in enumerate(sample.pairs):
+    for pair in sample.pairs:
         z = product_vector(pair.x, pair.y)
         value_rows.append(np.outer(z, z.conj()))
-        if q is not None and j >= q:
-            continue
         ws = [product_vector(eye_n[i], pair.y) for i in range(n)]
         ws += [product_vector(pair.x, eye_m[k]) for k in range(m)]
         for w in ws:
@@ -286,14 +282,14 @@ def test_nullspace_dim_reduction3_is_coad_span():
 
 def test_nullspace_rejects_undersampling(monkeypatch):
     with pytest.raises(ValueError):
-        double_dual_nullspace(Transposition(n=2), sample_count=10)
+        double_dual_nullspace(Transposition(n=2), sample_count=6)
 
     # the report refuses an undersized sample before its see-saw runs
     def no_seesaw(*args, **kwargs):
         raise AssertionError("block-positivity check ran")
 
     monkeypatch.setattr(exposedness, "is_block_positive", no_seesaw)
-    with pytest.raises(ValueError, match=r"sample_count must be at least 2\*\(nm\)\^2 = 512"):
+    with pytest.raises(ValueError, match=r"sample_count must be at least 23$"):
         exposedness_report(Reduction(n=4), sample_count=10)
 
 
@@ -302,12 +298,12 @@ def test_nullspace_basis_bits_match_stacked_c_order_blocks():
     U = random_antisymmetric_unitary(4, np.random.default_rng(3))
     for desc, n in ((Robertson(), 4), (BreuerHall(U=U), 4), (Reduction(n=3), 3)):
         d = n * n
-        q = max(1, (2 * d * d) // (4 * n))  # pairs that get stationarity rows
+        k = d * d // (4 * n - 3) + 4  # face pairs per block
         rng = np.random.default_rng(11)
         blocks = []
         for _ in range(2):
-            sample = dual_face_samples(desc, 2 * d * d, rng)
-            blocks.append(np.vstack(_per_pair_rows(sample, n, n, q)))
+            sample = dual_face_samples(desc, k, rng)
+            blocks.append(_per_pair_rows(sample, n, n)[1])
         rank, basis_coords, _ = svd_nullspace(np.vstack(blocks), 1e-8)
         dim, basis = double_dual_nullspace(desc, rng=np.random.default_rng(11))
         assert dim == d * d - rank
@@ -442,18 +438,8 @@ HA_KYE = ChoiFamily(a=0.5, b=0.19098300562505255, c=1.3090169943749475)
         pytest.param(HA_KYE, 0, "CERTIFIED_EXPOSED", 2000, id="ha-kye-0"),
         pytest.param(HA_KYE, 1, "CERTIFIED_EXPOSED", 2000, id="ha-kye-1"),
         pytest.param(HA_KYE, 2, "CERTIFIED_EXPOSED", 2000, id="ha-kye-2"),
-        pytest.param(
-            HA_KYE,
-            19,
-            "CERTIFIED_EXPOSED",
-            2000,
-            id="ha-kye-19",
-            marks=pytest.mark.xfail(
-                raises=UnstableDimension,
-                strict=False,
-                reason="known refusal: nullspace dim 7 at 162 samples vs 1 at 324",
-            ),
-        ),
+        pytest.param(HA_KYE, 19, "CERTIFIED_EXPOSED", 2000, id="ha-kye-19"),
+        pytest.param(HA_KYE, 32, "CERTIFIED_EXPOSED", 2000, id="ha-kye-32"),
         pytest.param(
             FromChoi(W=choi_of(robertson()), dim_in=4, dim_out=4),
             0,
@@ -479,6 +465,32 @@ def test_numeric_harvest_literature_verdicts(desc, seed, expected, budget):
     """Verdicts decided through the numeric face harvest match the literature."""
     rep = exposedness_report(desc, budget=budget, rng=np.random.default_rng(seed))
     assert rep.verdict == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_polished_harvest_pairs_are_stationary(seed):
+    """The harvest's polish puts each pair's stationarity residual far below the rank cutoff."""
+    sample = dual_face_samples(HA_KYE, 39, np.random.default_rng(seed))
+    assert sample.source == "numeric"
+    w = hermitian_to_coords(ray_representative(choi_of(build_map(HA_KYE))))
+    assert np.max(np.abs(stationarity_rows(sample.X, sample.Y) @ w)) <= 1e-10
+
+
+def test_value_rows_add_no_rank_to_stationarity_rows():
+    """A pair's value row is a real combination of its own stationarity rows."""
+    U = random_antisymmetric_unitary(4, np.random.default_rng(31))
+    for desc, k in (
+        (Robertson(), 23),
+        (Reduction(n=3), 13),
+        (BreuerHall(U=U), 23),
+        (ChoiFamily(a=1.0, b=0.0, c=1.0), 39),
+    ):
+        sample = dual_face_samples(desc, k, np.random.default_rng(32))
+        S = stationarity_rows(sample.X, sample.Y)
+        C = face_constraint_matrix(sample.X, sample.Y)
+        rank_s, _, _ = svd_nullspace(S, 1e-8, basis=False)
+        rank_sc, _, _ = svd_nullspace(np.vstack([S, C]), 1e-8, basis=False)
+        assert rank_s < S.shape[1] and rank_sc == rank_s
 
 
 # ---------------------------------------------------------------------------
