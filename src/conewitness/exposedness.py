@@ -332,18 +332,24 @@ def _nullspace_with_diagnostics(desc, phi, sample_count, rng):
         rng = np.random.default_rng(0)
 
     # both blocks of stationarity rows share one column-major matrix, which
-    # LAPACK reads without a transposing copy; the first block is its top half
+    # LAPACK reads without a transposing copy; the first block is its top half.
+    # The null space of both blocks is V1 null(C2 V1), with V1 spanning the
+    # first block's: the second block is ranked only inside V1, cut at the
+    # first block's norm, so no row of the first block is decomposed twice
     r = 2 * (n + m) * k
     C = np.empty((2 * r, d * d), order="F")
     first = dual_face_samples(desc, k, rng, phi=phi)
     C[:r] = stationarity_rows(first.X, first.Y)
-    rank1, _, _ = svd_nullspace(C[:r], NULLSPACE_REL_TOL, basis=False)
+    rank1, V1, sigma_max = svd_nullspace(C[:r], NULLSPACE_REL_TOL)
     dim1 = d * d - rank1
 
     second = dual_face_samples(desc, k, rng, phi=phi)
     C[r:] = stationarity_rows(second.X, second.Y)
-    rank2, basis_coords, sigma_max = svd_nullspace(C, NULLSPACE_REL_TOL)
-    dim2 = d * d - rank2
+    basis_coords = V1
+    if dim1:
+        _, V2, _ = svd_nullspace(C[r:] @ V1, NULLSPACE_REL_TOL, scale=sigma_max)
+        basis_coords = V1 @ V2
+    dim2 = basis_coords.shape[1]
     if dim1 != dim2:
         raise UnstableDimension(
             f"nullspace dim {dim1} at {k} samples vs {dim2} at {2 * k}"
@@ -379,8 +385,11 @@ def double_dual_nullspace(
     (see :func:`stationarity_rows`), which every member of the double-dual
     face satisfies.  The dimension is recomputed on a doubled sample and
     must agree (UnstableDimension otherwise); the map's own Choi must lie
-    inside.  Singular values at most ``NULLSPACE_REL_TOL`` times the
-    largest count as zero.
+    inside.  The first sample's rows are decomposed once; the second
+    sample's rows are ranked only on that null space, whose basis times
+    theirs spans the null space of both.  Singular values at most
+    ``NULLSPACE_REL_TOL`` times the first sample's largest count as zero,
+    in both ranks.
     """
     dim, basis, _, _ = _nullspace_with_diagnostics(desc, build_map(desc), sample_count, rng)
     return dim, basis

@@ -10,6 +10,8 @@ is no ambient RNG state anywhere in the library.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .config import HERMITIAN_RTOL
@@ -46,15 +48,23 @@ def require_hermitian(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def svd_nullspace(M: np.ndarray, rel_tol: float, *, basis: bool = True):
+def svd_nullspace(
+    M: np.ndarray, rel_tol: float, *, basis: bool = True, scale: float | None = None
+):
     """Numerical rank, null-space basis and largest singular value of a matrix.
 
     ``M`` may be real or complex; a complex ``M`` gets a complex basis.
 
-    Singular values at most ``rel_tol`` times the largest one count as zero.
+    Singular values at most ``rel_tol * scale`` count as zero; ``scale``
+    defaults to the largest singular value of ``M`` itself.  A caller that
+    ranks one block of rows projected onto another block's null space passes
+    the other block's largest singular value, so that both ranks are cut at
+    one absolute level.
+
     Returns ``(rank, basis, sigma_max)`` where ``basis`` has orthonormal
     columns spanning the null space (shape ``(cols, cols - rank)``) and
-    ``sigma_max`` is the spectral norm, all from one decomposition.  With
+    ``sigma_max`` is the spectral norm of ``M`` whatever ``scale`` is, all
+    from one decomposition.  With
     ``basis=False`` only the singular values are computed and ``basis`` is
     None; LAPACK then runs another algorithm, so ``sigma_max`` may differ
     from the ``basis=True`` value in its last bits.
@@ -73,6 +83,8 @@ def svd_nullspace(M: np.ndarray, rel_tol: float, *, basis: bool = True):
         raise ValueError("svd_nullspace requires a nonempty matrix")
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    if scale is not None and not scale >= 0.0:
+        raise ValueError(f"scale must be nonnegative, got {scale}")
     rows, cols = M.shape
     try:
         if rows > cols:
@@ -84,7 +96,8 @@ def svd_nullspace(M: np.ndarray, rel_tol: float, *, basis: bool = True):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
         raise ConvergenceFailure(str(exc)) from exc
     smax = float(s[0])
-    rank = int(np.count_nonzero(s > rel_tol * smax)) if smax > 0 else 0
+    cutoff = rel_tol * (smax if scale is None else scale)
+    rank = int(np.count_nonzero(s > cutoff))
     return rank, vh[rank:].conj().T.copy() if basis else None, smax
 
 
@@ -138,11 +151,24 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
 _SQRT2 = np.sqrt(2.0)
 
 
+@functools.cache
+def _upper_triangle(d: int):
+    """Row and column indices of the strict upper triangle, in row-major order.
+
+    Computed once per ``d`` and shared by every caller, so the arrays are
+    read-only.
+    """
+    iu, ju = np.triu_indices(d, k=1)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
+
+
 def hermitian_to_coords(A: np.ndarray) -> np.ndarray:
     """Real coordinate vector(s) of Hermitian matrix(es), shape (..., d*d)."""
     A = np.asarray(A, dtype=complex)
     d = A.shape[-1]
-    iu, ju = np.triu_indices(d, k=1)
+    iu, ju = _upper_triangle(d)
     diag = np.diagonal(A, axis1=-2, axis2=-1).real
     upper = A[..., iu, ju]
     return np.concatenate(
@@ -157,7 +183,7 @@ def _coordinate_entries(d: int):
     row-major order, so ``A[a, b]`` lists what :func:`hermitian_to_coords`
     reads, in its order.
     """
-    iu, ju = np.triu_indices(d, k=1)
+    iu, ju = _upper_triangle(d)
     diag = np.arange(d)
     return np.concatenate([diag, iu]), np.concatenate([diag, ju])
 
@@ -184,7 +210,7 @@ def coords_to_hermitian(coords: np.ndarray, d: int) -> np.ndarray:
     coords = np.asarray(coords, dtype=float)
     if coords.shape[-1] != d * d:
         raise ValueError(f"expected {d * d} coordinates, got {coords.shape[-1]}")
-    iu, ju = np.triu_indices(d, k=1)
+    iu, ju = _upper_triangle(d)
     k = iu.size
     A = np.zeros(coords.shape[:-1] + (d, d), dtype=complex)
     A[..., np.arange(d), np.arange(d)] = coords[..., :d]

@@ -9,6 +9,7 @@ from conewitness.catalog import (
     FromChoi,
     Reduction,
     Robertson,
+    SIGMA_Y,
     Transposition,
     build_map,
     co_ad_map,
@@ -24,6 +25,7 @@ from conewitness.errors import (
     NotUnitVector,
     NotUnitary,
     OddDimension,
+    UnstableDimension,
 )
 from conewitness.linalg import (
     coords_to_hermitian,
@@ -294,7 +296,7 @@ def test_nullspace_rejects_undersampling(monkeypatch):
 
 
 def test_nullspace_basis_bits_match_stacked_c_order_blocks():
-    """One column-major system gives the bits of C-order blocks stacked by vstack."""
+    """One column-major system gives the bits of C-order blocks, the second ranked inside the first."""
     U = random_antisymmetric_unitary(4, np.random.default_rng(3))
     for desc, n in ((Robertson(), 4), (BreuerHall(U=U), 4), (Reduction(n=3), 3)):
         d = n * n
@@ -304,10 +306,58 @@ def test_nullspace_basis_bits_match_stacked_c_order_blocks():
         for _ in range(2):
             sample = dual_face_samples(desc, k, rng)
             blocks.append(_per_pair_rows(sample, n, n)[1])
-        rank, basis_coords, _ = svd_nullspace(np.vstack(blocks), 1e-8)
+        rank1, V1, sigma_max = svd_nullspace(blocks[0], 1e-8)
+        # a product's bits follow its operands' layout, and the library's
+        # second block is a row slice of its column-major system
+        C2_V1 = np.asfortranarray(blocks[1]) @ V1
+        _, V2, _ = svd_nullspace(C2_V1, 1e-8, scale=sigma_max)
         dim, basis = double_dual_nullspace(desc, rng=np.random.default_rng(11))
-        assert dim == d * d - rank
-        assert np.array_equal(basis, coords_to_hermitian(basis_coords.T, d))
+        assert dim == V2.shape[1] <= d * d - rank1
+        assert np.array_equal(basis, coords_to_hermitian((V1 @ V2).T, d))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_projected_nullspace_spans_stacked_nullspace(seed):
+    """Ranking the second block inside the first block's null space finds the stacked system's."""
+    U = random_antisymmetric_unitary(4, np.random.default_rng(1234))
+    for desc in (
+        Robertson(),
+        Reduction(n=3),
+        Reduction(n=4),
+        Transposition(n=3),
+        BreuerHall(U=U),
+        ChoiFamily(a=1.0, b=0.0, c=1.0),
+    ):
+        phi = build_map(desc)
+        k = exposedness._checked_sample_count(desc, phi, None)
+        rng = np.random.default_rng(seed)
+        samples = [dual_face_samples(desc, k, rng, phi=phi) for _ in range(2)]
+        C = np.vstack([stationarity_rows(s.X, s.Y) for s in samples])
+        rank, B_old, _ = svd_nullspace(C, 1e-8)
+        dim, basis = double_dual_nullspace(desc, rng=np.random.default_rng(seed))
+        B_new = hermitian_to_coords(basis).T
+        assert dim == B_old.shape[1] == C.shape[1] - rank
+        assert np.linalg.norm(B_new - B_old @ (B_old.T @ B_new), 2) <= 1e-10
+
+
+def test_full_rank_first_block_is_refused_without_a_second_decomposition(monkeypatch):
+    """A first block of full rank leaves nothing to project; the containment check refuses."""
+    noise = np.random.default_rng(0)
+    rows = exposedness.stationarity_rows
+    monkeypatch.setattr(
+        exposedness, "stationarity_rows", lambda X, Y: noise.standard_normal(rows(X, Y).shape)
+    )
+    shapes = []
+    rank = exposedness.svd_nullspace
+
+    def counting_rank(M, *args, **kwargs):
+        shapes.append(M.shape)
+        return rank(M, *args, **kwargs)
+
+    monkeypatch.setattr(exposedness, "svd_nullspace", counting_rank)
+    with pytest.raises(UnstableDimension, match="excludes the map's own Choi"):
+        double_dual_nullspace(Reduction(n=3), rng=np.random.default_rng(0))
+    assert shapes == [(2 * 6 * 13, 81)]
 
 
 def test_constraint_monotonicity():
@@ -608,3 +658,11 @@ def test_random_probes_match_per_probe_draws(n, m):
     )
     assert np.array_equal(probes, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_breuer_hall6_nullspace_dimension():
+    """BH_6 with U = I_3 (x) sigma_y: nullity 15, the dimension C(6, 4) of the 4-form maps."""
+    U = np.kron(np.eye(3), SIGMA_Y)
+    dim, basis = double_dual_nullspace(BreuerHall(U=U), rng=np.random.default_rng(0))
+    assert dim == 15
+    assert basis.shape == (15, 36, 36)

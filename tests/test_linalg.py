@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from conewitness.errors import NonHermitianInput
 from conewitness.linalg import (
+    _coordinate_entries,
+    _upper_triangle,
     coords_to_hermitian,
     fix_phase,
     frobenius,
@@ -99,6 +101,38 @@ def test_svd_nullspace_zero_matrix_and_bad_tol():
         svd_nullspace(np.eye(2), 0.0)
     with pytest.raises(ValueError):
         svd_nullspace(np.empty((0, 0)), 1e-8)
+    with pytest.raises(ValueError):
+        svd_nullspace(np.eye(2), 1e-8, scale=-1.0)
+
+
+def test_svd_nullspace_scale_sets_the_cutoff():
+    """Singular values count against ``rel_tol * scale``; no scale means the matrix's own norm."""
+    rng = np.random.default_rng(12)
+    # singular values 10, 1, 1e-3 and 0 in a 30 x 4 matrix
+    Q1, _ = np.linalg.qr(rng.standard_normal((30, 4)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    M = Q1 @ np.diag([10.0, 1.0, 1e-3, 0.0]) @ Q2.T
+    assert svd_nullspace(M, 1e-6)[0] == 3
+    assert svd_nullspace(M, 1e-6, scale=1e4)[0] == 2  # cutoff 1e-2
+    assert svd_nullspace(M, 1e-6, scale=5e6)[0] == 1  # cutoff 5
+    assert svd_nullspace(M, 1e-6, scale=2e7)[0] == 0  # cutoff 20
+    # noise alone is full rank against its own norm and rank 0 against a large one
+    N = 1e-14 * rng.standard_normal((12, 5))
+    rank, basis, sigma_max = svd_nullspace(N, 1e-8)
+    assert rank == 5 and basis.shape == (5, 0)
+    rank, basis, sigma_max_scaled = svd_nullspace(N, 1e-8, scale=1.0)
+    assert rank == 0 and basis.shape == (5, 5)
+    assert frobenius(basis.T @ basis - np.eye(5)) < 1e-12
+    # sigma_max stays the matrix's own, whatever the scale
+    assert sigma_max_scaled == sigma_max
+    # without scale: the bits of the R-factor SVD cut at its own largest value
+    for A in (M, N, rng.standard_normal((3, 7))):
+        R = np.linalg.qr(A, mode="r") if A.shape[0] > A.shape[1] else A
+        _, s, vh = np.linalg.svd(R, full_matrices=A.shape[0] < A.shape[1])
+        want_rank = int(np.count_nonzero(s > 1e-8 * s[0]))
+        for got in (svd_nullspace(A, 1e-8), svd_nullspace(A, 1e-8, scale=None)):
+            assert got[0] == want_rank and got[2] == s[0]
+            assert np.array_equal(got[1], vh[want_rank:].conj().T)
 
 
 def test_random_unitary_is_unitary():
@@ -151,6 +185,41 @@ def test_hermitian_coords_isometry(d, seed):
     assert abs(np.linalg.norm(ca) - frobenius(A)) < 1e-12 * max(1.0, frobenius(A))
     back = coords_to_hermitian(ca, d)
     assert frobenius(back - A) < 1e-13 * max(1.0, frobenius(A))
+
+
+def test_upper_triangle_indices_are_shared_and_read_only():
+    for d in range(1, 7):
+        iu, ju = _upper_triangle(d)
+        want_i, want_j = np.triu_indices(d, k=1)
+        assert np.array_equal(iu, want_i) and np.array_equal(ju, want_j)
+        assert iu.dtype == want_i.dtype and ju.dtype == want_j.dtype
+        assert _upper_triangle(d)[0] is iu and _upper_triangle(d)[1] is ju
+        with pytest.raises(ValueError):
+            iu[...] = 0
+        with pytest.raises(ValueError):
+            ju[...] = 0
+    # the coordinates read the same entries as with fresh indices, bitwise
+    rng = np.random.default_rng(13)
+    for d in (1, 3, 4, 9):
+        stack = np.stack([random_hermitian(d, rng) for _ in range(3)])
+        iu, ju = np.triu_indices(d, k=1)
+        upper = stack[..., iu, ju]
+        want = np.concatenate(
+            [np.diagonal(stack, axis1=-2, axis2=-1).real,
+             np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag],
+            axis=-1,
+        )
+        assert np.array_equal(hermitian_to_coords(stack), want)
+        a, b = _coordinate_entries(d)
+        assert np.array_equal(a, np.concatenate([np.arange(d), iu]))
+        assert np.array_equal(b, np.concatenate([np.arange(d), ju]))
+        back = np.zeros((3, d, d), dtype=complex)
+        back[..., np.arange(d), np.arange(d)] = want[..., :d]
+        p = iu.size
+        vals = (want[..., d : d + p] + 1j * want[..., d + p :]) / np.sqrt(2.0)
+        back[..., iu, ju] = vals
+        back[..., ju, iu] = np.conj(vals)
+        assert np.array_equal(coords_to_hermitian(want, d), back)
 
 
 def test_hermitian_coords_batched():
