@@ -81,7 +81,7 @@ class DualFaceSample:
 
     @property
     def pairs(self) -> list:
-        """The rows as ``ProductPair`` objects, built on every read."""
+        """The rows as ``ProductPair`` objects, built on every read; perfbench counts them."""
         return [ProductPair(x, y, float(v)) for x, y, v in zip(self.X, self.Y, self.values)]
 
 
@@ -116,55 +116,60 @@ class BHStructureReport:
     passed: bool
 
 
-def _unit_rows(V):
-    """``V`` with every vector along the last axis normalized, and the norms.
+def _row_norms(V):
+    """The norm of every vector along the last axis of ``V``.
 
     A stacked matmul runs the same BLAS dot per vector that
-    ``np.linalg.norm`` runs on one vector, so each norm and quotient equals
-    its per-vector result bitwise; ``np.linalg.norm(axis=-1)`` sums in
-    another order.
+    ``np.linalg.norm`` runs on one vector, so each norm equals its
+    per-vector result bitwise; ``np.linalg.norm(axis=-1)`` sums in another
+    order.
     """
     re, im = V.real[..., np.newaxis, :], V.imag[..., np.newaxis, :]
-    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
-    norms = np.sqrt(sq[..., 0, 0])
-    return V / norms[..., np.newaxis], norms
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
 
 
-def _analytic_candidates(desc, U, count, n, rng):
-    """``count`` draws from the closed-form face description, as stacked arrays.
+def _unit_rows(V):
+    """``V`` with every vector along the last axis normalized, bitwise per vector."""
+    return V / _row_norms(V)[..., np.newaxis]
 
-    Returns ``(X, Ys, stop)``: ``X`` has one ``x`` per row, ``Ys`` has shape
-    ``(p, rows, n)`` with one candidate ``y`` per face circle, and face pair
-    ``k`` takes its ``y`` from ``Ys[k % p]`` (Breuer-Hall and Robertson
-    alternate ``y = x`` and ``y = U conj(x)``).  ``stop`` ends analytic
-    sampling: a transposition draw whose ``y`` has no component off
-    ``conj(x)`` truncates ``X`` before it.  Draws come in the order of one
-    ``random_unit_vector`` call per vector, ``x`` before its ``y``.
-    ``U`` is the antisymmetric unitary of a Breuer-Hall or Robertson
-    descriptor, built once per sample by the caller; other maps ignore it.
+
+def _analytic_candidates(desc, count, n, rng):
+    """``count`` draws ``(X, Y)`` from the closed-form face description, one pair per row.
+
+    Breuer-Hall and Robertson alternate ``y = x`` and ``y = U conj(x)`` by
+    draw index; a transposition draw with no ``y`` off ``conj(x)`` is dropped.
+    Draws come in the order of one ``random_unit_vector`` call per vector,
+    ``x`` before its ``y``.
     """
     if isinstance(desc, Transposition):
-        if n < 2:
-            return np.empty((0, n), complex), np.empty((1, 0, n), complex), True
         G = rng.standard_normal((count, 2, 2, n))
-        X, _ = _unit_rows(G[:, 0, 0] + 1j * G[:, 0, 1])
-        Y, _ = _unit_rows(G[:, 1, 0] + 1j * G[:, 1, 1])
+        X = _unit_rows(G[:, 0, 0] + 1j * G[:, 0, 1])
+        Y = _unit_rows(G[:, 1, 0] + 1j * G[:, 1, 1])
         # remove the component along conj(x); the face is y orthogonal to it
         Y = Y - X.conj() * (X[:, np.newaxis, :] @ Y[:, :, np.newaxis])[:, 0]
-        Y, norms = _unit_rows(Y)
-        degenerate = np.flatnonzero(norms < 1e-8)
-        rows = degenerate[0] if degenerate.size else count
-        return X[:rows], Y[np.newaxis, :rows], degenerate.size > 0
+        norms = _row_norms(Y)
+        keep = norms >= 1e-8
+        return X[keep], Y[keep] / norms[keep, np.newaxis]
     G = rng.standard_normal((count, 2, n))
-    X, _ = _unit_rows(G[:, 0] + 1j * G[:, 1])
+    X = _unit_rows(G[:, 0] + 1j * G[:, 1])
     if isinstance(desc, Reduction):
-        return X, X[np.newaxis], False
-    return X, np.stack([X, (U @ X.conj()[:, :, np.newaxis])[:, :, 0]]), False
+        return X, X
+    U = desc.U if isinstance(desc, BreuerHall) else robertson_unitary()
+    Y = X.copy()
+    Y[1::2] = (U @ X[1::2].conj()[:, :, np.newaxis])[:, :, 0]
+    return X, Y
 
 
 def _closed_form_face(desc) -> bool:
     """Whether the descriptor's dual face has a closed form to draw from."""
     return isinstance(desc, (Transposition, Reduction, BreuerHall, Robertson))
+
+
+def _accept(W_hat, X, Y):
+    """The pairs whose pairing is zero to ``ZERO_TOL``, phases fixed, and their pairings."""
+    values = witness_pairing(W_hat, X, Y)
+    keep = np.abs(values) <= ZERO_TOL
+    return fix_phase(X[keep]), fix_phase(Y[keep]), values[keep]
 
 
 def dual_face_samples(
@@ -176,8 +181,8 @@ def dual_face_samples(
 ) -> DualFaceSample:
     """Collect ``count`` product pairs with pairing zero.
 
-    Descriptors with a known face get closed-form pairs; everything else
-    harvests near-zero see-saw endpoints, polished before acceptance.
+    Descriptors with a known face draw ``count`` closed-form pairs once;
+    near-zero see-saw endpoints, polished, fill any pairs still missing.
     Maps whose pairing is bounded away from zero (interior Choi) cannot
     produce pairs and raise InsufficientZeros.  A caller that has already
     built ``desc`` passes the map as ``phi``.
@@ -191,39 +196,11 @@ def dual_face_samples(
     n, m = phi.dim_in, phi.dim_out
     W_hat = ray_representative(phi.choi)
 
-    X_out = np.empty((count, n), complex)
-    Y_out = np.empty((count, m), complex)
-    values_out = np.empty(count)
-    k = 0  # rows accepted so far
+    X, Y, values = np.empty((0, n), complex), np.empty((0, m), complex), np.empty(0)
     if _closed_form_face(desc):
-        U = None
-        if isinstance(desc, BreuerHall):
-            U = desc.U
-        elif isinstance(desc, Robertson):
-            U = robertson_unitary()
-        attempts = 0
-        while k < count and attempts < 20 * count:
-            # draw only the missing pairs: with no rejection this is the last batch
-            batch = min(count - k, 20 * count - attempts)
-            X, Ys, stop = _analytic_candidates(desc, U, batch, n, rng)
-            attempts += batch
-            values = witness_pairing(W_hat, X, Ys)
-            X, Ys = fix_phase(X), fix_phase(Ys)
-            # pair k takes circle k % p, so a rejected draw shifts the circle
-            # of every later one: accept runs up to each rejection
-            rows = np.arange(X.shape[0])
-            while rows.size:
-                c = (k + np.arange(rows.size)) % Ys.shape[0]
-                run = int(np.append(np.abs(values[c, rows]) <= ZERO_TOL, False).argmin())
-                take, c = rows[:run], c[:run]
-                X_out[k : k + run], Y_out[k : k + run] = X[take], Ys[c, take]
-                values_out[k : k + run] = values[c, take]
-                k += run
-                rows = rows[run + 1 :]
-            if stop:
-                break
-        if k == count:
-            return DualFaceSample(X_out, Y_out, values_out, source="analytic")
+        X, Y, values = _accept(W_hat, *_analytic_candidates(desc, count, n, rng))
+        if values.size == count:
+            return DualFaceSample(X, Y, values, source="analytic")
 
     # numeric harvest from see-saw endpoints
     phi_hat = map_from_choi(W_hat, n, m)
@@ -232,44 +209,25 @@ def dual_face_samples(
     cfg = SeeSawConfig(restarts=restarts, max_iters=250, stationarity_tol=1e-13)
     rounds = 0
     max_rounds = max(6, (4 * count) // restarts + 2)
-    while k < count and rounds < max_rounds:
-        X, Y, vals, _, _ = seesaw_endpoints(phi_hat, cfg, rng)
+    while values.size < count and rounds < max_rounds:
+        Xe, Ye, vals, _, _ = seesaw_endpoints(phi_hat, cfg, rng)
         # a fixed polish makes near-zero endpoints stationary to round-off
         near = vals <= ZERO_TOL
-        X, Y = X[near], Y[near]
+        Xe, Ye = Xe[near], Ye[near]
         for _ in range(64):
-            X, Y, _ = _sweep(T, X, Y)
-        values = witness_pairing(W_hat, X, Y)
-        X, Y = fix_phase(X), fix_phase(Y)
-        take = np.flatnonzero(np.abs(values) <= ZERO_TOL)[: count - k]
-        X_out[k : k + take.size], Y_out[k : k + take.size] = X[take], Y[take]
-        values_out[k : k + take.size] = values[take]
-        k += take.size
+            Xe, Ye, _ = _sweep(T, Xe, Ye)
+        found = _accept(W_hat, Xe, Ye)
+        X, Y, values = (np.concatenate([a, b])[:count] for a, b in zip((X, Y, values), found))
         rounds += 1
         # a clearly positive global minimum will never yield zeros
-        if not k and vals.min() > max(1e-3, 100 * ZERO_TOL):
+        if not values.size and vals.min() > max(1e-3, 100 * ZERO_TOL):
             break
-    if k < count:
+    if values.size < count:
         raise InsufficientZeros(
-            f"found {k} of {count} zero pairs; "
+            f"found {values.size} of {count} zero pairs; "
             "the pairing may be bounded away from zero on product states"
         )
-    return DualFaceSample(X_out, Y_out, values_out, source="numeric")
-
-
-def face_constraint_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """One real row per pair ``(X[r], Y[r])``, acting on Hermitian coordinate vectors.
-
-    Row r dotted with coords(W) equals the pairing of W at pair r, exactly,
-    because the row is the coordinate vector of the rank-one projector onto
-    the pair's product vector.  Each coordinate is computed directly from
-    the entries it reads, with the projector's own entrywise products, and
-    the rows come back column-major.
-    """
-    d = X.shape[1] * Y.shape[1]
-    z = product_vector(X, Y).T  # (nm, k)
-    a, b = _coordinate_entries(d)
-    return _coords_axis_first(z[a] * z.conj()[b], d).T
+    return DualFaceSample(X, Y, values, source="numeric")
 
 
 def stationarity_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -324,12 +282,10 @@ def _checked_sample_count(desc, phi, sample_count):
     return k
 
 
-def _nullspace_with_diagnostics(desc, phi, sample_count, rng):
+def _nullspace_with_diagnostics(desc, phi, k, rng):
+    """The null space of two samples of ``k`` face pairs, ``k`` already checked."""
     n, m = phi.dim_in, phi.dim_out
     d = n * m
-    k = _checked_sample_count(desc, phi, sample_count)
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     # both blocks of stationarity rows share one column-major matrix, which
     # LAPACK reads without a transposing copy; the first block is its top half.
@@ -391,7 +347,11 @@ def double_dual_nullspace(
     ``NULLSPACE_REL_TOL`` times the first sample's largest count as zero,
     in both ranks.
     """
-    dim, basis, _, _ = _nullspace_with_diagnostics(desc, build_map(desc), sample_count, rng)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    phi = build_map(desc)
+    k = _checked_sample_count(desc, phi, sample_count)
+    dim, basis, _, _ = _nullspace_with_diagnostics(desc, phi, k, rng)
     return dim, basis
 
 
@@ -430,8 +390,8 @@ def _probe_vectors(phi, face_x, rng):
 
     # random probes, drawn in the order of one random_unit_vector per x and y
     G = rng.standard_normal((128, 2 * (n + m)))
-    x, _ = _unit_rows(G[:, :n] + 1j * G[:, n : 2 * n])
-    y, _ = _unit_rows(G[:, 2 * n : 2 * n + m] + 1j * G[:, 2 * n + m :])
+    x = _unit_rows(G[:, :n] + 1j * G[:, n : 2 * n])
+    y = _unit_rows(G[:, 2 * n : 2 * n + m] + 1j * G[:, 2 * n + m :])
     return np.concatenate([np.reshape(probes, (-1, n * m)), product_vector(x, y)])
 
 
@@ -549,7 +509,7 @@ def exposedness_report(
     if rng is None:
         rng = np.random.default_rng(0)
     phi = build_map(desc)
-    _checked_sample_count(desc, phi, sample_count)
+    k = _checked_sample_count(desc, phi, sample_count)
 
     verdict_bp, bp_report = is_block_positive(phi, SeeSawConfig(), rng)
     if verdict_bp != "EVIDENCE_BP":
@@ -557,7 +517,7 @@ def exposedness_report(
             f"map has a product pair with pairing {bp_report.min_value:.6e}"
         )
 
-    dim, basis, diagnostics, samples = _nullspace_with_diagnostics(desc, phi, sample_count, rng)
+    dim, basis, diagnostics, samples = _nullspace_with_diagnostics(desc, phi, k, rng)
     verdict, cand, cand_report = "CERTIFIED_EXPOSED", None, None
     if dim != 1:
         verdict = "CONSISTENT_WITH_EXPOSED"
@@ -590,13 +550,8 @@ def _validate_counterexample(desc, phi, cand, rng):
     if verdict != "EVIDENCE_BP":
         return False, report
     fresh = dual_face_samples(desc, max(64, 2 * n * m), rng, phi=phi)
-    C = face_constraint_matrix(fresh.X, fresh.Y)
-    coords = hermitian_to_coords(cand)
-    coords = coords / np.linalg.norm(coords)
-    residual = float(np.max(np.abs(C @ coords)))
-    if residual > 1e-8:
-        return False, report
-    return True, report
+    residual = float(np.max(np.abs(witness_pairing(cand / frobenius(cand), fresh.X, fresh.Y))))
+    return residual <= 1e-8, report
 
 
 def optimality_spanning_check(
@@ -620,6 +575,16 @@ def optimality_spanning_check(
     return span_dim == d, span_dim
 
 
+def _checked_unit_vector(x, n2):
+    """``x`` as a complex vector, refused unless it is a unit vector of length ``n2``."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (n2,):
+        raise DimensionMismatch(f"x has shape {x.shape}, expected ({n2},)")
+    if abs(np.linalg.norm(x) - 1.0) > 1e-9:
+        raise NotUnitVector(f"x has norm {np.linalg.norm(x)!r}")
+    return x
+
+
 def verify_lemma1(V: np.ndarray, x: np.ndarray) -> float:
     """Residual of the rank-deflation identity behind the exposedness proof.
 
@@ -630,11 +595,7 @@ def verify_lemma1(V: np.ndarray, x: np.ndarray) -> float:
     n2 = V.shape[0]
     if n2 % 2 != 0:
         raise OddDimension("the identity is stated in even dimension")
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (n2,):
-        raise DimensionMismatch(f"x has shape {x.shape}, expected ({n2},)")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-9:
-        raise NotUnitVector(f"x has norm {np.linalg.norm(x)!r}")
+    x = _checked_unit_vector(x, n2)
     P_bar = np.outer(x.conj(), x)
     S = np.zeros((n2, n2), dtype=complex)
     for D in antisym_basis(V, n2):
@@ -654,11 +615,7 @@ def verify_bh_structure(U: np.ndarray, x: np.ndarray) -> BHStructureReport:
     """
     U = require_antisymmetric_unitary(np.asarray(U, dtype=complex))
     n2 = U.shape[0]
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (n2,):
-        raise DimensionMismatch(f"x has shape {x.shape}, expected ({n2},)")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-9:
-        raise NotUnitVector(f"x has norm {np.linalg.norm(x)!r}")
+    x = _checked_unit_vector(x, n2)
 
     phi = breuer_hall(U)
     P_x = np.outer(x, x.conj())

@@ -32,7 +32,6 @@ from conewitness.catalog import (
 from conewitness.exposedness import (
     dual_face_samples,
     exposedness_report,
-    face_constraint_matrix,
     optimality_spanning_check,
     verify_bh_structure,
     verify_lemma1,
@@ -48,6 +47,7 @@ from conewitness.maps import (
     choi_of,
     is_ray_proportional,
     map_from_choi,
+    product_vector,
     witness_pairing,
 )
 from conewitness.positivity import (
@@ -189,7 +189,9 @@ def _validated_not_exposed(desc, n, seed):
     if is_ray_proportional(W_prime, choi_of(build_map(desc))):
         return False
     sample = dual_face_samples(desc, 64, np.random.default_rng(seed + 1))
-    C = face_constraint_matrix(sample.X, sample.Y)
+    # one value row per pair: the coordinates of the projector onto its product vector
+    Z = product_vector(sample.X, sample.Y)
+    C = hermitian_to_coords(Z[:, :, np.newaxis] * Z.conj()[:, np.newaxis, :])
     coords = hermitian_to_coords(W_prime)
     coords = coords / np.linalg.norm(coords)
     if np.max(np.abs(C @ coords)) > 1e-8:

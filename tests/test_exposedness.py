@@ -1,5 +1,7 @@
 """Dual-face sampling, null spaces, cone search, and the exposedness verdicts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from conewitness.catalog import (
     robertson,
     robertson_unitary,
 )
-from conewitness.config import ZERO_TOL
+from conewitness.config import ANTISYM_ATOL, ZERO_TOL
 from conewitness.errors import (
     InsufficientZeros,
     NotBlockPositive,
@@ -51,7 +53,6 @@ from conewitness.exposedness import (
     double_dual_nullspace,
     dual_face_samples,
     exposedness_report,
-    face_constraint_matrix,
     optimality_spanning_check,
     stationarity_rows,
     verify_bh_structure,
@@ -113,27 +114,24 @@ def _assert_rows_are_pairs(sample, k, n, m):
 
 
 def test_analytic_face_pairs_match_per_pair_reference(monkeypatch):
-    """The batched sampler keeps the per-pair RNG order, bits and rejection rule."""
+    """The batched sampler keeps the per-pair RNG order and bits; a rejected row is dropped."""
 
-    def per_pair(desc, U, count, n, rng, zero_tol):
+    def per_pair(desc, U, count, n, rng):
         W_hat = ray_representative(choi_of(build_map(desc)))
-        pairs, rejected = [], 0
-        while len(pairs) < count:
+        pairs = []
+        for i in range(count):
             x = random_unit_vector(n, rng)
             if isinstance(desc, Transposition):
                 y = random_unit_vector(n, rng)
                 y = y - x.conj() * (x @ y)
                 y = y / np.linalg.norm(y)
-            elif isinstance(desc, Reduction) or len(pairs) % 2 == 0:
+            elif isinstance(desc, Reduction) or i % 2 == 0:
                 y = x
             else:
                 y = U @ x.conj()
-            # a rejected draw leaves the next one on the same circle
-            if abs(witness_pairing(W_hat, x, y)) > zero_tol:
-                rejected += 1
-                continue
+            assert abs(witness_pairing(W_hat, x, y)) <= ZERO_TOL
             pairs.append((fix_phase(x), fix_phase(y)))
-        return pairs, rejected
+        return pairs
 
     U = random_antisymmetric_unitary(4, np.random.default_rng(8))
     cases = [
@@ -142,18 +140,56 @@ def test_analytic_face_pairs_match_per_pair_reference(monkeypatch):
         (Robertson(), robertson_unitary(), 4),
         (BreuerHall(U=U), U, 4),
     ]
-    # a zero bound below round-off rejects some draws and keeps the face analytic
-    for (desc, U_desc, n), tight in [(c, False) for c in cases] + [(c, True) for c in cases[:3]]:
-        zero_tol = 1e-16 if tight else ZERO_TOL
-        monkeypatch.setattr(exposedness, "ZERO_TOL", zero_tol)
+    for desc, U_desc, n in cases:
         sample = dual_face_samples(desc, 60, np.random.default_rng(9))
         assert sample.source == "analytic"
         _assert_rows_are_pairs(sample, 60, n, n)
-        want, rejected = per_pair(desc, U_desc, 60, n, np.random.default_rng(9), zero_tol)
-        assert (rejected > 0) == tight
-        assert len(sample.pairs) == len(want)
+        want = per_pair(desc, U_desc, 60, n, np.random.default_rng(9))
         for pair, (x, y) in zip(sample.pairs, want):
             assert np.array_equal(pair.x, x) and np.array_equal(pair.y, y)
+
+    # a closed-form row whose pairing is over the bound is dropped, not
+    # redrawn, and the harvest fills the shortfall
+    pairing = exposedness.witness_pairing
+
+    def reject_row_5_once(W, X, Y):
+        values = pairing(W, X, Y)
+        if not calls:
+            values[5] = 1.0
+        calls.append(len(values))
+        return values
+
+    monkeypatch.setattr(exposedness, "witness_pairing", reject_row_5_once)
+    for desc, U_desc, n in cases[:3]:
+        calls = []
+        sample = dual_face_samples(desc, 60, np.random.default_rng(9))
+        assert sample.source == "numeric" and calls[0] == 60 and len(calls) > 1
+        _assert_rows_are_pairs(sample, 60, n, n)
+        want = per_pair(desc, U_desc, 60, n, np.random.default_rng(9))
+        kept = want[:5] + want[6:]
+        for x, y, (x_want, y_want) in zip(sample.X, sample.Y, kept):
+            assert np.array_equal(x, x_want) and np.array_equal(y, y_want)
+        W_hat = ray_representative(choi_of(build_map(desc)))
+        assert abs(pairing(W_hat, sample.X[59], sample.Y[59])) <= ZERO_TOL
+
+
+def test_breuer_hall_face_accepts_u_inside_antisymmetry_bound():
+    """A U whose antisymmetry defect is just inside its bound keeps the face closed-form."""
+    rng = np.random.default_rng(12)
+    U0 = random_antisymmetric_unitary(4, rng)
+    # a unitary rotation away from antisymmetry, scaled to just inside the bound
+    H = random_hermitian(4, rng)
+    lam, Q = np.linalg.eigh(H)
+
+    def rotated(eps):
+        return U0 @ (Q * np.exp(1j * eps * lam)) @ Q.conj().T
+
+    slope = frobenius(rotated(1e-6) + rotated(1e-6).T) / 1e-6
+    U = rotated(0.45 * ANTISYM_ATOL / slope)
+    assert 0.1 * ANTISYM_ATOL < frobenius(U + U.T) <= ANTISYM_ATOL
+    sample = dual_face_samples(BreuerHall(U=U), 200, np.random.default_rng(13))
+    assert sample.source == "analytic"
+    assert sample.values.shape == (200,) and np.max(np.abs(sample.values)) <= ZERO_TOL
 
 
 def test_numeric_harvest_for_plain_choi_input():
@@ -177,33 +213,55 @@ def test_interior_choi_has_no_zeros():
         dual_face_samples(Reduction(n=3), 0)
 
 
+def test_degenerate_transposition_draw_is_dropped():
+    """A draw with y along conj(x) has no face vector to normalize; the harvest replaces it."""
+
+    class DegenerateRow2:
+        def __init__(self):
+            self.rng, self.first = np.random.default_rng(14), True
+
+        def standard_normal(self, shape):
+            G = self.rng.standard_normal(shape)
+            if self.first:  # x = y = e_1, so y - conj(x) (x . y) is exactly zero
+                self.first = False
+                G[2] = 0.0
+                G[2, 0, 0, 0] = G[2, 1, 0, 0] = 1.0
+            return G
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample = dual_face_samples(Transposition(n=3), 20, DegenerateRow2())
+    assert sample.source == "numeric"
+    _assert_rows_are_pairs(sample, 20, 3, 3)
+    assert np.all(np.isfinite(sample.X)) and np.all(np.isfinite(sample.Y))
+    assert np.max(np.abs(sample.values)) <= ZERO_TOL
+
+
 # ---------------------------------------------------------------------------
 # constraint rows
 
 
-def test_face_constraint_matrix_rows():
+def test_value_rows_equal_witness_pairing():
     rng = np.random.default_rng(5)
     sample = dual_face_samples(Reduction(n=3), 20, rng)
-    C = face_constraint_matrix(sample.X, sample.Y)
+    C = _per_pair_rows(sample.X, sample.Y)[0]
     assert C.shape == (20, 81)
 
     # row functional equals the pairing for arbitrary Hermitian W
     for _ in range(5):
         W = random_hermitian(9, rng)
-        coords = hermitian_to_coords(W)
-        for r, pair in zip(range(5), sample.pairs):
-            want = witness_pairing(W, pair.x, pair.y)
-            assert abs(C[r] @ coords - want) < 1e-12 * max(1.0, frobenius(W))
+        want = witness_pairing(W, sample.X, sample.Y)
+        assert np.max(np.abs(C @ hermitian_to_coords(W) - want)) < 1e-12 * max(1.0, frobenius(W))
 
     # rank-one projector onto the pair's product vector scores 1
-    z = product_vector(sample.pairs[0].x, sample.pairs[0].y)
+    z = product_vector(sample.X[0], sample.Y[0])
     P = np.outer(z, z.conj())
     assert abs(C[0] @ hermitian_to_coords(P) - 1.0) < 1e-12
 
     # the sampled map itself sits on the face
     w_coords = hermitian_to_coords(ray_representative(choi_of(co_ad_map(np.eye(3)))))
     sample_tau = dual_face_samples(Transposition(n=3), 20, rng)
-    C_tau = face_constraint_matrix(sample_tau.X, sample_tau.Y)
+    C_tau = _per_pair_rows(sample_tau.X, sample_tau.Y)[0]
     assert np.max(np.abs(C_tau @ w_coords)) < 1e-9
 
 
@@ -221,15 +279,20 @@ def test_stationarity_rows_annihilate_the_map():
         assert np.max(np.abs(S @ coords)) < 1e-9
 
 
-def _per_pair_rows(sample, n, m):
-    """Value rows and stationarity rows, built one pair at a time from product_vector."""
+def _per_pair_rows(X, Y):
+    """Value and stationarity rows of ``(X, Y)``, built one pair at a time from product_vector.
+
+    A pair's value row is the coordinate vector of the projector onto its
+    product vector, so its dot with coords(W) is W's pairing at the pair.
+    """
     value_rows, stat_rows = [], []
+    n, m = X.shape[1], Y.shape[1]
     eye_n, eye_m = np.eye(n), np.eye(m)
-    for pair in sample.pairs:
-        z = product_vector(pair.x, pair.y)
+    for x, y in zip(X, Y):
+        z = product_vector(x, y)
         value_rows.append(np.outer(z, z.conj()))
-        ws = [product_vector(eye_n[i], pair.y) for i in range(n)]
-        ws += [product_vector(pair.x, eye_m[k]) for k in range(m)]
+        ws = [product_vector(eye_n[i], y) for i in range(n)]
+        ws += [product_vector(x, eye_m[k]) for k in range(m)]
         for w in ws:
             zw = np.outer(w, z.conj())
             stat_rows.append((zw + zw.conj().T) / 2)
@@ -247,8 +310,8 @@ def test_constraint_rows_match_per_pair_reference():
     ):
         sample = dual_face_samples(desc, 12, rng)
         assert sample.source == source
-        want_values, want_stat = _per_pair_rows(sample, n, m)
-        assert np.array_equal(face_constraint_matrix(sample.X, sample.Y), want_values)
+        assert sample.X.shape == (12, n) and sample.Y.shape == (12, m)
+        want_stat = _per_pair_rows(sample.X, sample.Y)[1]
         assert np.array_equal(stationarity_rows(sample.X, sample.Y), want_stat)
 
 
@@ -305,7 +368,7 @@ def test_nullspace_basis_bits_match_stacked_c_order_blocks():
         blocks = []
         for _ in range(2):
             sample = dual_face_samples(desc, k, rng)
-            blocks.append(_per_pair_rows(sample, n, n)[1])
+            blocks.append(_per_pair_rows(sample.X, sample.Y)[1])
         rank1, V1, sigma_max = svd_nullspace(blocks[0], 1e-8)
         # a product's bits follow its operands' layout, and the library's
         # second block is a row slice of its column-major system
@@ -364,8 +427,8 @@ def test_constraint_monotonicity():
     """Adding pairs never grows the null space."""
     rng = np.random.default_rng(10)
     sample = dual_face_samples(Transposition(n=2), 64, rng)
-    C_half = face_constraint_matrix(sample.X[:32], sample.Y[:32])
-    C_full = face_constraint_matrix(sample.X, sample.Y)
+    C_half = _per_pair_rows(sample.X[:32], sample.Y[:32])[0]
+    C_full = _per_pair_rows(sample.X, sample.Y)[0]
     rank_half, _, _ = svd_nullspace(C_half, 1e-8)
     rank_full, _, _ = svd_nullspace(C_full, 1e-8)
     assert 16 - rank_full <= 16 - rank_half
@@ -419,7 +482,7 @@ def test_exposedness_verdicts():
 
     assert not is_ray_proportional(W_prime, choi_of(reduction(3)))
     fresh = dual_face_samples(Reduction(n=3), 64, np.random.default_rng(16))
-    C = face_constraint_matrix(fresh.X, fresh.Y)
+    C = _per_pair_rows(fresh.X, fresh.Y)[0]
     coords = hermitian_to_coords(W_prime)
     coords = coords / np.linalg.norm(coords)
     assert np.max(np.abs(C @ coords)) <= 1e-8
@@ -537,7 +600,7 @@ def test_value_rows_add_no_rank_to_stationarity_rows():
     ):
         sample = dual_face_samples(desc, k, np.random.default_rng(32))
         S = stationarity_rows(sample.X, sample.Y)
-        C = face_constraint_matrix(sample.X, sample.Y)
+        C = _per_pair_rows(sample.X, sample.Y)[0]
         rank_s, _, _ = svd_nullspace(S, 1e-8, basis=False)
         rank_sc, _, _ = svd_nullspace(np.vstack([S, C]), 1e-8, basis=False)
         assert rank_s < S.shape[1] and rank_sc == rank_s
@@ -618,7 +681,7 @@ def test_reduction4_decomposes_into_breuer_hall_pair():
         assert verdict == "EVIDENCE_BP"
     # and the pair witnesses non-extremeness: both sit on the face of R4
     sample = dual_face_samples(Reduction(n=4), 32, rng)
-    C = face_constraint_matrix(sample.X, sample.Y)
+    C = _per_pair_rows(sample.X, sample.Y)[0]
     for W in (W_prime, W_second):
         coords = hermitian_to_coords(W)
         coords = coords / np.linalg.norm(coords)
