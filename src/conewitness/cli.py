@@ -395,7 +395,9 @@ def cmd_exposedness(args, argv: list[str]) -> int:
 def cmd_verify(args, argv: list[str]) -> int:
     seed = resolve_seed(args)
     rng = np.random.default_rng(seed)
-    trials = args.trials
+    if args.trials is not None and args.suite == "robertson-equality":
+        raise ValueError("--trials applies only to the lemma1 and bh-structure suites")
+    trials = 100 if args.trials is None else args.trials
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
     if args.u is not None and args.suite != "bh-structure":
@@ -517,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=int, help="default 100; lemma1 and bh-structure only")
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--u", help="matrix file with an antisymmetric unitary")
     p.add_argument("--out", help="output file (default stdout)")

@@ -1,9 +1,12 @@
-"""The library's numeric cutoffs.
+"""The library's verdict cutoffs.
 
-Every numerical predicate in the library compares against one of the
+Every cutoff that decides a map verdict (block positivity, exposedness,
+detection) or refuses an input matrix compares against one of the
 constants below.  They are fixed contract values with no per-call
 override: changing one changes what the library certifies, and every
-report that echoes one.
+report that echoes one.  The cone search's screening numbers only choose
+which candidates reach a verdict; they are heuristics and stay in
+``exposedness``, as the verify suites' tolerances stay with their checks.
 """
 
 # relative Frobenius bound for the Hermiticity check,
@@ -28,6 +31,9 @@ RAY_TOL = 1e-8
 PSD_ATOL = 1e-10
 # absolute slack on PSD-ness and unit trace for density operators
 STATE_ATOL = 1e-10
+# largest |pairing| of a unit-Frobenius counterexample on freshly drawn
+# face pairs for NOT_EXPOSED to stand
+COUNTEREXAMPLE_FACE_TOL = 1e-8
 # a see-saw minimum below -VIOLATION_TOL certifies that a map is not
 # block-positive
 VIOLATION_TOL = 1e-9

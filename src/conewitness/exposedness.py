@@ -29,7 +29,7 @@ from .catalog import (
     require_unitary,
     robertson_unitary,
 )
-from .config import NULLSPACE_REL_TOL, ZERO_TOL
+from .config import COUNTEREXAMPLE_FACE_TOL, NULLSPACE_REL_TOL, ZERO_TOL
 from .errors import (
     DimensionMismatch,
     InsufficientZeros,
@@ -62,7 +62,6 @@ from .positivity import (
     BlockPositivityReport,
     ProductPair,
     SeeSawConfig,
-    _einsum,
     _sweep,
     _y_side,
     is_block_positive,
@@ -283,7 +282,7 @@ def _checked_sample_count(desc, phi, sample_count):
 
 
 def _nullspace_with_diagnostics(desc, phi, k, rng):
-    """The null space of two samples of ``k`` face pairs, ``k`` already checked."""
+    """Orthonormal null-space coordinate rows ``(dim, (nm)^2)`` of two ``k``-pair samples."""
     n, m = phi.dim_in, phi.dim_out
     d = n * m
 
@@ -296,14 +295,14 @@ def _nullspace_with_diagnostics(desc, phi, k, rng):
     C = np.empty((2 * r, d * d), order="F")
     first = dual_face_samples(desc, k, rng, phi=phi)
     C[:r] = stationarity_rows(first.X, first.Y)
-    rank1, V1, sigma_max = svd_nullspace(C[:r], NULLSPACE_REL_TOL)
+    rank1, V1, sigma_max = svd_nullspace(C[:r])
     dim1 = d * d - rank1
 
     second = dual_face_samples(desc, k, rng, phi=phi)
     C[r:] = stationarity_rows(second.X, second.Y)
     basis_coords = V1
     if dim1:
-        _, V2, _ = svd_nullspace(C[r:] @ V1, NULLSPACE_REL_TOL, scale=sigma_max)
+        _, V2, _ = svd_nullspace(C[r:] @ V1, scale=sigma_max)
         basis_coords = V1 @ V2
     dim2 = basis_coords.shape[1]
     if dim1 != dim2:
@@ -319,7 +318,6 @@ def _nullspace_with_diagnostics(desc, phi, k, rng):
             f"sampled face excludes the map's own Choi (residual {containment:.3e})"
         )
 
-    basis = coords_to_hermitian(basis_coords.T, d)
     diagnostics = {
         "dim_at_k": dim1,
         "dim_at_2k": dim2,
@@ -327,7 +325,7 @@ def _nullspace_with_diagnostics(desc, phi, k, rng):
         "choi_containment_residual": containment,
         "sample_count": 2 * k,
     }
-    return dim2, basis, diagnostics, first
+    return dim2, basis_coords.T, diagnostics, first
 
 
 def double_dual_nullspace(
@@ -339,20 +337,18 @@ def double_dual_nullspace(
 
     Rows are the first-order stationarity constraints of the sampled pairs
     (see :func:`stationarity_rows`), which every member of the double-dual
-    face satisfies.  The dimension is recomputed on a doubled sample and
-    must agree (UnstableDimension otherwise); the map's own Choi must lie
-    inside.  The first sample's rows are decomposed once; the second
-    sample's rows are ranked only on that null space, whose basis times
-    theirs spans the null space of both.  Singular values at most
-    ``NULLSPACE_REL_TOL`` times the first sample's largest count as zero,
-    in both ranks.
+    face satisfies.  The dimension is recomputed on a doubled sample, the
+    second sample ranked inside the first sample's null space, and must
+    agree (UnstableDimension otherwise); the map's own Choi must lie
+    inside.  Both ranks count singular values at most
+    ``NULLSPACE_REL_TOL`` times the first sample's largest as zero.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     phi = build_map(desc)
     k = _checked_sample_count(desc, phi, sample_count)
-    dim, basis, _, _ = _nullspace_with_diagnostics(desc, phi, k, rng)
-    return dim, basis
+    dim, rows, _, _ = _nullspace_with_diagnostics(desc, phi, k, rng)
+    return dim, coords_to_hermitian(rows, phi.dim_in * phi.dim_out)
 
 
 def _probe_vectors(phi, face_x, rng):
@@ -396,8 +392,8 @@ def _probe_vectors(phi, face_x, rng):
 
 
 def _pairings(Z, basis):
-    """Real pairing ``<z|B_i|z>`` of every product vector row z with every basis element."""
-    return _einsum("pa,iab,pb->pi", Z.conj(), basis, Z).real
+    """Pairing ``<z|B_i|z> = coords(z z^H) . B_i`` of every product vector row z and basis row."""
+    return hermitian_to_coords(Z[:, :, np.newaxis] * Z[:, np.newaxis, :].conj()) @ basis.T
 
 
 def cone_search_off_ray(
@@ -407,8 +403,9 @@ def cone_search_off_ray(
     budget: int = 2000,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray | None:
-    """Search span(basis) for a block-positive element off the map's ray.
+    """Search the span of ``basis`` for a block-positive element off the map's ray.
 
+    ``basis`` holds orthonormal coordinate rows ``(dim, (nm)^2)``, as ranked.
     Candidates are screened against product-vector probes built on the
     face points ``face_x`` (a negative probe pairing is an exact
     refutation), then certified by see-saw; certified violations feed back
@@ -419,20 +416,20 @@ def cone_search_off_ray(
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
+    n, m = phi.dim_in, phi.dim_out
+    d = n * m
     basis = np.asarray(basis)
+    if basis.ndim != 2 or basis.shape[1] != d * d:
+        raise DimensionMismatch(f"basis of shape {basis.shape} is not rows (dim, {d * d})")
     dim = basis.shape[0]
     if dim < 2:
         return None
     if rng is None:
         rng = np.random.default_rng(0)
-    n, m = phi.dim_in, phi.dim_out
-    d = n * m
 
-    Bc = hermitian_to_coords(basis)  # (dim, d^2), orthonormal rows from the SVD
-    W_hat = ray_representative(phi.choi)
-    c = hermitian_to_coords(W_hat)
+    c = hermitian_to_coords(ray_representative(phi.choi))
     c = c / np.linalg.norm(c)
-    gamma_ray = Bc @ c
+    gamma_ray = basis @ c
 
     Q = _pairings(_probe_vectors(phi, face_x, rng), basis)
     reject_below = -10 * ZERO_TOL
@@ -462,7 +459,7 @@ def cone_search_off_ray(
             j = int(np.argmin(vals))
             worst = float(vals[j])
             if worst >= reject_below:
-                cand = ray_representative(coords_to_hermitian(gamma @ Bc, d))
+                cand = ray_representative(coords_to_hermitian(gamma @ basis, d))
                 if is_ray_proportional(cand, phi.choi):
                     break
                 cand_map = map_from_choi(cand, n, m)
@@ -551,7 +548,7 @@ def _validate_counterexample(desc, phi, cand, rng):
         return False, report
     fresh = dual_face_samples(desc, max(64, 2 * n * m), rng, phi=phi)
     residual = float(np.max(np.abs(witness_pairing(cand / frobenius(cand), fresh.X, fresh.Y))))
-    return residual <= 1e-8, report
+    return residual <= COUNTEREXAMPLE_FACE_TOL, report
 
 
 def optimality_spanning_check(
@@ -562,16 +559,19 @@ def optimality_spanning_check(
     """Whether the face's product vectors span the whole product space.
 
     A spanning face leaves no room to subtract a completely positive map,
-    which is the usual optimality notion for entanglement witnesses.
+    which is the usual optimality notion for entanglement witnesses.  A
+    sample of fewer than ``nm`` pairs cannot span and is refused.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     phi = build_map(desc)
     d = phi.dim_in * phi.dim_out
     k = 2 * d * d if sample_count is None else int(sample_count)
+    if k < d:
+        raise ValueError(f"sample_count must be at least {d}")
     sample = dual_face_samples(desc, k, rng, phi=phi)
     Z = product_vector(sample.X, sample.Y)
-    span_dim, _, _ = svd_nullspace(Z, NULLSPACE_REL_TOL, basis=False)
+    span_dim, _, _ = svd_nullspace(Z)
     return span_dim == d, span_dim
 
 

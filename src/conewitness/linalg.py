@@ -14,7 +14,7 @@ import functools
 
 import numpy as np
 
-from .config import HERMITIAN_RTOL
+from .config import HERMITIAN_RTOL, NULLSPACE_REL_TOL
 from .errors import ConvergenceFailure, NonHermitianInput
 
 
@@ -48,26 +48,21 @@ def require_hermitian(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def svd_nullspace(
-    M: np.ndarray, rel_tol: float, *, basis: bool = True, scale: float | None = None
-):
+def svd_nullspace(M: np.ndarray, *, scale: float | None = None):
     """Numerical rank, null-space basis and largest singular value of a matrix.
 
     ``M`` may be real or complex; a complex ``M`` gets a complex basis.
 
-    Singular values at most ``rel_tol * scale`` count as zero; ``scale``
-    defaults to the largest singular value of ``M`` itself.  A caller that
-    ranks one block of rows projected onto another block's null space passes
-    the other block's largest singular value, so that both ranks are cut at
-    one absolute level.
+    Singular values at most ``NULLSPACE_REL_TOL * scale`` count as zero;
+    ``scale`` defaults to the largest singular value of ``M`` itself.  A
+    caller that ranks one block of rows projected onto another block's null
+    space passes the other block's largest singular value, so that both
+    ranks are cut at one absolute level.
 
     Returns ``(rank, basis, sigma_max)`` where ``basis`` has orthonormal
     columns spanning the null space (shape ``(cols, cols - rank)``) and
     ``sigma_max`` is the spectral norm of ``M`` whatever ``scale`` is, all
-    from one decomposition.  With
-    ``basis=False`` only the singular values are computed and ``basis`` is
-    None; LAPACK then runs another algorithm, so ``sigma_max`` may differ
-    from the ``basis=True`` value in its last bits.
+    from one decomposition.
 
     A tall matrix is decomposed through its Householder ``R`` factor: the
     SVD of ``R`` has the same singular values and ``V`` (Chan's R-SVD, which
@@ -81,24 +76,19 @@ def svd_nullspace(
     M = np.atleast_2d(np.asarray(M, dtype=complex if np.iscomplexobj(M) else float))
     if M.size == 0:
         raise ValueError("svd_nullspace requires a nonempty matrix")
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     if scale is not None and not scale >= 0.0:
         raise ValueError(f"scale must be nonnegative, got {scale}")
     rows, cols = M.shape
     try:
         if rows > cols:
             M = np.linalg.qr(M, mode="r")
-        if basis:
-            _, s, vh = np.linalg.svd(M, full_matrices=rows < cols)
-        else:
-            s = np.linalg.svd(M, compute_uv=False)
+        _, s, vh = np.linalg.svd(M, full_matrices=rows < cols)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
         raise ConvergenceFailure(str(exc)) from exc
     smax = float(s[0])
-    cutoff = rel_tol * (smax if scale is None else scale)
+    cutoff = NULLSPACE_REL_TOL * (smax if scale is None else scale)
     rank = int(np.count_nonzero(s > cutoff))
-    return rank, vh[rank:].conj().T.copy() if basis else None, smax
+    return rank, vh[rank:].conj().T.copy(), smax
 
 
 def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:

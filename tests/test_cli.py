@@ -250,10 +250,12 @@ def test_exposedness_rejects_non_bp(tmp_path, capsys):
 
 
 def test_verify_suites(tmp_path):
-    code, doc, _ = run(
-        ["verify", "--suite", "robertson-equality"], tmp_path
+    code, doc, raw = run(
+        ["verify", "--suite", "robertson-equality", "--seed", "0"], tmp_path
     )
     assert code == 0 and doc["passed"] is True and doc["max_residual"] <= 1e-12
+    # every suite accepts --seed; the unread trial count is echoed at its default
+    assert doc["seed"] == 0 and doc["config"]["trials"] == 100 and b'"trials": 100' in raw
 
     code, doc, _ = run(
         ["verify", "--suite", "lemma1", "--trials", "5", "--dim", "2", "--seed", "0"],
@@ -348,13 +350,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert cli.main(argv) == 2
         assert capsys.readouterr().out == ""
     # a flag the chosen suite does not read is refused, not echoed as checked
-    for argv in (
-        ["--suite", "robertson-equality", "--dim", "6"],
-        ["--suite", "lemma1", "--u", str(tmp_path / "missing.json")],
-        ["--suite", "robertson-equality", "--u", str(u)],
+    for argv, message in (
+        (["--suite", "robertson-equality", "--dim", "6"], "is a check on M_4"),
+        (["--suite", "lemma1", "--u", str(tmp_path / "missing.json")], "--u applies only"),
+        (["--suite", "robertson-equality", "--u", str(u)], "--u applies only"),
+        (["--suite", "robertson-equality", "--trials", "3"], "--trials applies only"),
+        (["--suite", "robertson-equality", "--trials", "100"], "--trials applies only"),
     ):
-        assert cli.main(["verify", "--trials", "1", *argv]) == 2
-        assert capsys.readouterr().out == ""
+        assert cli.main(["verify", *argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and message in out.err
     # a negative cone-search budget is rejected before any search
     assert cli.main(["exposedness", "reduction", "--n", "3", "--budget", "-1"]) == 2
     assert "budget must be nonnegative" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from conewitness.catalog import (
 )
 from conewitness.config import ANTISYM_ATOL, ZERO_TOL
 from conewitness.errors import (
+    DimensionMismatch,
     InsufficientZeros,
     NotBlockPositive,
     NotUnitVector,
@@ -369,11 +370,11 @@ def test_nullspace_basis_bits_match_stacked_c_order_blocks():
         for _ in range(2):
             sample = dual_face_samples(desc, k, rng)
             blocks.append(_per_pair_rows(sample.X, sample.Y)[1])
-        rank1, V1, sigma_max = svd_nullspace(blocks[0], 1e-8)
+        rank1, V1, sigma_max = svd_nullspace(blocks[0])
         # a product's bits follow its operands' layout, and the library's
         # second block is a row slice of its column-major system
         C2_V1 = np.asfortranarray(blocks[1]) @ V1
-        _, V2, _ = svd_nullspace(C2_V1, 1e-8, scale=sigma_max)
+        _, V2, _ = svd_nullspace(C2_V1, scale=sigma_max)
         dim, basis = double_dual_nullspace(desc, rng=np.random.default_rng(11))
         assert dim == V2.shape[1] <= d * d - rank1
         assert np.array_equal(basis, coords_to_hermitian((V1 @ V2).T, d))
@@ -396,7 +397,7 @@ def test_projected_nullspace_spans_stacked_nullspace(seed):
         rng = np.random.default_rng(seed)
         samples = [dual_face_samples(desc, k, rng, phi=phi) for _ in range(2)]
         C = np.vstack([stationarity_rows(s.X, s.Y) for s in samples])
-        rank, B_old, _ = svd_nullspace(C, 1e-8)
+        rank, B_old, _ = svd_nullspace(C)
         dim, basis = double_dual_nullspace(desc, rng=np.random.default_rng(seed))
         B_new = hermitian_to_coords(basis).T
         assert dim == B_old.shape[1] == C.shape[1] - rank
@@ -429,8 +430,8 @@ def test_constraint_monotonicity():
     sample = dual_face_samples(Transposition(n=2), 64, rng)
     C_half = _per_pair_rows(sample.X[:32], sample.Y[:32])[0]
     C_full = _per_pair_rows(sample.X, sample.Y)[0]
-    rank_half, _, _ = svd_nullspace(C_half, 1e-8)
-    rank_full, _, _ = svd_nullspace(C_full, 1e-8)
+    rank_half, _, _ = svd_nullspace(C_half)
+    rank_full, _, _ = svd_nullspace(C_full)
     assert 16 - rank_full <= 16 - rank_half
 
 
@@ -446,7 +447,7 @@ def test_cone_search_finds_reduction3_counterexample():
     phi = build_map(phi_desc)
     dim, basis = double_dual_nullspace(phi_desc, rng=rng)
     face_x = dual_face_samples(phi_desc, 162, rng).X
-    cand = cone_search_off_ray(phi, basis, face_x, budget=2000, rng=rng)
+    cand = cone_search_off_ray(phi, hermitian_to_coords(basis), face_x, budget=2000, rng=rng)
     assert cand is not None
     assert not is_ray_proportional(cand, choi_of(phi))
     verdict, _ = is_block_positive(map_from_choi(cand, 3, 3), SeeSawConfig(), rng)
@@ -460,7 +461,61 @@ def test_cone_search_trivial_when_dim_one():
     phi = build_map(Reduction(n=2))
     dim, basis = double_dual_nullspace(Reduction(n=2), rng=rng)
     face_x = dual_face_samples(Reduction(n=2), 32, rng).X
-    assert cone_search_off_ray(phi, basis, face_x, budget=100, rng=rng) is None
+    rows = hermitian_to_coords(basis)
+    assert cone_search_off_ray(phi, rows, face_x, budget=100, rng=rng) is None
+
+
+def test_probe_pairings_equal_witness_pairing_per_basis_element():
+    """The value-row pairings equal W's pairing with each basis element at each probe."""
+    desc = Reduction(n=4)
+    phi = build_map(desc)
+    rng = np.random.default_rng(5)
+    dim, basis = double_dual_nullspace(desc, rng=rng)
+    rows = hermitian_to_coords(basis)
+    face_x = dual_face_samples(desc, 60, rng).X
+    Z = exposedness._probe_vectors(phi, face_x, rng)
+    # each probe is a product vector conj(x) (x) y: its 4 x 4 reshape has rank one
+    u, s, vh = np.linalg.svd(Z.reshape(-1, 4, 4))
+    assert np.max(s[:, 1]) < 1e-12
+    X, Y = u[:, :, 0].conj(), s[:, :1] * vh[:, 0]
+    assert np.max(np.abs(product_vector(X, Y) - Z)) < 1e-12
+    want = np.stack([witness_pairing(coords_to_hermitian(r, 16), X, Y) for r in rows], axis=1)
+    got = exposedness._pairings(Z, rows)
+    assert dim == 36 and got.shape == (len(Z), dim)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_report_searches_the_rows_double_dual_nullspace_converts(monkeypatch):
+    """The cone search gets the ranked coordinate rows; the public basis is them as matrices."""
+    seen = {}
+    nullspace = exposedness._nullspace_with_diagnostics
+    search = exposedness.cone_search_off_ray
+
+    def recording_nullspace(desc, phi, k, rng):
+        seen["state"] = rng.bit_generator.state
+        return nullspace(desc, phi, k, rng)
+
+    def recording_search(phi, basis, *args):
+        seen["rows"] = basis
+        return search(phi, basis, *args)
+
+    monkeypatch.setattr(exposedness, "_nullspace_with_diagnostics", recording_nullspace)
+    monkeypatch.setattr(exposedness, "cone_search_off_ray", recording_search)
+    rep = exposedness_report(Reduction(n=3), rng=np.random.default_rng(3))
+    rng = np.random.default_rng()
+    rng.bit_generator.state = seen["state"]
+    dim, basis = double_dual_nullspace(Reduction(n=3), rng=rng)
+    assert seen["rows"].shape == (dim, 81) and rep.nullspace_dim == dim
+    assert np.array_equal(basis, coords_to_hermitian(seen["rows"], 9))
+
+
+def test_cone_search_refuses_hermitian_basis():
+    phi = build_map(Reduction(n=3))
+    dim, basis = double_dual_nullspace(Reduction(n=3), rng=np.random.default_rng(4))
+    face_x = dual_face_samples(Reduction(n=3), 13, np.random.default_rng(4)).X
+    for bad in (basis, basis[:1], hermitian_to_coords(basis)[:, :80]):
+        with pytest.raises(DimensionMismatch, match="is not rows"):
+            cone_search_off_ray(phi, bad, face_x, budget=10, rng=np.random.default_rng(4))
 
 
 def test_exposedness_verdicts():
@@ -601,8 +656,8 @@ def test_value_rows_add_no_rank_to_stationarity_rows():
         sample = dual_face_samples(desc, k, np.random.default_rng(32))
         S = stationarity_rows(sample.X, sample.Y)
         C = _per_pair_rows(sample.X, sample.Y)[0]
-        rank_s, _, _ = svd_nullspace(S, 1e-8, basis=False)
-        rank_sc, _, _ = svd_nullspace(np.vstack([S, C]), 1e-8, basis=False)
+        rank_s, _, _ = svd_nullspace(S)
+        rank_sc, _, _ = svd_nullspace(np.vstack([S, C]))
         assert rank_s < S.shape[1] and rank_sc == rank_s
 
 
@@ -617,6 +672,23 @@ def test_optimality_spanning():
         optimality_spanning_check(
             FromChoi(W=np.eye(4), dim_in=2, dim_out=2), rng=np.random.default_rng(26)
         )
+
+
+def test_optimality_refuses_a_sample_too_small_to_span(monkeypatch):
+    """Fewer than nm pairs cannot span C^n (x) C^m, so the question is refused, not answered."""
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("face sampled")
+
+    monkeypatch.setattr(exposedness, "dual_face_samples", no_sampling)
+    for desc, count, floor in (
+        (Reduction(n=3), 4, 9), (Robertson(), 10, 16), (Robertson(), 15, 16)
+    ):
+        with pytest.raises(ValueError, match=rf"sample_count must be at least {floor}$"):
+            optimality_spanning_check(desc, sample_count=count)
+    monkeypatch.undo()
+    # the floor itself is accepted, and spans on the reduction's face
+    assert optimality_spanning_check(Reduction(n=3), 9, np.random.default_rng(24)) == (True, 9)
 
 
 def test_verify_lemma1():

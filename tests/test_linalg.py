@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conewitness.config import NULLSPACE_REL_TOL
 from conewitness.errors import NonHermitianInput
 from conewitness.linalg import (
     _coordinate_entries,
@@ -41,12 +42,12 @@ def test_require_hermitian_accepts_and_rejects():
 def test_svd_nullspace_known_matrix():
     # rank 2 with kernel spanned by e3
     M = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    rank, basis, _ = svd_nullspace(M, 1e-10)
+    rank, basis, _ = svd_nullspace(M)
     assert rank == 2
     assert basis.shape == (3, 1)
     assert abs(abs(basis[2, 0]) - 1.0) < 1e-12
 
-    rank, basis, _ = svd_nullspace(np.array([[1.0, 1.0, 0.0]]), 1e-10)
+    rank, basis, _ = svd_nullspace(np.array([[1.0, 1.0, 0.0]]))
     assert rank == 1
     assert basis.shape == (3, 2)
     assert np.max(np.abs(np.array([[1.0, 1.0, 0.0]]) @ basis)) < 1e-12
@@ -64,7 +65,7 @@ def test_svd_nullspace_tall_rank_deficient():
         M[:, 5] = M[:, 2] - M[:, 3]
         K = np.array([[1.0, 1.0, 0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 1.0, -1.0, 0.0, -1.0]]).T
         assert np.all(M @ K == 0.0)
-        rank, basis, sigma_max = svd_nullspace(M, 1e-10)
+        rank, basis, sigma_max = svd_nullspace(M)
         assert rank == 4
         assert basis.shape == (6, 2)
         assert frobenius(basis.T @ basis - np.eye(2)) < 1e-12
@@ -73,54 +74,53 @@ def test_svd_nullspace_tall_rank_deficient():
         Q, _ = np.linalg.qr(K)
         assert frobenius(basis @ basis.T - Q @ Q.T) < 1e-12
         assert abs(sigma_max - np.linalg.norm(M, 2)) <= 1e-12 * np.linalg.norm(M, 2)
-        # the values-only path ranks alike and builds no basis
-        rank_v, basis_v, sigma_v = svd_nullspace(M, 1e-10, basis=False)
-        assert rank_v == rank and basis_v is None
-        assert abs(sigma_v - sigma_max) <= 1e-14 * sigma_max
     # complex input keeps its imaginary parts: a complex 40 x 6 of rank 3
     rng = np.random.default_rng(6)
     A = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
     B = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
     M = A @ B
-    rank, basis, sigma_max = svd_nullspace(M, 1e-10)
+    rank, basis, sigma_max = svd_nullspace(M)
     assert rank == 3 and basis.shape == (6, 3)
     assert frobenius(basis.conj().T @ basis - np.eye(3)) < 1e-12
     assert np.max(np.abs(M @ basis)) < 1e-12 * sigma_max
-    assert svd_nullspace(M, 1e-10, basis=False)[0] == 3
     # [[1, i], [i, -1]] has rank one; its real part alone has rank two
     M = np.array([[1, 1j], [1j, -1]])
-    rank, basis, _ = svd_nullspace(M, 1e-10)
+    rank, basis, _ = svd_nullspace(M)
     assert rank == 1
     assert np.max(np.abs(M @ basis)) < 1e-12
 
 
 def test_svd_nullspace_zero_matrix_and_bad_tol():
-    rank, basis, _ = svd_nullspace(np.zeros((2, 2)), 1e-8)
+    rank, basis, _ = svd_nullspace(np.zeros((2, 2)))
     assert rank == 0 and basis.shape == (2, 2)
-    with pytest.raises(ValueError):
+    # the cutoff is NULLSPACE_REL_TOL, never a per-call argument
+    with pytest.raises(TypeError):
         svd_nullspace(np.eye(2), 0.0)
+    with pytest.raises(TypeError):
+        svd_nullspace(np.eye(2), rel_tol=1e-8)
     with pytest.raises(ValueError):
-        svd_nullspace(np.empty((0, 0)), 1e-8)
+        svd_nullspace(np.empty((0, 0)))
     with pytest.raises(ValueError):
-        svd_nullspace(np.eye(2), 1e-8, scale=-1.0)
+        svd_nullspace(np.eye(2), scale=-1.0)
 
 
 def test_svd_nullspace_scale_sets_the_cutoff():
-    """Singular values count against ``rel_tol * scale``; no scale means the matrix's own norm."""
+    """Singular values count against ``NULLSPACE_REL_TOL * scale``, by default the matrix's own norm."""
+    assert NULLSPACE_REL_TOL == 1e-8
     rng = np.random.default_rng(12)
     # singular values 10, 1, 1e-3 and 0 in a 30 x 4 matrix
     Q1, _ = np.linalg.qr(rng.standard_normal((30, 4)))
     Q2, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     M = Q1 @ np.diag([10.0, 1.0, 1e-3, 0.0]) @ Q2.T
-    assert svd_nullspace(M, 1e-6)[0] == 3
-    assert svd_nullspace(M, 1e-6, scale=1e4)[0] == 2  # cutoff 1e-2
-    assert svd_nullspace(M, 1e-6, scale=5e6)[0] == 1  # cutoff 5
-    assert svd_nullspace(M, 1e-6, scale=2e7)[0] == 0  # cutoff 20
+    assert svd_nullspace(M)[0] == 3
+    assert svd_nullspace(M, scale=1e6)[0] == 2  # cutoff 1e-2
+    assert svd_nullspace(M, scale=5e8)[0] == 1  # cutoff 5
+    assert svd_nullspace(M, scale=2e9)[0] == 0  # cutoff 20
     # noise alone is full rank against its own norm and rank 0 against a large one
     N = 1e-14 * rng.standard_normal((12, 5))
-    rank, basis, sigma_max = svd_nullspace(N, 1e-8)
+    rank, basis, sigma_max = svd_nullspace(N)
     assert rank == 5 and basis.shape == (5, 0)
-    rank, basis, sigma_max_scaled = svd_nullspace(N, 1e-8, scale=1.0)
+    rank, basis, sigma_max_scaled = svd_nullspace(N, scale=1.0)
     assert rank == 0 and basis.shape == (5, 5)
     assert frobenius(basis.T @ basis - np.eye(5)) < 1e-12
     # sigma_max stays the matrix's own, whatever the scale
@@ -130,7 +130,7 @@ def test_svd_nullspace_scale_sets_the_cutoff():
         R = np.linalg.qr(A, mode="r") if A.shape[0] > A.shape[1] else A
         _, s, vh = np.linalg.svd(R, full_matrices=A.shape[0] < A.shape[1])
         want_rank = int(np.count_nonzero(s > 1e-8 * s[0]))
-        for got in (svd_nullspace(A, 1e-8), svd_nullspace(A, 1e-8, scale=None)):
+        for got in (svd_nullspace(A), svd_nullspace(A, scale=None)):
             assert got[0] == want_rank and got[2] == s[0]
             assert np.array_equal(got[1], vh[want_rank:].conj().T)
 
