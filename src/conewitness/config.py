@@ -34,6 +34,9 @@ STATE_ATOL = 1e-10
 # largest |pairing| of a unit-Frobenius counterexample on freshly drawn
 # face pairs for NOT_EXPOSED to stand
 COUNTEREXAMPLE_FACE_TOL = 1e-8
+# the see-saw has converged when no restart's value moves by more than this
+# in one sweep, relative to max(1, ||W||_F); reports echo it as "tolerance"
+SEESAW_STATIONARITY_TOL = 1e-12
 # a see-saw minimum below -VIOLATION_TOL certifies that a map is not
 # block-positive
 VIOLATION_TOL = 1e-9

@@ -11,6 +11,7 @@ search is incomplete by nature.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .linalg import (
     _coordinate_entries,
-    _coords_axis_first,
+    _entries_to_coords,
     fix_phase,
     frobenius,
     hermitian_to_coords,
@@ -186,6 +187,7 @@ def dual_face_samples(
     produce pairs and raise InsufficientZeros.  A caller that has already
     built ``desc`` passes the map as ``phi``.
     """
+    count = operator.index(count)
     if count < 1:
         raise ValueError("count must be at least 1")
     if rng is None:
@@ -205,7 +207,7 @@ def dual_face_samples(
     phi_hat = map_from_choi(W_hat, n, m)
     T = W_hat.reshape(n, m, n, m)
     restarts = max(32, min(256, count))
-    cfg = SeeSawConfig(restarts=restarts, max_iters=250, stationarity_tol=1e-13)
+    cfg = SeeSawConfig(restarts=restarts, max_iters=250)
     rounds = 0
     max_rounds = max(6, (4 * count) // restarts + 2)
     while values.size < count and rounds < max_rounds:
@@ -245,23 +247,23 @@ def stationarity_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Rows come pair by pair, then slice by slice (the n slices
     ``e_i (x) y`` before the m slices ``conj(x) (x) e_k``), the real part
     of each condition before its imaginary part.  Only the entries the
-    coordinates read are formed, and the rows come back column-major.
+    coordinates read are formed.
     """
     n, m = X.shape[1], Y.shape[1]
     d = n * m
-    zc = product_vector(X, Y).conj().T[:, :, np.newaxis]  # (nm, k, 1)
+    zc = product_vector(X, Y).conj()[:, np.newaxis, :]  # (k, 1, nm)
     ws = np.concatenate(
         [
             product_vector(np.eye(n), Y[:, np.newaxis, :]),
             product_vector(X[:, np.newaxis, :], np.eye(m)),
         ],
         axis=1,
-    ).transpose(2, 0, 1)  # (nm, k, n + m)
+    )  # (k, n + m, nm)
     a, b = _coordinate_entries(d)
-    wz = ws[a] * zc[b]  # entry (a, b) of w z^H
-    wz_h = (ws[b] * zc[a]).conj()  # entry (a, b) of z w^H
-    parts = np.stack([(wz + wz_h) / 2, (1j * wz - 1j * wz_h) / 2], axis=-1)
-    return _coords_axis_first(parts, d).reshape(d * d, -1).T
+    wz = ws[..., a] * zc[..., b]  # entry (a, b) of w z^H
+    wz_h = (ws[..., b] * zc[..., a]).conj()  # entry (a, b) of z w^H
+    parts = np.stack([(wz + wz_h) / 2, (1j * wz - 1j * wz_h) / 2], axis=-2)
+    return _entries_to_coords(parts, d).reshape(-1, d * d)
 
 
 def _checked_sample_count(desc, phi, sample_count):
@@ -275,7 +277,7 @@ def _checked_sample_count(desc, phi, sample_count):
     k_min = (n * m) ** 2 // (2 * (n + m) - 3) + 4
     if not _closed_form_face(desc):
         k_min *= 3
-    k = k_min if sample_count is None else int(sample_count)
+    k = k_min if sample_count is None else operator.index(sample_count)
     if k < k_min:
         raise ValueError(f"sample_count must be at least {k_min}")
     return k
@@ -286,8 +288,8 @@ def _nullspace_with_diagnostics(desc, phi, k, rng):
     n, m = phi.dim_in, phi.dim_out
     d = n * m
 
-    # both blocks of stationarity rows share one column-major matrix, which
-    # LAPACK reads without a transposing copy; the first block is its top half.
+    # both blocks of stationarity rows are copied into one column-major
+    # matrix, which LAPACK reads as is; the first block is its top half.
     # The null space of both blocks is V1 null(C2 V1), with V1 spanning the
     # first block's: the second block is ranked only inside V1, cut at the
     # first block's norm, so no row of the first block is decomposed twice
@@ -392,8 +394,16 @@ def _probe_vectors(phi, face_x, rng):
 
 
 def _pairings(Z, basis):
-    """Pairing ``<z|B_i|z> = coords(z z^H) . B_i`` of every product vector row z and basis row."""
-    return hermitian_to_coords(Z[:, :, np.newaxis] * Z[:, np.newaxis, :].conj()) @ basis.T
+    """Pairing ``<z|B_i|z> = coords(z z^H) . B_i`` of every product vector row z and basis row.
+
+    Only the entries of ``z z^H`` the coordinates read are formed.  The
+    product is spelled ``np.multiply``: ``*`` may reuse its right-hand
+    temporary and swap the operands, and a complex product's bits depend on
+    operand order.
+    """
+    d = Z.shape[1]
+    a, b = _coordinate_entries(d)
+    return _entries_to_coords(np.multiply(Z[:, a], Z[:, b].conj()), d) @ basis.T
 
 
 def cone_search_off_ray(
@@ -414,6 +424,7 @@ def cone_search_off_ray(
     candidate wins; None is a legitimate outcome and the only possible one
     when dim < 2.
     """
+    budget = operator.index(budget)
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     n, m = phi.dim_in, phi.dim_out
@@ -501,6 +512,7 @@ def exposedness_report(
     counterexample that survives independent re-validation: block-positive
     evidence, off the map's ray, and vanishing on freshly drawn face pairs.
     """
+    budget = operator.index(budget)
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     if rng is None:
@@ -566,7 +578,7 @@ def optimality_spanning_check(
         rng = np.random.default_rng(0)
     phi = build_map(desc)
     d = phi.dim_in * phi.dim_out
-    k = 2 * d * d if sample_count is None else int(sample_count)
+    k = 2 * d * d if sample_count is None else operator.index(sample_count)
     if k < d:
         raise ValueError(f"sample_count must be at least {d}")
     sample = dual_face_samples(desc, k, rng, phi=phi)

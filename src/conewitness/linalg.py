@@ -142,57 +142,34 @@ _SQRT2 = np.sqrt(2.0)
 
 
 @functools.cache
-def _upper_triangle(d: int):
-    """Row and column indices of the strict upper triangle, in row-major order.
+def _coordinate_entries(d: int):
+    """Row and column indices of the entries the coordinates read.
 
-    Computed once per ``d`` and shared by every caller, so the arrays are
-    read-only.
+    The d diagonal entries come first, then the strict upper triangle in
+    row-major order, so ``A[..., a, b]`` lists what :func:`hermitian_to_coords`
+    reads, in its order.  Computed once per ``d`` and shared by every caller,
+    so the arrays are read-only.
     """
     iu, ju = np.triu_indices(d, k=1)
-    iu.flags.writeable = False
-    ju.flags.writeable = False
-    return iu, ju
+    diag = np.arange(d)
+    a, b = np.concatenate([diag, iu]), np.concatenate([diag, ju])
+    a.flags.writeable = False
+    b.flags.writeable = False
+    return a, b
+
+
+def _entries_to_coords(E: np.ndarray, d: int) -> np.ndarray:
+    """Coordinates from the entries :func:`_coordinate_entries` lists, along the last axis."""
+    upper = E[..., d:]
+    return np.concatenate([E[..., :d].real, _SQRT2 * upper.real, _SQRT2 * upper.imag], axis=-1)
 
 
 def hermitian_to_coords(A: np.ndarray) -> np.ndarray:
     """Real coordinate vector(s) of Hermitian matrix(es), shape (..., d*d)."""
     A = np.asarray(A, dtype=complex)
     d = A.shape[-1]
-    iu, ju = _upper_triangle(d)
-    diag = np.diagonal(A, axis1=-2, axis2=-1).real
-    upper = A[..., iu, ju]
-    return np.concatenate(
-        [diag, _SQRT2 * upper.real, _SQRT2 * upper.imag], axis=-1
-    )
-
-
-def _coordinate_entries(d: int):
-    """Row and column indices of the entries the coordinates read.
-
-    The d diagonal entries come first, then the strict upper triangle in
-    row-major order, so ``A[a, b]`` lists what :func:`hermitian_to_coords`
-    reads, in its order.
-    """
-    iu, ju = _upper_triangle(d)
-    diag = np.arange(d)
-    return np.concatenate([diag, iu]), np.concatenate([diag, ju])
-
-
-def _coords_axis_first(E: np.ndarray, d: int) -> np.ndarray:
-    """Coordinates, coordinate axis first, from the entries the coordinates read.
-
-    ``E[e, ...]`` is entry ``e`` of :func:`_coordinate_entries` of each
-    matrix; the result, of shape ``(d*d,) + E.shape[1:]``, holds the same
-    bits as :func:`hermitian_to_coords` of the full matrices, moved to the
-    front axis, without building them.
-    """
-    out = np.empty((d * d,) + E.shape[1:])
-    upper = E[d:]
-    p = upper.shape[0]
-    out[:d] = E[:d].real
-    np.multiply(_SQRT2, upper.real, out=out[d : d + p])
-    np.multiply(_SQRT2, upper.imag, out=out[d + p :])
-    return out
+    a, b = _coordinate_entries(d)
+    return _entries_to_coords(A[..., a, b], d)
 
 
 def coords_to_hermitian(coords: np.ndarray, d: int) -> np.ndarray:
@@ -200,11 +177,12 @@ def coords_to_hermitian(coords: np.ndarray, d: int) -> np.ndarray:
     coords = np.asarray(coords, dtype=float)
     if coords.shape[-1] != d * d:
         raise ValueError(f"expected {d * d} coordinates, got {coords.shape[-1]}")
-    iu, ju = _upper_triangle(d)
-    k = iu.size
+    a, b = _coordinate_entries(d)
+    p = a.size - d
+    upper = (coords[..., d : d + p] + 1j * coords[..., d + p :]) / _SQRT2
+    entries = np.concatenate([coords[..., :d], upper], axis=-1)
     A = np.zeros(coords.shape[:-1] + (d, d), dtype=complex)
-    A[..., np.arange(d), np.arange(d)] = coords[..., :d]
-    upper = (coords[..., d : d + k] + 1j * coords[..., d + k :]) / _SQRT2
-    A[..., iu, ju] = upper
-    A[..., ju, iu] = np.conj(upper)
+    # the lower triangle first, so the diagonal keeps its +0 imaginary parts
+    A[..., b, a] = np.conj(entries)
+    A[..., a, b] = entries
     return A

@@ -7,11 +7,19 @@ only evidence of positivity.  Verdict strings keep that asymmetry explicit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PAIRING_IMAG_TOL, PSD_ATOL, STATE_ATOL, VIOLATION_TOL, ZERO_TOL
+from .config import (
+    PAIRING_IMAG_TOL,
+    PSD_ATOL,
+    SEESAW_STATIONARITY_TOL,
+    STATE_ATOL,
+    VIOLATION_TOL,
+    ZERO_TOL,
+)
 from .errors import ConvergenceFailure, DimensionMismatch, NotAState
 from .linalg import fix_phase, frobenius, require_hermitian
 from .maps import LinearMatrixMap, compose_with_transpose, witness_pairing
@@ -22,12 +30,12 @@ class SeeSawConfig:
     """Knobs for the alternating eigenvector descent.
 
     stop_below lets certification runs exit as soon as any restart dips
-    under a target value, skipping the stationarity polish.
+    under a target value, skipping the stationarity polish.  The
+    stationarity cutoff is ``SEESAW_STATIONARITY_TOL``, with no override.
     """
 
     restarts: int = 64
     max_iters: int = 500
-    stationarity_tol: float = 1e-12
     stop_below: float | None = None
 
 
@@ -106,7 +114,7 @@ def seesaw_endpoints(
     (restarts, dim_out).
     """
     n, m = phi.dim_in, phi.dim_out
-    R = int(config.restarts)
+    R = operator.index(config.restarts)
     if R < 1:
         raise ValueError("need at least one restart")
     T = phi.choi.reshape(n, m, n, m)
@@ -124,19 +132,23 @@ def seesaw_endpoints(
         if config.stop_below is not None and vals.min() < config.stop_below:
             converged = True
             break
-        if np.all(np.abs(prev - vals) <= config.stationarity_tol * scale):
+        if np.all(np.abs(prev - vals) <= SEESAW_STATIONARITY_TOL * scale):
             converged = True
             break
         prev = vals
     return X, Y, vals, iters_done, converged
 
 
-def block_positivity_min(
+def is_block_positive(
     phi: LinearMatrixMap,
     config: SeeSawConfig = SeeSawConfig(),
     rng: np.random.Generator | None = None,
-) -> BlockPositivityReport:
-    """Minimize ``<x (x) conj(y)| W |x (x) conj(y)>`` over unit product pairs."""
+) -> tuple[str, BlockPositivityReport]:
+    """Minimize ``<x (x) conj(y)| W |x (x) conj(y)>`` over unit product pairs.
+
+    The verdict is one-sided: CERTIFIED_NOT_BP on a witnessed violation,
+    else EVIDENCE_BP.
+    """
     if rng is None:
         rng = np.random.default_rng(0)
     X, Y, vals, iters_done, converged = seesaw_endpoints(phi, config, rng)
@@ -145,27 +157,16 @@ def block_positivity_min(
     y = fix_phase(Y[r])
     # the certificate value is the pairing itself, not the last eigenvalue
     value = witness_pairing(phi.choi, x, y)
-    pair = ProductPair(x=x, y=y, value=value)
-    return BlockPositivityReport(
+    report = BlockPositivityReport(
         min_value=value,
-        argmin=pair,
-        restarts_used=int(config.restarts),
+        argmin=ProductPair(x=x, y=y, value=value),
+        restarts_used=len(vals),
         iterations=iters_done,
         converged=converged,
-        tolerance=config.stationarity_tol,
+        tolerance=SEESAW_STATIONARITY_TOL,
     )
-
-
-def is_block_positive(
-    phi: LinearMatrixMap,
-    config: SeeSawConfig = SeeSawConfig(),
-    rng: np.random.Generator | None = None,
-) -> tuple[str, BlockPositivityReport]:
-    """One-sided verdict: CERTIFIED_NOT_BP on a witnessed violation, else EVIDENCE_BP."""
-    report = block_positivity_min(phi, config=config, rng=rng)
-    if report.min_value < -VIOLATION_TOL:
-        return "CERTIFIED_NOT_BP", report
-    return "EVIDENCE_BP", report
+    verdict = "CERTIFIED_NOT_BP" if value < -VIOLATION_TOL else "EVIDENCE_BP"
+    return verdict, report
 
 
 def is_completely_positive(phi: LinearMatrixMap) -> tuple[bool, float]:

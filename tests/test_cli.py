@@ -1,5 +1,6 @@
 """Command line behaviour: report format, exit codes, determinism."""
 
+import functools
 import json
 import os
 
@@ -9,6 +10,7 @@ import pytest
 from conewitness import cli
 from conewitness.catalog import reduction, robertson_unitary, transposition
 from conewitness.maps import choi_of
+from conewitness.positivity import SeeSawConfig
 
 
 def run(argv, tmp_path, name="out.json"):
@@ -124,6 +126,24 @@ def test_check_block_positive(tmp_path):
     assert doc["config"]["dim_in"] == doc["config"]["dim_out"] == 2
     assert doc["report"]["min_value"] >= -1e-9
     assert doc["report"]["converged"] is True
+
+
+def test_check_exits_three_when_the_seesaw_does_not_converge(tmp_path, monkeypatch, capsys):
+    """An unconverged see-saw exits 3 and still prints its full report."""
+    monkeypatch.setattr(cli, "SeeSawConfig", functools.partial(SeeSawConfig, max_iters=1))
+    path = write_choi(tmp_path, choi_of(reduction(3)))
+    code = cli.main(["check", path, "--mode", "block-positive", "--seed", "0"])
+    assert code == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "EVIDENCE_BP"
+    assert doc["config"]["max_iters"] == 1
+    report = doc["report"]
+    assert set(report) == {
+        "argmin", "converged", "iterations", "min_value", "restarts_used", "tolerance"
+    }
+    assert report["converged"] is False
+    assert report["iterations"] == 1
+    assert report["restarts_used"] == 64
 
 
 def test_check_not_block_positive_reports_certificate(tmp_path):
@@ -375,6 +395,10 @@ def test_reports_echo_fixed_cutoffs(tmp_path):
         (
             ["check", witness, "--mode", "block-positive", "--restarts", "4"],
             b'"violation_tol": 1.0000000000000001e-09\n',
+        ),
+        (
+            ["check", witness, "--mode", "block-positive", "--restarts", "4"],
+            b'"tolerance": 9.9999999999999998e-13',
         ),
     ):
         code, _, raw = run(argv, tmp_path)

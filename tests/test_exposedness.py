@@ -483,6 +483,9 @@ def test_probe_pairings_equal_witness_pairing_per_basis_element():
     got = exposedness._pairings(Z, rows)
     assert dim == 36 and got.shape == (len(Z), dim)
     assert np.max(np.abs(got - want)) <= 1e-12
+    # the entries read from z z^H give the full outer products' coordinates, bitwise
+    outer = Z[:, :, np.newaxis] * Z[:, np.newaxis, :].conj()
+    assert np.array_equal(got, hermitian_to_coords(outer) @ rows.T)
 
 
 def test_report_searches_the_rows_double_dual_nullspace_converts(monkeypatch):
@@ -689,6 +692,48 @@ def test_optimality_refuses_a_sample_too_small_to_span(monkeypatch):
     monkeypatch.undo()
     # the floor itself is accepted, and spans on the reduction's face
     assert optimality_spanning_check(Reduction(n=3), 9, np.random.default_rng(24)) == (True, 9)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a stage ran on a refused input")
+
+
+def test_report_sample_count_must_be_an_integer(monkeypatch):
+    monkeypatch.setattr(exposedness, "is_block_positive", _must_not_run)
+    with pytest.raises(TypeError):
+        exposedness_report(Reduction(n=3), sample_count=13.9)
+    monkeypatch.undo()
+    dim, _ = double_dual_nullspace(Reduction(n=3), np.int64(13), np.random.default_rng(9))
+    assert dim == 9
+
+
+def test_optimality_sample_count_must_be_an_integer(monkeypatch):
+    monkeypatch.setattr(exposedness, "dual_face_samples", _must_not_run)
+    with pytest.raises(TypeError):
+        optimality_spanning_check(Reduction(n=3), sample_count=81.7)
+    monkeypatch.undo()
+    spans = optimality_spanning_check(Reduction(n=3), np.int64(9), np.random.default_rng(24))
+    assert spans == (True, 9)
+
+
+def test_budget_must_be_an_integer(monkeypatch):
+    phi = build_map(Reduction(n=3))
+    dim, basis = double_dual_nullspace(Reduction(n=3), rng=np.random.default_rng(4))
+    rows = hermitian_to_coords(basis)
+    face_x = dual_face_samples(Reduction(n=3), 13, np.random.default_rng(4)).X
+    with pytest.raises(TypeError):
+        cone_search_off_ray(phi, rows, face_x, budget=2.5, rng=np.random.default_rng(4))
+    assert cone_search_off_ray(phi, rows, face_x, np.int64(0), np.random.default_rng(4)) is None
+    monkeypatch.setattr(exposedness, "is_block_positive", _must_not_run)
+    with pytest.raises(TypeError):
+        exposedness_report(Reduction(n=3), budget=2.5)
+
+
+def test_face_sample_count_must_be_an_integer():
+    with pytest.raises(TypeError):
+        dual_face_samples(Reduction(n=3), 2.5, np.random.default_rng(0))
+    sample = dual_face_samples(Reduction(n=3), np.int64(5), np.random.default_rng(0))
+    assert sample.X.shape == (5, 3) and sample.source == "analytic"
 
 
 def test_verify_lemma1():

@@ -9,7 +9,6 @@ from conewitness.config import NULLSPACE_REL_TOL
 from conewitness.errors import NonHermitianInput
 from conewitness.linalg import (
     _coordinate_entries,
-    _upper_triangle,
     coords_to_hermitian,
     fix_phase,
     frobenius,
@@ -187,17 +186,18 @@ def test_hermitian_coords_isometry(d, seed):
     assert frobenius(back - A) < 1e-13 * max(1.0, frobenius(A))
 
 
-def test_upper_triangle_indices_are_shared_and_read_only():
+def test_coordinate_entries_are_shared_and_read_only():
     for d in range(1, 7):
-        iu, ju = _upper_triangle(d)
+        a, b = _coordinate_entries(d)
         want_i, want_j = np.triu_indices(d, k=1)
-        assert np.array_equal(iu, want_i) and np.array_equal(ju, want_j)
-        assert iu.dtype == want_i.dtype and ju.dtype == want_j.dtype
-        assert _upper_triangle(d)[0] is iu and _upper_triangle(d)[1] is ju
+        assert np.array_equal(a, np.concatenate([np.arange(d), want_i]))
+        assert np.array_equal(b, np.concatenate([np.arange(d), want_j]))
+        assert a.dtype == want_i.dtype and b.dtype == want_j.dtype
+        assert _coordinate_entries(d)[0] is a and _coordinate_entries(d)[1] is b
         with pytest.raises(ValueError):
-            iu[...] = 0
+            a[...] = 0
         with pytest.raises(ValueError):
-            ju[...] = 0
+            b[...] = 0
     # the coordinates read the same entries as with fresh indices, bitwise
     rng = np.random.default_rng(13)
     for d in (1, 3, 4, 9):
@@ -210,16 +210,16 @@ def test_upper_triangle_indices_are_shared_and_read_only():
             axis=-1,
         )
         assert np.array_equal(hermitian_to_coords(stack), want)
-        a, b = _coordinate_entries(d)
-        assert np.array_equal(a, np.concatenate([np.arange(d), iu]))
-        assert np.array_equal(b, np.concatenate([np.arange(d), ju]))
         back = np.zeros((3, d, d), dtype=complex)
         back[..., np.arange(d), np.arange(d)] = want[..., :d]
         p = iu.size
         vals = (want[..., d : d + p] + 1j * want[..., d + p :]) / np.sqrt(2.0)
         back[..., iu, ju] = vals
         back[..., ju, iu] = np.conj(vals)
-        assert np.array_equal(coords_to_hermitian(want, d), back)
+        got = coords_to_hermitian(want, d)
+        assert np.array_equal(got, back)
+        # bitwise, signed zeros included: the diagonal's imaginary parts are +0
+        assert got.tobytes() == back.tobytes()
 
 
 def test_hermitian_coords_batched():

@@ -19,7 +19,6 @@ from conewitness.maps import choi_of, map_from_choi, witness_pairing
 from conewitness import positivity
 from conewitness.positivity import (
     SeeSawConfig,
-    block_positivity_min,
     detect_entanglement,
     is_block_positive,
     is_completely_copositive,
@@ -67,7 +66,7 @@ def test_seesaw_matches_grid_oracle_on_catalog_maps():
     expected = [0.0, 0.0, 1.0, -0.3]
     for W, want in zip(cases, expected):
         phi = map_from_choi(W, 2, 2)
-        rep = block_positivity_min(phi, SeeSawConfig(), np.random.default_rng(0))
+        rep = is_block_positive(phi, SeeSawConfig(), np.random.default_rng(0))[1]
         oracle = grid_product_min(W)
         assert abs(rep.min_value - want) < 1e-9
         assert abs(oracle - want) < GRID_ATOL
@@ -78,7 +77,7 @@ def test_seesaw_matches_grid_oracle_on_random_witnesses():
         rng = np.random.default_rng(seed)
         W = random_hermitian(4, rng)
         phi = map_from_choi(W, 2, 2)
-        rep = block_positivity_min(phi, SeeSawConfig(), np.random.default_rng(seed + 100))
+        rep = is_block_positive(phi, SeeSawConfig(), np.random.default_rng(seed + 100))[1]
         oracle = grid_product_min(W)
         # the see-saw can only undershoot the grid; both sit near the truth
         assert rep.min_value <= oracle + 1e-9
@@ -115,11 +114,19 @@ def test_stop_below_short_circuits():
 
 def test_seesaw_determinism():
     phi = robertson()
-    a = block_positivity_min(phi, SeeSawConfig(), np.random.default_rng(7))
-    b = block_positivity_min(phi, SeeSawConfig(), np.random.default_rng(7))
+    a = is_block_positive(phi, SeeSawConfig(), np.random.default_rng(7))[1]
+    b = is_block_positive(phi, SeeSawConfig(), np.random.default_rng(7))[1]
     assert a.min_value == b.min_value
     assert np.array_equal(a.argmin.x, b.argmin.x)
     assert np.array_equal(a.argmin.y, b.argmin.y)
+
+
+def test_restarts_must_be_an_integer():
+    phi = robertson()
+    with pytest.raises(TypeError):
+        is_block_positive(phi, SeeSawConfig(restarts=2.5), np.random.default_rng(0))
+    _, rep = is_block_positive(phi, SeeSawConfig(restarts=np.int64(2)), np.random.default_rng(0))
+    assert rep.restarts_used == 2
 
 
 def test_cp_certificates():
