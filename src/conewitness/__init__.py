@@ -1,19 +1,9 @@
 """Positive maps on matrix algebras, their witnesses, and exposedness."""
 
 from .catalog import (
-    Ad,
-    BreuerHall,
-    ChoiFamily,
-    CoAd,
-    FromChoi,
-    MapDescriptor,
-    Reduction,
-    Robertson,
-    Transposition,
     ad_map,
     antisym_basis,
     breuer_hall,
-    build_map,
     choi_family,
     choi_family_boundary_margin,
     choi_family_is_indecomposable,

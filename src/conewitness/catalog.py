@@ -4,11 +4,15 @@ The families: transposition, conjugation maps ``X -> V X V*`` and their
 transposed twins ``X -> V X^t V*``, the reduction map, the generalized Choi
 family on M_3, Breuer-Hall maps built from antisymmetric unitaries, and the
 Robertson map they specialize to in M_4.
+
+The constructors of the transposition, reduction, Breuer-Hall and
+Robertson maps also attach the map's dual face in closed form, as a draw
+``face(count, rng) -> (X, Y)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -21,66 +25,51 @@ from .errors import (
     NotUnitary,
     OddDimension,
 )
-from .linalg import frobenius, random_unitary
-from .maps import LinearMatrixMap, choi_from_apply, map_from_choi
+from .linalg import _row_norms, _unit_rows, frobenius, random_unitary
+from .maps import LinearMatrixMap, choi_from_apply
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
-# --- descriptors -----------------------------------------------------------
+# --- closed-form dual faces ----------------------------------------------
+#
+# Each draw takes ``count`` and a generator and returns ``(X, Y)``, one pair
+# per row, in the order of one ``random_unit_vector`` call per vector, ``x``
+# before its ``y``.
 
 
-@dataclass(frozen=True)
-class Transposition:
-    n: int
+def _unit_draws(n, count, rng):
+    G = rng.standard_normal((count, 2, n))
+    return _unit_rows(G[:, 0] + 1j * G[:, 1])
 
 
-@dataclass(frozen=True)
-class Reduction:
-    n: int
+def _orthogonal_face(n, count, rng):
+    """The transposition's face, ``y`` orthogonal to ``conj(x)``.
+
+    A draw with no ``y`` off ``conj(x)`` is dropped, so fewer than
+    ``count`` pairs may come back.
+    """
+    G = rng.standard_normal((count, 2, 2, n))
+    X = _unit_rows(G[:, 0, 0] + 1j * G[:, 0, 1])
+    Y = _unit_rows(G[:, 1, 0] + 1j * G[:, 1, 1])
+    Y = Y - X.conj() * (X[:, np.newaxis, :] @ Y[:, :, np.newaxis])[:, 0]
+    norms = _row_norms(Y)
+    keep = norms >= 1e-8
+    return X[keep], Y[keep] / norms[keep, np.newaxis]
 
 
-@dataclass(frozen=True, eq=False)
-class Ad:
-    """Descriptor for ``X -> V X V*``."""
-
-    V: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class CoAd:
-    """Descriptor for ``X -> V X^t V*``."""
-
-    V: np.ndarray
+def _diagonal_face(n, count, rng):
+    """The reduction map's face, ``y = x``."""
+    X = _unit_draws(n, count, rng)
+    return X, X
 
 
-@dataclass(frozen=True)
-class ChoiFamily:
-    a: float
-    b: float
-    c: float
-
-
-@dataclass(frozen=True, eq=False)
-class BreuerHall:
-    U: np.ndarray
-
-
-@dataclass(frozen=True)
-class Robertson:
-    pass
-
-
-@dataclass(frozen=True, eq=False)
-class FromChoi:
-    W: np.ndarray
-    dim_in: int
-    dim_out: int
-
-
-MapDescriptor = (
-    Transposition | Reduction | Ad | CoAd | ChoiFamily | BreuerHall | Robertson | FromChoi
-)
+def _unitary_face(U, count, rng):
+    """The Breuer-Hall face: ``y = x`` and ``y = U conj(x)``, alternating by draw index."""
+    X = _unit_draws(U.shape[0], count, rng)
+    Y = X.copy()
+    Y[1::2] = (U @ X[1::2].conj()[:, :, np.newaxis])[:, :, 0]
+    return X, Y
 
 
 # --- validation helpers ----------------------------------------------------
@@ -116,7 +105,7 @@ def transposition(n: int) -> LinearMatrixMap:
     """The transposition map ``X -> X^t`` on M_n."""
     if n < 1:
         raise DimensionMismatch("n must be at least 1")
-    return choi_from_apply(lambda E: E.T, n, n)
+    return choi_from_apply(lambda E: E.T, n, n, functools.partial(_orthogonal_face, n))
 
 
 def ad_map(V: np.ndarray) -> LinearMatrixMap:
@@ -144,7 +133,8 @@ def reduction(n: int) -> LinearMatrixMap:
     if n < 2:
         raise DimensionMismatch("the reduction map needs n >= 2")
     eye = np.eye(n)
-    return choi_from_apply(lambda E: eye * np.trace(E) - E, n, n)
+    face = functools.partial(_diagonal_face, n)
+    return choi_from_apply(lambda E: eye * np.trace(E) - E, n, n, face)
 
 
 def choi_family(a: float, b: float, c: float) -> LinearMatrixMap:
@@ -213,7 +203,8 @@ def breuer_hall(U: np.ndarray) -> LinearMatrixMap:
     n2 = U.shape[0]
     eye = np.eye(n2)
     Ud = U.conj().T
-    return choi_from_apply(lambda E: eye * np.trace(E) - E - U @ E.T @ Ud, n2, n2)
+    face = functools.partial(_unitary_face, U)
+    return choi_from_apply(lambda E: eye * np.trace(E) - E - U @ E.T @ Ud, n2, n2, face)
 
 
 def robertson() -> LinearMatrixMap:
@@ -236,7 +227,7 @@ def robertson() -> LinearMatrixMap:
         out[2:, :2] = -(X21 + r2(X12))
         return out
 
-    return choi_from_apply(act, 4, 4)
+    return choi_from_apply(act, 4, 4, functools.partial(_unitary_face, robertson_unitary()))
 
 
 def robertson_unitary() -> np.ndarray:
@@ -273,24 +264,3 @@ def random_antisymmetric_unitary(n2: int, rng: np.random.Generator) -> np.ndarra
     V = random_unitary(n2, rng)
     J = np.kron(np.eye(n2 // 2), SIGMA_Y)
     return require_antisymmetric_unitary(V @ J @ V.T)
-
-
-def build_map(desc: MapDescriptor) -> LinearMatrixMap:
-    """Materialize any descriptor into its Choi-form map."""
-    if isinstance(desc, Transposition):
-        return transposition(desc.n)
-    if isinstance(desc, Reduction):
-        return reduction(desc.n)
-    if isinstance(desc, Ad):
-        return ad_map(desc.V)
-    if isinstance(desc, CoAd):
-        return co_ad_map(desc.V)
-    if isinstance(desc, ChoiFamily):
-        return choi_family(desc.a, desc.b, desc.c)
-    if isinstance(desc, BreuerHall):
-        return breuer_hall(desc.U)
-    if isinstance(desc, Robertson):
-        return robertson()
-    if isinstance(desc, FromChoi):
-        return map_from_choi(desc.W, desc.dim_in, desc.dim_out)
-    raise TypeError(f"unknown descriptor {desc!r}")

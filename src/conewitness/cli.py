@@ -34,26 +34,22 @@ import tempfile
 import numpy as np
 
 from .catalog import (
-    Ad,
-    BreuerHall,
-    ChoiFamily,
-    CoAd,
-    FromChoi,
-    Reduction,
-    Robertson,
-    Transposition,
-    build_map,
+    ad_map,
+    breuer_hall,
+    choi_family,
+    co_ad_map,
     random_antisymmetric_unitary,
+    reduction,
     require_antisymmetric_unitary,
     robertson,
     robertson_unitary,
-    breuer_hall,
+    transposition,
 )
 from .config import NULLSPACE_REL_TOL, VIOLATION_TOL, ZERO_TOL
 from .errors import ConeWitnessError, ConvergenceFailure, NotBlockPositive
 from .exposedness import exposedness_report, verify_bh_structure, verify_lemma1
 from .linalg import is_hermitian, random_unit_vector, random_unitary, require_hermitian
-from .maps import choi_of
+from .maps import LinearMatrixMap, choi_of, map_from_choi
 from .positivity import (
     SeeSawConfig,
     detect_entanglement,
@@ -225,11 +221,11 @@ def split_dims(size: int, dim_in: int | None, what: str) -> tuple[int, int]:
     return root, root
 
 
-def descriptor_from_args(args):
-    """Catalog name plus flags, or a Choi matrix file, to a map descriptor."""
+def map_from_args(args) -> LinearMatrixMap:
+    """Catalog name plus flags, or a Choi matrix file, to the map."""
     name = args.target
     if name in CATALOG_NAMES:
-        return _catalog_descriptor(name, args)
+        return _catalog_map(name, args)
     if not os.path.exists(name):
         raise ValueError(
             f"{name!r} is neither a catalog name {CATALOG_NAMES} nor a file"
@@ -237,14 +233,14 @@ def descriptor_from_args(args):
     return _load_choi(name, getattr(args, "dim_in", None), "choi file")
 
 
-def _load_choi(path: str, dim_in: int | None, what: str) -> FromChoi:
+def _load_choi(path: str, dim_in: int | None, what: str) -> LinearMatrixMap:
     """A square Hermitian Choi matrix file, split into (input, output) dims."""
     W = load_matrix(path, what=what)
     if W.shape[0] != W.shape[1]:
         raise ValueError(f"{what} {path!r}: matrix must be square")
     require_hermitian(W)
     n, m = split_dims(W.shape[0], dim_in, f"{what} {path!r}")
-    return FromChoi(W=W, dim_in=n, dim_out=m)
+    return map_from_choi(W, n, m)
 
 
 def _require_flag(value, flag: str, name: str):
@@ -253,27 +249,25 @@ def _require_flag(value, flag: str, name: str):
     return value
 
 
-def _catalog_descriptor(name: str, args):
+def _catalog_map(name: str, args) -> LinearMatrixMap:
     if name == "transpose":
-        return Transposition(n=_require_flag(args.n, "--n", name))
+        return transposition(_require_flag(args.n, "--n", name))
     if name == "reduction":
-        return Reduction(n=_require_flag(args.n, "--n", name))
+        return reduction(_require_flag(args.n, "--n", name))
     if name == "choi-family":
-        return ChoiFamily(
-            a=_require_flag(args.a, "--a", name),
-            b=_require_flag(args.b, "--b", name),
-            c=_require_flag(args.c, "--c", name),
+        return choi_family(
+            _require_flag(args.a, "--a", name),
+            _require_flag(args.b, "--b", name),
+            _require_flag(args.c, "--c", name),
         )
     if name == "breuer-hall":
-        path = _require_flag(args.u, "--u", name)
-        U = load_matrix(path, what="unitary file")
-        return BreuerHall(U=require_antisymmetric_unitary(U))
+        return breuer_hall(load_matrix(_require_flag(args.u, "--u", name), what="unitary file"))
     if name == "robertson":
-        return Robertson()
+        return robertson()
     if name == "ad":
-        return Ad(V=load_matrix(_require_flag(args.v, "--v", name), what="matrix file"))
+        return ad_map(load_matrix(_require_flag(args.v, "--v", name), what="matrix file"))
     if name == "co-ad":
-        return CoAd(V=load_matrix(_require_flag(args.v, "--v", name), what="matrix file"))
+        return co_ad_map(load_matrix(_require_flag(args.v, "--v", name), what="matrix file"))
     raise ValueError(f"unknown catalog map {name!r}")
 
 
@@ -307,17 +301,15 @@ def bp_report_obj(rep) -> dict:
 
 
 def cmd_catalog(args, argv: list[str]) -> int:
-    desc = _catalog_descriptor(args.name, args)
-    phi = build_map(desc)
+    phi = _catalog_map(args.name, args)
     write_output(canonical_json(matrix_to_obj(choi_of(phi))), args.out)
     return 0
 
 
 def cmd_check(args, argv: list[str]) -> int:
     seed = resolve_seed(args)
-    desc = _load_choi(args.choi_file, args.dim_in, "choi file")
-    n, m = desc.dim_in, desc.dim_out
-    phi = build_map(desc)
+    phi = _load_choi(args.choi_file, args.dim_in, "choi file")
+    n, m = phi.dim_in, phi.dim_out
 
     config = SeeSawConfig() if args.restarts is None else SeeSawConfig(restarts=args.restarts)
     doc = base_report(
@@ -354,7 +346,7 @@ def cmd_check(args, argv: list[str]) -> int:
 def cmd_detect(args, argv: list[str]) -> int:
     rho = load_matrix(args.state_file, what="state file")
     witness = _load_choi(args.witness_file, args.dim_in, "witness file")
-    value, verdict = detect_entanglement(rho, build_map(witness))
+    value, verdict = detect_entanglement(rho, witness)
     doc = base_report(argv, None, {"zero_tol": ZERO_TOL})
     doc["value"] = value
     doc["verdict"] = verdict
@@ -364,8 +356,8 @@ def cmd_detect(args, argv: list[str]) -> int:
 
 def cmd_exposedness(args, argv: list[str]) -> int:
     seed = resolve_seed(args)
-    desc = descriptor_from_args(args)
-    rep = exposedness_report(desc, args.samples, args.budget, np.random.default_rng(seed))
+    phi = map_from_args(args)
+    rep = exposedness_report(phi, args.samples, args.budget, np.random.default_rng(seed))
     doc = base_report(
         argv,
         seed,

@@ -17,18 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import (
-    BreuerHall,
-    Reduction,
-    Robertson,
-    Transposition,
     antisym_basis,
     breuer_hall,
-    build_map,
     co_ad_map,
     reduction,
     require_antisymmetric_unitary,
     require_unitary,
-    robertson_unitary,
 )
 from .config import COUNTEREXAMPLE_FACE_TOL, NULLSPACE_REL_TOL, ZERO_TOL
 from .errors import (
@@ -42,6 +36,7 @@ from .errors import (
 from .linalg import (
     _coordinate_entries,
     _entries_to_coords,
+    _unit_rows,
     fix_phase,
     frobenius,
     hermitian_to_coords,
@@ -116,55 +111,6 @@ class BHStructureReport:
     passed: bool
 
 
-def _row_norms(V):
-    """The norm of every vector along the last axis of ``V``.
-
-    A stacked matmul runs the same BLAS dot per vector that
-    ``np.linalg.norm`` runs on one vector, so each norm equals its
-    per-vector result bitwise; ``np.linalg.norm(axis=-1)`` sums in another
-    order.
-    """
-    re, im = V.real[..., np.newaxis, :], V.imag[..., np.newaxis, :]
-    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
-
-
-def _unit_rows(V):
-    """``V`` with every vector along the last axis normalized, bitwise per vector."""
-    return V / _row_norms(V)[..., np.newaxis]
-
-
-def _analytic_candidates(desc, count, n, rng):
-    """``count`` draws ``(X, Y)`` from the closed-form face description, one pair per row.
-
-    Breuer-Hall and Robertson alternate ``y = x`` and ``y = U conj(x)`` by
-    draw index; a transposition draw with no ``y`` off ``conj(x)`` is dropped.
-    Draws come in the order of one ``random_unit_vector`` call per vector,
-    ``x`` before its ``y``.
-    """
-    if isinstance(desc, Transposition):
-        G = rng.standard_normal((count, 2, 2, n))
-        X = _unit_rows(G[:, 0, 0] + 1j * G[:, 0, 1])
-        Y = _unit_rows(G[:, 1, 0] + 1j * G[:, 1, 1])
-        # remove the component along conj(x); the face is y orthogonal to it
-        Y = Y - X.conj() * (X[:, np.newaxis, :] @ Y[:, :, np.newaxis])[:, 0]
-        norms = _row_norms(Y)
-        keep = norms >= 1e-8
-        return X[keep], Y[keep] / norms[keep, np.newaxis]
-    G = rng.standard_normal((count, 2, n))
-    X = _unit_rows(G[:, 0] + 1j * G[:, 1])
-    if isinstance(desc, Reduction):
-        return X, X
-    U = desc.U if isinstance(desc, BreuerHall) else robertson_unitary()
-    Y = X.copy()
-    Y[1::2] = (U @ X[1::2].conj()[:, :, np.newaxis])[:, :, 0]
-    return X, Y
-
-
-def _closed_form_face(desc) -> bool:
-    """Whether the descriptor's dual face has a closed form to draw from."""
-    return isinstance(desc, (Transposition, Reduction, BreuerHall, Robertson))
-
-
 def _accept(W_hat, X, Y):
     """The pairs whose pairing is zero to ``ZERO_TOL``, phases fixed, and their pairings."""
     values = witness_pairing(W_hat, X, Y)
@@ -173,33 +119,28 @@ def _accept(W_hat, X, Y):
 
 
 def dual_face_samples(
-    desc,
+    phi: LinearMatrixMap,
     count: int,
     rng: np.random.Generator | None = None,
-    *,
-    phi: LinearMatrixMap | None = None,
 ) -> DualFaceSample:
     """Collect ``count`` product pairs with pairing zero.
 
-    Descriptors with a known face draw ``count`` closed-form pairs once;
+    A map with a closed-form ``face`` draws ``count`` pairs from it once;
     near-zero see-saw endpoints, polished, fill any pairs still missing.
     Maps whose pairing is bounded away from zero (interior Choi) cannot
-    produce pairs and raise InsufficientZeros.  A caller that has already
-    built ``desc`` passes the map as ``phi``.
+    produce pairs and raise InsufficientZeros.
     """
     count = operator.index(count)
     if count < 1:
         raise ValueError("count must be at least 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    if phi is None:
-        phi = build_map(desc)
     n, m = phi.dim_in, phi.dim_out
     W_hat = ray_representative(phi.choi)
 
     X, Y, values = np.empty((0, n), complex), np.empty((0, m), complex), np.empty(0)
-    if _closed_form_face(desc):
-        X, Y, values = _accept(W_hat, *_analytic_candidates(desc, count, n, rng))
+    if phi.face is not None:
+        X, Y, values = _accept(W_hat, *phi.face(count, rng))
         if values.size == count:
             return DualFaceSample(X, Y, values, source="analytic")
 
@@ -266,7 +207,7 @@ def stationarity_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return _entries_to_coords(parts, d).reshape(-1, d * d)
 
 
-def _checked_sample_count(desc, phi, sample_count):
+def _checked_sample_count(phi, sample_count):
     """``sample_count``, by default its floor, the fewest face pairs per sample.
 
     The floor is ``q = (nm)^2 // (2(n+m) - 3) + 4`` (the divisor estimates
@@ -275,7 +216,7 @@ def _checked_sample_count(desc, phi, sample_count):
     """
     n, m = phi.dim_in, phi.dim_out
     k_min = (n * m) ** 2 // (2 * (n + m) - 3) + 4
-    if not _closed_form_face(desc):
+    if phi.face is None:
         k_min *= 3
     k = k_min if sample_count is None else operator.index(sample_count)
     if k < k_min:
@@ -283,7 +224,7 @@ def _checked_sample_count(desc, phi, sample_count):
     return k
 
 
-def _nullspace_with_diagnostics(desc, phi, k, rng):
+def _nullspace_with_diagnostics(phi, k, rng):
     """Orthonormal null-space coordinate rows ``(dim, (nm)^2)`` of two ``k``-pair samples."""
     n, m = phi.dim_in, phi.dim_out
     d = n * m
@@ -295,12 +236,12 @@ def _nullspace_with_diagnostics(desc, phi, k, rng):
     # first block's norm, so no row of the first block is decomposed twice
     r = 2 * (n + m) * k
     C = np.empty((2 * r, d * d), order="F")
-    first = dual_face_samples(desc, k, rng, phi=phi)
+    first = dual_face_samples(phi, k, rng)
     C[:r] = stationarity_rows(first.X, first.Y)
     rank1, V1, sigma_max = svd_nullspace(C[:r])
     dim1 = d * d - rank1
 
-    second = dual_face_samples(desc, k, rng, phi=phi)
+    second = dual_face_samples(phi, k, rng)
     C[r:] = stationarity_rows(second.X, second.Y)
     basis_coords = V1
     if dim1:
@@ -331,7 +272,7 @@ def _nullspace_with_diagnostics(desc, phi, k, rng):
 
 
 def double_dual_nullspace(
-    desc,
+    phi: LinearMatrixMap,
     sample_count: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[int, np.ndarray]:
@@ -347,9 +288,8 @@ def double_dual_nullspace(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    phi = build_map(desc)
-    k = _checked_sample_count(desc, phi, sample_count)
-    dim, rows, _, _ = _nullspace_with_diagnostics(desc, phi, k, rng)
+    k = _checked_sample_count(phi, sample_count)
+    dim, rows, _, _ = _nullspace_with_diagnostics(phi, k, rng)
     return dim, coords_to_hermitian(rows, phi.dim_in * phi.dim_out)
 
 
@@ -498,7 +438,7 @@ def cone_search_off_ray(
 
 
 def exposedness_report(
-    desc,
+    phi: LinearMatrixMap,
     sample_count: int | None = None,
     budget: int = 2000,
     rng: np.random.Generator | None = None,
@@ -517,8 +457,7 @@ def exposedness_report(
         raise ValueError(f"budget must be nonnegative, got {budget}")
     if rng is None:
         rng = np.random.default_rng(0)
-    phi = build_map(desc)
-    k = _checked_sample_count(desc, phi, sample_count)
+    k = _checked_sample_count(phi, sample_count)
 
     verdict_bp, bp_report = is_block_positive(phi, SeeSawConfig(), rng)
     if verdict_bp != "EVIDENCE_BP":
@@ -526,13 +465,13 @@ def exposedness_report(
             f"map has a product pair with pairing {bp_report.min_value:.6e}"
         )
 
-    dim, basis, diagnostics, samples = _nullspace_with_diagnostics(desc, phi, k, rng)
+    dim, basis, diagnostics, samples = _nullspace_with_diagnostics(phi, k, rng)
     verdict, cand, cand_report = "CERTIFIED_EXPOSED", None, None
     if dim != 1:
         verdict = "CONSISTENT_WITH_EXPOSED"
         cand = cone_search_off_ray(phi, basis, samples.X, budget, rng)
         if cand is not None:
-            ok, cand_report = _validate_counterexample(desc, phi, cand, rng)
+            ok, cand_report = _validate_counterexample(phi, cand, rng)
             if ok:
                 verdict = "NOT_EXPOSED"
                 diagnostics["counterexample_min_pairing"] = cand_report.min_value
@@ -549,7 +488,7 @@ def exposedness_report(
     )
 
 
-def _validate_counterexample(desc, phi, cand, rng):
+def _validate_counterexample(phi, cand, rng):
     """Re-check a candidate independently of the search that found it."""
     n, m = phi.dim_in, phi.dim_out
     if is_ray_proportional(cand, phi.choi):
@@ -558,13 +497,13 @@ def _validate_counterexample(desc, phi, cand, rng):
     verdict, report = is_block_positive(cand_map, SeeSawConfig(), rng)
     if verdict != "EVIDENCE_BP":
         return False, report
-    fresh = dual_face_samples(desc, max(64, 2 * n * m), rng, phi=phi)
+    fresh = dual_face_samples(phi, max(64, 2 * n * m), rng)
     residual = float(np.max(np.abs(witness_pairing(cand / frobenius(cand), fresh.X, fresh.Y))))
     return residual <= COUNTEREXAMPLE_FACE_TOL, report
 
 
 def optimality_spanning_check(
-    desc,
+    phi: LinearMatrixMap,
     sample_count: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[bool, int]:
@@ -576,12 +515,11 @@ def optimality_spanning_check(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    phi = build_map(desc)
     d = phi.dim_in * phi.dim_out
     k = 2 * d * d if sample_count is None else operator.index(sample_count)
     if k < d:
         raise ValueError(f"sample_count must be at least {d}")
-    sample = dual_face_samples(desc, k, rng, phi=phi)
+    sample = dual_face_samples(phi, k, rng)
     Z = product_vector(sample.X, sample.Y)
     span_dim, _, _ = svd_nullspace(Z)
     return span_dim == d, span_dim

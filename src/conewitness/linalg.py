@@ -99,6 +99,23 @@ def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _row_norms(V):
+    """The norm of every vector along the last axis of ``V``.
+
+    A stacked matmul runs the same BLAS dot per vector that
+    ``np.linalg.norm`` runs on one vector, so each norm equals its
+    per-vector result bitwise; ``np.linalg.norm(axis=-1)`` sums in another
+    order.
+    """
+    re, im = V.real[..., np.newaxis, :], V.imag[..., np.newaxis, :]
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
+def _unit_rows(V):
+    """``V`` with every vector along the last axis normalized, bitwise per vector."""
+    return V / _row_norms(V)[..., np.newaxis]
+
+
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random n x n unitary via QR of a Ginibre matrix.
 

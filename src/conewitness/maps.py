@@ -23,6 +23,7 @@ Conventions (used everywhere, documented only here):
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +35,19 @@ from .linalg import frobenius, hermitian_to_coords, require_hermitian
 
 @dataclass(frozen=True, eq=False)
 class LinearMatrixMap:
-    """A linear map M_n -> M_m held as its Choi matrix plus dimensions."""
+    """A linear map M_n -> M_m held as its Choi matrix plus dimensions.
+
+    ``face`` is set by the constructors of families whose dual face has a
+    closed form: ``face(count, rng)`` draws ``count`` candidate pairs
+    ``(X, Y)`` from it, one pair per row.  Every drawn pair is still checked
+    against the Choi matrix before use.  ``None`` means the face is
+    harvested numerically.
+    """
 
     dim_in: int
     dim_out: int
     choi: np.ndarray
+    face: Callable | None = None
 
     def __post_init__(self):
         n, m = self.dim_in, self.dim_out
@@ -71,12 +80,12 @@ def map_from_choi(W: np.ndarray, dim_in: int, dim_out: int) -> LinearMatrixMap:
     return LinearMatrixMap(dim_in, dim_out, np.asarray(W, dtype=complex))
 
 
-def choi_from_apply(fn, dim_in: int, dim_out: int) -> LinearMatrixMap:
+def choi_from_apply(fn, dim_in: int, dim_out: int, face=None) -> LinearMatrixMap:
     """Build a map from its action on matrix units.
 
     ``fn`` receives each ``e_ij`` (as an ``n x n`` array) and must return the
     ``m x m`` image.  This is how every catalog constructor evaluates its
-    defining formula.
+    defining formula; ``face`` is passed through to the map.
     """
     n, m = dim_in, dim_out
     T = np.zeros((n, m, n, m), dtype=complex)
@@ -85,7 +94,7 @@ def choi_from_apply(fn, dim_in: int, dim_out: int) -> LinearMatrixMap:
             unit = np.zeros((n, n), dtype=complex)
             unit[i, j] = 1.0
             T[i, :, j, :] = np.asarray(fn(unit), dtype=complex)
-    return LinearMatrixMap(n, m, T.reshape(n * m, n * m))
+    return LinearMatrixMap(n, m, T.reshape(n * m, n * m), face)
 
 
 def apply(phi: LinearMatrixMap, X: np.ndarray) -> np.ndarray:

@@ -117,6 +117,9 @@ def seesaw_endpoints(
     R = operator.index(config.restarts)
     if R < 1:
         raise ValueError("need at least one restart")
+    iters = operator.index(config.max_iters)
+    if iters < 1:
+        raise ValueError("need at least one iteration")
     T = phi.choi.reshape(n, m, n, m)
     scale = max(1.0, frobenius(phi.choi))
 
@@ -126,7 +129,7 @@ def seesaw_endpoints(
     vals = prev
     iters_done = 0
     converged = False
-    for it in range(1, config.max_iters + 1):
+    for it in range(1, iters + 1):
         X, Y, vals = _sweep(T, X, Y)
         iters_done = it
         if config.stop_below is not None and vals.min() < config.stop_below:

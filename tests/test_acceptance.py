@@ -13,13 +13,8 @@ import pytest
 
 from conewitness import cli
 from conewitness.catalog import (
-    BreuerHall,
-    Reduction,
-    Robertson,
-    Transposition,
     ad_map,
     breuer_hall,
-    build_map,
     choi_family,
     choi_family_is_positive,
     co_ad_map,
@@ -181,14 +176,14 @@ def test_criterion_5_robertson_equality():
           f"entrywise {diff:.2e}")
 
 
-def _validated_not_exposed(desc, n, seed):
-    rep = exposedness_report(desc, rng=np.random.default_rng(seed))
+def _validated_not_exposed(phi, n, seed):
+    rep = exposedness_report(phi, rng=np.random.default_rng(seed))
     if rep.verdict != "NOT_EXPOSED" or rep.counterexample is None:
         return False
     W_prime = rep.counterexample
-    if is_ray_proportional(W_prime, choi_of(build_map(desc))):
+    if is_ray_proportional(W_prime, choi_of(phi)):
         return False
-    sample = dual_face_samples(desc, 64, np.random.default_rng(seed + 1))
+    sample = dual_face_samples(phi, 64, np.random.default_rng(seed + 1))
     # one value row per pair: the coordinates of the projector onto its product vector
     Z = product_vector(sample.X, sample.Y)
     C = hermitian_to_coords(Z[:, :, np.newaxis] * Z.conj()[:, np.newaxis, :])
@@ -206,23 +201,23 @@ def test_criterion_6_exposedness_verdicts():
     ok = True
     notes = []
     for n, seed in ((3, 61), (4, 62)):
-        if not _validated_not_exposed(Reduction(n=n), n, seed):
+        if not _validated_not_exposed(reduction(n), n, seed):
             ok = False
             notes.append(f"reduction {n} not refuted")
-    for desc, label in ((Reduction(n=2), "reduction 2"), (Transposition(n=2), "transpose 2"),
-                        (Transposition(n=3), "transpose 3")):
-        rep = exposedness_report(desc, rng=np.random.default_rng(63))
+    for phi, label in ((reduction(2), "reduction 2"), (transposition(2), "transpose 2"),
+                       (transposition(3), "transpose 3")):
+        rep = exposedness_report(phi, rng=np.random.default_rng(63))
         if rep.verdict == "NOT_EXPOSED":
             ok = False
             notes.append(f"{label} wrongly refuted")
     rng = np.random.default_rng(64)
-    hall_descs = [BreuerHall(U=random_antisymmetric_unitary(4, rng)) for _ in range(5)]
+    hall = [(breuer_hall(random_antisymmetric_unitary(4, rng)), f"BH4 #{i}") for i in range(5)]
     for seed in (0, 1, 2):
-        for desc in hall_descs + [Robertson()]:
-            rep = exposedness_report(desc, budget=2000, rng=np.random.default_rng(seed))
+        for phi, label in hall + [(robertson(), "Robertson")]:
+            rep = exposedness_report(phi, budget=2000, rng=np.random.default_rng(seed))
             if rep.verdict == "NOT_EXPOSED":
                 ok = False
-                notes.append(f"{desc} wrongly refuted at seed {seed}")
+                notes.append(f"{label} wrongly refuted at seed {seed}")
     judge(6, "exposedness verdicts across the catalog", ok, "; ".join(notes) or "all as expected")
 
 
@@ -230,10 +225,10 @@ def test_criterion_7_optimality_spanning():
     ok = True
     details = []
     rng_seed = 7
-    for desc in (Reduction(n=2), Reduction(n=3),
-                 BreuerHall(U=random_antisymmetric_unitary(4, np.random.default_rng(70))),
-                 Robertson()):
-        spans, span_dim = optimality_spanning_check(desc, rng=np.random.default_rng(rng_seed))
+    for phi in (reduction(2), reduction(3),
+                breuer_hall(random_antisymmetric_unitary(4, np.random.default_rng(70))),
+                robertson()):
+        spans, span_dim = optimality_spanning_check(phi, rng=np.random.default_rng(rng_seed))
         ok = ok and spans
         details.append(str(span_dim))
     judge(7, "product zeros span the input space for R2, R3, the 4-dim pair", ok,

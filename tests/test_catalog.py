@@ -1,22 +1,15 @@
 """Catalog constructors and their analytic predicates."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from conewitness.catalog import (
     SIGMA_Y,
-    Ad,
-    BreuerHall,
-    ChoiFamily,
-    CoAd,
-    FromChoi,
-    Reduction,
-    Robertson,
-    Transposition,
     ad_map,
     antisym_basis,
     breuer_hall,
-    build_map,
     choi_family,
     choi_family_boundary_margin,
     choi_family_is_indecomposable,
@@ -36,8 +29,19 @@ from conewitness.errors import (
     NotUnitary,
     OddDimension,
 )
+from conewitness.config import ZERO_TOL
+from conewitness.exposedness import dual_face_samples
 from conewitness.linalg import frobenius, random_unitary
-from conewitness.maps import apply, choi_from_apply, choi_of
+from conewitness.maps import (
+    LinearMatrixMap,
+    apply,
+    choi_from_apply,
+    choi_of,
+    compose_with_transpose,
+    map_from_choi,
+    ray_representative,
+    witness_pairing,
+)
 
 
 def unit(i, j, n):
@@ -224,22 +228,41 @@ def test_constructor_self_consistency():
         assert frobenius(choi_of(rebuilt) - choi_of(phi)) < 1e-12
 
 
-def test_build_map_dispatch():
+def test_closed_form_maps_carry_their_face():
     rng = np.random.default_rng(7)
     U = random_antisymmetric_unitary(4, rng)
     V = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    W = choi_of(reduction(2))
-    pairs = [
-        (Transposition(n=3), transposition(3)),
-        (Reduction(n=3), reduction(3)),
-        (ChoiFamily(a=1.0, b=1.0, c=0.0), choi_family(1.0, 1.0, 0.0)),
-        (BreuerHall(U=U), breuer_hall(U)),
-        (Robertson(), robertson()),
-        (Ad(V=V), ad_map(V)),
-        (CoAd(V=V), co_ad_map(V)),
-        (FromChoi(W=W, dim_in=2, dim_out=2), reduction(2)),
-    ]
-    for desc, expected in pairs:
-        assert frobenius(choi_of(build_map(desc)) - choi_of(expected)) < 1e-12
-    with pytest.raises(TypeError):
-        build_map("reduction")
+    for phi in (transposition(3), reduction(3), breuer_hall(U), robertson()):
+        assert phi.face is not None
+        X, Y = phi.face(20, np.random.default_rng(0))
+        assert X.shape == (20, phi.dim_in) and Y.shape == (20, phi.dim_out)
+        values = witness_pairing(ray_representative(phi.choi), X, Y)
+        assert np.max(np.abs(values)) <= ZERO_TOL
+        # the face is a partial of a module-level draw, so the map pickles
+        X2, Y2 = pickle.loads(pickle.dumps(phi)).face(20, np.random.default_rng(0))
+        assert np.array_equal(X, X2) and np.array_equal(Y, Y2)
+
+    R = reduction(3)
+    for phi in (
+        choi_family(1.0, 1.0, 0.0),
+        ad_map(V),
+        co_ad_map(V),
+        map_from_choi(choi_of(robertson()), 4, 4),
+        compose_with_transpose(R),
+        R + transposition(3),
+        2.0 * R,
+    ):
+        assert phi.face is None
+
+    # a wrong face cannot reach a sample: its pairs fail the pairing check
+    # and the numeric harvest fills the whole sample
+    e = np.eye(3, dtype=complex)
+
+    def off_face(count, rng):
+        return np.tile(e[0], (count, 1)), np.tile(e[1], (count, 1))
+
+    wrong = LinearMatrixMap(3, 3, choi_of(R), face=off_face)
+    sample = dual_face_samples(wrong, 20, np.random.default_rng(0))
+    assert sample.source == "numeric"
+    assert sample.X.shape == (20, 3) and sample.Y.shape == (20, 3)
+    assert np.max(np.abs(witness_pairing(ray_representative(R.choi), sample.X, sample.Y))) <= ZERO_TOL

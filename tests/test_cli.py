@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from conewitness import cli
-from conewitness.catalog import reduction, robertson_unitary, transposition
+from conewitness.catalog import (
+    ad_map,
+    breuer_hall,
+    co_ad_map,
+    random_antisymmetric_unitary,
+    reduction,
+    robertson_unitary,
+    transposition,
+)
 from conewitness.maps import choi_of
 from conewitness.positivity import SeeSawConfig
 
@@ -27,6 +35,21 @@ def write_choi(tmp_path, W, name="w.json"):
     path = tmp_path / name
     path.write_text(cli.canonical_json(cli.matrix_to_obj(W)))
     return str(path)
+
+
+# the matrix-file targets: a Haar antisymmetric unitary for breuer-hall, and V for ad and co-ad
+BH4_U = random_antisymmetric_unitary(4, np.random.default_rng(1234))
+AD_V = np.array([[1.0, 2.0j], [0.5, -1.0]])
+
+
+def file_targets(tmp_path):
+    """(argv, map) for the catalog targets built from a matrix file."""
+    u, v = write_choi(tmp_path, BH4_U, "u.json"), write_choi(tmp_path, AD_V, "v.json")
+    return (
+        (["breuer-hall", "--u", u], breuer_hall(BH4_U)),
+        (["ad", "--v", v], ad_map(AD_V)),
+        (["co-ad", "--v", v], co_ad_map(AD_V)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +119,10 @@ def test_catalog_writes_choi_matrix(tmp_path):
     assert doc["rows"] == doc["cols"] == 4
     W = cli.matrix_from_obj(doc)
     assert np.allclose(W, choi_of(transposition(2)))
+    for target, phi in file_targets(tmp_path):
+        code, doc, _ = run(["catalog", *target], tmp_path)
+        assert code == 0
+        assert np.array_equal(cli.matrix_from_obj(doc), choi_of(phi))
 
 
 def test_catalog_stdout_default(capsys):
@@ -243,6 +270,10 @@ def test_exposedness_catalog_target(tmp_path):
     assert doc["nullspace_dim"] == 1
     assert doc["counterexample"] is None
     assert doc["diagnostics"]["dim_at_k"] == 1
+    for target, _ in file_targets(tmp_path):
+        code, doc, _ = run(["exposedness", *target, "--seed", "0"], tmp_path)
+        assert code == 0
+        assert doc["verdict"] == "CERTIFIED_EXPOSED" and doc["nullspace_dim"] == 1
 
 
 def test_exposedness_counterexample_embeds_report(tmp_path):
@@ -369,9 +400,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         argv = ["verify", "--suite", "bh-structure", "--trials", "1", "--u", str(u), "--dim", dim]
         assert cli.main(argv) == 2
         assert capsys.readouterr().out == ""
-    # a flag the chosen suite does not read is refused, not echoed as checked
+    # a flag the chosen suite does not read, or a size it does not check, is
+    # refused, not echoed as checked
     for argv, message in (
         (["--suite", "robertson-equality", "--dim", "6"], "is a check on M_4"),
+        (["--suite", "lemma1", "--dim", "3"], "lemma1 needs an even dimension"),
         (["--suite", "lemma1", "--u", str(tmp_path / "missing.json")], "--u applies only"),
         (["--suite", "robertson-equality", "--u", str(u)], "--u applies only"),
         (["--suite", "robertson-equality", "--trials", "3"], "--trials applies only"),

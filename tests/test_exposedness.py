@@ -6,19 +6,15 @@ import numpy as np
 import pytest
 
 from conewitness.catalog import (
-    BreuerHall,
-    ChoiFamily,
-    FromChoi,
-    Reduction,
-    Robertson,
     SIGMA_Y,
-    Transposition,
-    build_map,
+    breuer_hall,
+    choi_family,
     co_ad_map,
     random_antisymmetric_unitary,
     reduction,
     robertson,
     robertson_unitary,
+    transposition,
 )
 from conewitness.config import ANTISYM_ATOL, ZERO_TOL
 from conewitness.errors import (
@@ -48,8 +44,9 @@ from conewitness.maps import (
     witness_pairing,
 )
 from conewitness.positivity import SeeSawConfig, is_block_positive
-from conewitness import exposedness
+from conewitness import cli, exposedness
 from conewitness.exposedness import (
+    DualFaceSample,
     cone_search_off_ray,
     double_dual_nullspace,
     dual_face_samples,
@@ -71,7 +68,7 @@ def random_hermitian(d, rng):
 
 
 def test_transposition_face_pairs():
-    sample = dual_face_samples(Transposition(n=3), 100, np.random.default_rng(0))
+    sample = dual_face_samples(transposition(3), 100, np.random.default_rng(0))
     assert sample.source == "analytic"
     assert len(sample.pairs) == 100
     for pair in sample.pairs:
@@ -81,7 +78,7 @@ def test_transposition_face_pairs():
 
 
 def test_reduction_face_pairs_are_diagonal():
-    sample = dual_face_samples(Reduction(n=3), 50, np.random.default_rng(1))
+    sample = dual_face_samples(reduction(3), 50, np.random.default_rng(1))
     assert len(sample.pairs) == 50
     for pair in sample.pairs:
         assert abs(abs(np.vdot(pair.x, pair.y)) - 1.0) < 1e-10
@@ -91,7 +88,7 @@ def test_reduction_face_pairs_are_diagonal():
 def test_breuer_hall_face_pairs_hit_both_circles():
     rng = np.random.default_rng(2)
     U = random_antisymmetric_unitary(4, rng)
-    sample = dual_face_samples(BreuerHall(U=U), 40, rng)
+    sample = dual_face_samples(breuer_hall(U), 40, rng)
     saw_x, saw_ux = False, False
     for pair in sample.pairs:
         overlap_x = abs(np.vdot(pair.y, pair.x))
@@ -117,16 +114,16 @@ def _assert_rows_are_pairs(sample, k, n, m):
 def test_analytic_face_pairs_match_per_pair_reference(monkeypatch):
     """The batched sampler keeps the per-pair RNG order and bits; a rejected row is dropped."""
 
-    def per_pair(desc, U, count, n, rng):
-        W_hat = ray_representative(choi_of(build_map(desc)))
+    def per_pair(phi, kind, U, count, n, rng):
+        W_hat = ray_representative(choi_of(phi))
         pairs = []
         for i in range(count):
             x = random_unit_vector(n, rng)
-            if isinstance(desc, Transposition):
+            if kind == "transposition":
                 y = random_unit_vector(n, rng)
                 y = y - x.conj() * (x @ y)
                 y = y / np.linalg.norm(y)
-            elif isinstance(desc, Reduction) or i % 2 == 0:
+            elif kind == "reduction" or i % 2 == 0:
                 y = x
             else:
                 y = U @ x.conj()
@@ -136,16 +133,16 @@ def test_analytic_face_pairs_match_per_pair_reference(monkeypatch):
 
     U = random_antisymmetric_unitary(4, np.random.default_rng(8))
     cases = [
-        (Transposition(n=3), None, 3),
-        (Reduction(n=4), None, 4),
-        (Robertson(), robertson_unitary(), 4),
-        (BreuerHall(U=U), U, 4),
+        (transposition(3), "transposition", None, 3),
+        (reduction(4), "reduction", None, 4),
+        (robertson(), "breuer-hall", robertson_unitary(), 4),
+        (breuer_hall(U), "breuer-hall", U, 4),
     ]
-    for desc, U_desc, n in cases:
-        sample = dual_face_samples(desc, 60, np.random.default_rng(9))
+    for phi, kind, U_face, n in cases:
+        sample = dual_face_samples(phi, 60, np.random.default_rng(9))
         assert sample.source == "analytic"
         _assert_rows_are_pairs(sample, 60, n, n)
-        want = per_pair(desc, U_desc, 60, n, np.random.default_rng(9))
+        want = per_pair(phi, kind, U_face, 60, n, np.random.default_rng(9))
         for pair, (x, y) in zip(sample.pairs, want):
             assert np.array_equal(pair.x, x) and np.array_equal(pair.y, y)
 
@@ -161,16 +158,16 @@ def test_analytic_face_pairs_match_per_pair_reference(monkeypatch):
         return values
 
     monkeypatch.setattr(exposedness, "witness_pairing", reject_row_5_once)
-    for desc, U_desc, n in cases[:3]:
+    for phi, kind, U_face, n in cases[:3]:
         calls = []
-        sample = dual_face_samples(desc, 60, np.random.default_rng(9))
+        sample = dual_face_samples(phi, 60, np.random.default_rng(9))
         assert sample.source == "numeric" and calls[0] == 60 and len(calls) > 1
         _assert_rows_are_pairs(sample, 60, n, n)
-        want = per_pair(desc, U_desc, 60, n, np.random.default_rng(9))
+        want = per_pair(phi, kind, U_face, 60, n, np.random.default_rng(9))
         kept = want[:5] + want[6:]
         for x, y, (x_want, y_want) in zip(sample.X, sample.Y, kept):
             assert np.array_equal(x, x_want) and np.array_equal(y, y_want)
-        W_hat = ray_representative(choi_of(build_map(desc)))
+        W_hat = ray_representative(choi_of(phi))
         assert abs(pairing(W_hat, sample.X[59], sample.Y[59])) <= ZERO_TOL
 
 
@@ -188,14 +185,14 @@ def test_breuer_hall_face_accepts_u_inside_antisymmetry_bound():
     slope = frobenius(rotated(1e-6) + rotated(1e-6).T) / 1e-6
     U = rotated(0.45 * ANTISYM_ATOL / slope)
     assert 0.1 * ANTISYM_ATOL < frobenius(U + U.T) <= ANTISYM_ATOL
-    sample = dual_face_samples(BreuerHall(U=U), 200, np.random.default_rng(13))
+    sample = dual_face_samples(breuer_hall(U), 200, np.random.default_rng(13))
     assert sample.source == "analytic"
     assert sample.values.shape == (200,) and np.max(np.abs(sample.values)) <= ZERO_TOL
 
 
 def test_numeric_harvest_for_plain_choi_input():
-    W = choi_of(co_ad_map(np.eye(3)))  # transposition, but hidden from dispatch
-    sample = dual_face_samples(FromChoi(W=W, dim_in=3, dim_out=3), 30, np.random.default_rng(3))
+    W = choi_of(co_ad_map(np.eye(3)))  # transposition, but built with no closed-form face
+    sample = dual_face_samples(map_from_choi(W, 3, 3), 30, np.random.default_rng(3))
     assert sample.source == "numeric"
     _assert_rows_are_pairs(sample, 30, 3, 3)
     W_hat = ray_representative(W)
@@ -206,12 +203,12 @@ def test_numeric_harvest_for_plain_choi_input():
 def test_interior_choi_has_no_zeros():
     # phi(X) = Tr(X) I has pairing 1 on every product pair
     with pytest.raises(InsufficientZeros):
-        dual_face_samples(FromChoi(W=np.eye(4), dim_in=2, dim_out=2), 5, np.random.default_rng(4))
+        dual_face_samples(map_from_choi(np.eye(4), 2, 2), 5, np.random.default_rng(4))
     # M_1 has no transposition face to draw from, and no zeros to harvest
     with pytest.raises(InsufficientZeros):
-        dual_face_samples(Transposition(n=1), 3, np.random.default_rng(4))
+        dual_face_samples(transposition(1), 3, np.random.default_rng(4))
     with pytest.raises(ValueError):
-        dual_face_samples(Reduction(n=3), 0)
+        dual_face_samples(reduction(3), 0)
 
 
 def test_degenerate_transposition_draw_is_dropped():
@@ -231,7 +228,7 @@ def test_degenerate_transposition_draw_is_dropped():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sample = dual_face_samples(Transposition(n=3), 20, DegenerateRow2())
+        sample = dual_face_samples(transposition(3), 20, DegenerateRow2())
     assert sample.source == "numeric"
     _assert_rows_are_pairs(sample, 20, 3, 3)
     assert np.all(np.isfinite(sample.X)) and np.all(np.isfinite(sample.Y))
@@ -244,7 +241,7 @@ def test_degenerate_transposition_draw_is_dropped():
 
 def test_value_rows_equal_witness_pairing():
     rng = np.random.default_rng(5)
-    sample = dual_face_samples(Reduction(n=3), 20, rng)
+    sample = dual_face_samples(reduction(3), 20, rng)
     C = _per_pair_rows(sample.X, sample.Y)[0]
     assert C.shape == (20, 81)
 
@@ -261,18 +258,15 @@ def test_value_rows_equal_witness_pairing():
 
     # the sampled map itself sits on the face
     w_coords = hermitian_to_coords(ray_representative(choi_of(co_ad_map(np.eye(3)))))
-    sample_tau = dual_face_samples(Transposition(n=3), 20, rng)
+    sample_tau = dual_face_samples(transposition(3), 20, rng)
     C_tau = _per_pair_rows(sample_tau.X, sample_tau.Y)[0]
     assert np.max(np.abs(C_tau @ w_coords)) < 1e-9
 
 
 def test_stationarity_rows_annihilate_the_map():
     rng = np.random.default_rng(6)
-    for desc in (Transposition(n=2), Reduction(n=3), Robertson()):
-        sample = dual_face_samples(desc, 10, rng)
-        from conewitness.catalog import build_map
-
-        phi = build_map(desc)
+    for phi in (transposition(2), reduction(3), robertson()):
+        sample = dual_face_samples(phi, 10, rng)
         n, m = phi.dim_in, phi.dim_out
         S = stationarity_rows(sample.X, sample.Y)
         assert S.shape == (2 * 10 * (n + m), (n * m) ** 2)
@@ -304,12 +298,12 @@ def _per_pair_rows(X, Y):
 def test_constraint_rows_match_per_pair_reference():
     rng = np.random.default_rng(7)
     U = random_antisymmetric_unitary(4, rng)
-    W = choi_of(co_ad_map(np.eye(3)))  # transposition, but hidden from dispatch
-    for desc, n, m, source in (
-        (BreuerHall(U=U), 4, 4, "analytic"),
-        (FromChoi(W=W, dim_in=3, dim_out=3), 3, 3, "numeric"),
+    W = choi_of(co_ad_map(np.eye(3)))  # transposition, but built with no closed-form face
+    for phi, n, m, source in (
+        (breuer_hall(U), 4, 4, "analytic"),
+        (map_from_choi(W, 3, 3), 3, 3, "numeric"),
     ):
-        sample = dual_face_samples(desc, 12, rng)
+        sample = dual_face_samples(phi, 12, rng)
         assert sample.source == source
         assert sample.X.shape == (12, n) and sample.Y.shape == (12, m)
         want_stat = _per_pair_rows(sample.X, sample.Y)[1]
@@ -321,16 +315,16 @@ def test_constraint_rows_match_per_pair_reference():
 
 
 def test_nullspace_dims_small_catalog():
-    dim, basis = double_dual_nullspace(Transposition(n=2), rng=np.random.default_rng(7))
+    dim, basis = double_dual_nullspace(transposition(2), rng=np.random.default_rng(7))
     assert dim == 1
     assert basis.shape == (1, 4, 4)
-    dim, _ = double_dual_nullspace(Reduction(n=2), rng=np.random.default_rng(8))
+    dim, _ = double_dual_nullspace(reduction(2), rng=np.random.default_rng(8))
     assert dim == 1
 
 
 def test_nullspace_dim_reduction3_is_coad_span():
     rng = np.random.default_rng(9)
-    dim, basis = double_dual_nullspace(Reduction(n=3), rng=rng)
+    dim, basis = double_dual_nullspace(reduction(3), rng=rng)
     assert dim == 9
     # every co-ad of an antisymmetric matrix satisfies the face constraints
     K = hermitian_to_coords(basis)
@@ -348,7 +342,7 @@ def test_nullspace_dim_reduction3_is_coad_span():
 
 def test_nullspace_rejects_undersampling(monkeypatch):
     with pytest.raises(ValueError):
-        double_dual_nullspace(Transposition(n=2), sample_count=6)
+        double_dual_nullspace(transposition(2), sample_count=6)
 
     # the report refuses an undersized sample before its see-saw runs
     def no_seesaw(*args, **kwargs):
@@ -356,26 +350,26 @@ def test_nullspace_rejects_undersampling(monkeypatch):
 
     monkeypatch.setattr(exposedness, "is_block_positive", no_seesaw)
     with pytest.raises(ValueError, match=r"sample_count must be at least 23$"):
-        exposedness_report(Reduction(n=4), sample_count=10)
+        exposedness_report(reduction(4), sample_count=10)
 
 
 def test_nullspace_basis_bits_match_stacked_c_order_blocks():
     """One column-major system gives the bits of C-order blocks, the second ranked inside the first."""
     U = random_antisymmetric_unitary(4, np.random.default_rng(3))
-    for desc, n in ((Robertson(), 4), (BreuerHall(U=U), 4), (Reduction(n=3), 3)):
+    for phi, n in ((robertson(), 4), (breuer_hall(U), 4), (reduction(3), 3)):
         d = n * n
         k = d * d // (4 * n - 3) + 4  # face pairs per block
         rng = np.random.default_rng(11)
         blocks = []
         for _ in range(2):
-            sample = dual_face_samples(desc, k, rng)
+            sample = dual_face_samples(phi, k, rng)
             blocks.append(_per_pair_rows(sample.X, sample.Y)[1])
         rank1, V1, sigma_max = svd_nullspace(blocks[0])
         # a product's bits follow its operands' layout, and the library's
         # second block is a row slice of its column-major system
         C2_V1 = np.asfortranarray(blocks[1]) @ V1
         _, V2, _ = svd_nullspace(C2_V1, scale=sigma_max)
-        dim, basis = double_dual_nullspace(desc, rng=np.random.default_rng(11))
+        dim, basis = double_dual_nullspace(phi, rng=np.random.default_rng(11))
         assert dim == V2.shape[1] <= d * d - rank1
         assert np.array_equal(basis, coords_to_hermitian((V1 @ V2).T, d))
 
@@ -384,21 +378,20 @@ def test_nullspace_basis_bits_match_stacked_c_order_blocks():
 def test_projected_nullspace_spans_stacked_nullspace(seed):
     """Ranking the second block inside the first block's null space finds the stacked system's."""
     U = random_antisymmetric_unitary(4, np.random.default_rng(1234))
-    for desc in (
-        Robertson(),
-        Reduction(n=3),
-        Reduction(n=4),
-        Transposition(n=3),
-        BreuerHall(U=U),
-        ChoiFamily(a=1.0, b=0.0, c=1.0),
+    for phi in (
+        robertson(),
+        reduction(3),
+        reduction(4),
+        transposition(3),
+        breuer_hall(U),
+        choi_family(1.0, 0.0, 1.0),
     ):
-        phi = build_map(desc)
-        k = exposedness._checked_sample_count(desc, phi, None)
+        k = exposedness._checked_sample_count(phi, None)
         rng = np.random.default_rng(seed)
-        samples = [dual_face_samples(desc, k, rng, phi=phi) for _ in range(2)]
+        samples = [dual_face_samples(phi, k, rng) for _ in range(2)]
         C = np.vstack([stationarity_rows(s.X, s.Y) for s in samples])
         rank, B_old, _ = svd_nullspace(C)
-        dim, basis = double_dual_nullspace(desc, rng=np.random.default_rng(seed))
+        dim, basis = double_dual_nullspace(phi, rng=np.random.default_rng(seed))
         B_new = hermitian_to_coords(basis).T
         assert dim == B_old.shape[1] == C.shape[1] - rank
         assert np.linalg.norm(B_new - B_old @ (B_old.T @ B_new), 2) <= 1e-10
@@ -420,14 +413,42 @@ def test_full_rank_first_block_is_refused_without_a_second_decomposition(monkeyp
 
     monkeypatch.setattr(exposedness, "svd_nullspace", counting_rank)
     with pytest.raises(UnstableDimension, match="excludes the map's own Choi"):
-        double_dual_nullspace(Reduction(n=3), rng=np.random.default_rng(0))
+        double_dual_nullspace(reduction(3), rng=np.random.default_rng(0))
     assert shapes == [(2 * 6 * 13, 81)]
+
+
+def test_nullspace_dimension_change_is_refused(monkeypatch, capsys):
+    """A second sample off the face leaves no null space; the report refuses, the CLI exits 2."""
+    sample_face = exposedness.dual_face_samples
+
+    def second_sample_off_face(phi, count, rng=None):
+        sample = sample_face(phi, count, rng)
+        calls.append(count)
+        if len(calls) != 2:
+            return sample
+        noise = noise_rng.standard_normal((count, 2, phi.dim_out))
+        Y = noise[:, 0] + 1j * noise[:, 1]
+        Y = fix_phase(Y / np.linalg.norm(Y, axis=1, keepdims=True))
+        return DualFaceSample(sample.X, Y, sample.values, sample.source)
+
+    message = "nullspace dim 9 at 13 samples vs 0 at 26"
+    monkeypatch.setattr(exposedness, "dual_face_samples", second_sample_off_face)
+    calls, noise_rng = [], np.random.default_rng(0)
+    with pytest.raises(UnstableDimension, match=f"^{message}$"):
+        exposedness_report(reduction(3), rng=np.random.default_rng(0))
+    assert calls == [13, 13]
+
+    calls, noise_rng = [], np.random.default_rng(0)
+    capsys.readouterr()
+    assert cli.main(["exposedness", "reduction", "--n", "3", "--seed", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_constraint_monotonicity():
     """Adding pairs never grows the null space."""
     rng = np.random.default_rng(10)
-    sample = dual_face_samples(Transposition(n=2), 64, rng)
+    sample = dual_face_samples(transposition(2), 64, rng)
     C_half = _per_pair_rows(sample.X[:32], sample.Y[:32])[0]
     C_full = _per_pair_rows(sample.X, sample.Y)[0]
     rank_half, _, _ = svd_nullspace(C_half)
@@ -441,12 +462,9 @@ def test_constraint_monotonicity():
 
 def test_cone_search_finds_reduction3_counterexample():
     rng = np.random.default_rng(11)
-    phi_desc = Reduction(n=3)
-    from conewitness.catalog import build_map
-
-    phi = build_map(phi_desc)
-    dim, basis = double_dual_nullspace(phi_desc, rng=rng)
-    face_x = dual_face_samples(phi_desc, 162, rng).X
+    phi = reduction(3)
+    dim, basis = double_dual_nullspace(phi, rng=rng)
+    face_x = dual_face_samples(phi, 162, rng).X
     cand = cone_search_off_ray(phi, hermitian_to_coords(basis), face_x, budget=2000, rng=rng)
     assert cand is not None
     assert not is_ray_proportional(cand, choi_of(phi))
@@ -456,23 +474,21 @@ def test_cone_search_finds_reduction3_counterexample():
 
 def test_cone_search_trivial_when_dim_one():
     rng = np.random.default_rng(12)
-    from conewitness.catalog import build_map
 
-    phi = build_map(Reduction(n=2))
-    dim, basis = double_dual_nullspace(Reduction(n=2), rng=rng)
-    face_x = dual_face_samples(Reduction(n=2), 32, rng).X
+    phi = reduction(2)
+    dim, basis = double_dual_nullspace(reduction(2), rng=rng)
+    face_x = dual_face_samples(reduction(2), 32, rng).X
     rows = hermitian_to_coords(basis)
     assert cone_search_off_ray(phi, rows, face_x, budget=100, rng=rng) is None
 
 
 def test_probe_pairings_equal_witness_pairing_per_basis_element():
     """The value-row pairings equal W's pairing with each basis element at each probe."""
-    desc = Reduction(n=4)
-    phi = build_map(desc)
+    phi = reduction(4)
     rng = np.random.default_rng(5)
-    dim, basis = double_dual_nullspace(desc, rng=rng)
+    dim, basis = double_dual_nullspace(phi, rng=rng)
     rows = hermitian_to_coords(basis)
-    face_x = dual_face_samples(desc, 60, rng).X
+    face_x = dual_face_samples(phi, 60, rng).X
     Z = exposedness._probe_vectors(phi, face_x, rng)
     # each probe is a product vector conj(x) (x) y: its 4 x 4 reshape has rank one
     u, s, vh = np.linalg.svd(Z.reshape(-1, 4, 4))
@@ -494,9 +510,9 @@ def test_report_searches_the_rows_double_dual_nullspace_converts(monkeypatch):
     nullspace = exposedness._nullspace_with_diagnostics
     search = exposedness.cone_search_off_ray
 
-    def recording_nullspace(desc, phi, k, rng):
+    def recording_nullspace(phi, k, rng):
         seen["state"] = rng.bit_generator.state
-        return nullspace(desc, phi, k, rng)
+        return nullspace(phi, k, rng)
 
     def recording_search(phi, basis, *args):
         seen["rows"] = basis
@@ -504,42 +520,40 @@ def test_report_searches_the_rows_double_dual_nullspace_converts(monkeypatch):
 
     monkeypatch.setattr(exposedness, "_nullspace_with_diagnostics", recording_nullspace)
     monkeypatch.setattr(exposedness, "cone_search_off_ray", recording_search)
-    rep = exposedness_report(Reduction(n=3), rng=np.random.default_rng(3))
+    rep = exposedness_report(reduction(3), rng=np.random.default_rng(3))
     rng = np.random.default_rng()
     rng.bit_generator.state = seen["state"]
-    dim, basis = double_dual_nullspace(Reduction(n=3), rng=rng)
+    dim, basis = double_dual_nullspace(reduction(3), rng=rng)
     assert seen["rows"].shape == (dim, 81) and rep.nullspace_dim == dim
     assert np.array_equal(basis, coords_to_hermitian(seen["rows"], 9))
 
 
 def test_cone_search_refuses_hermitian_basis():
-    phi = build_map(Reduction(n=3))
-    dim, basis = double_dual_nullspace(Reduction(n=3), rng=np.random.default_rng(4))
-    face_x = dual_face_samples(Reduction(n=3), 13, np.random.default_rng(4)).X
+    phi = reduction(3)
+    dim, basis = double_dual_nullspace(reduction(3), rng=np.random.default_rng(4))
+    face_x = dual_face_samples(reduction(3), 13, np.random.default_rng(4)).X
     for bad in (basis, basis[:1], hermitian_to_coords(basis)[:, :80]):
         with pytest.raises(DimensionMismatch, match="is not rows"):
             cone_search_off_ray(phi, bad, face_x, budget=10, rng=np.random.default_rng(4))
 
 
 def test_exposedness_verdicts():
-    rep = exposedness_report(Reduction(n=2), rng=np.random.default_rng(13))
+    rep = exposedness_report(reduction(2), rng=np.random.default_rng(13))
     assert rep.verdict == "CERTIFIED_EXPOSED"
     assert rep.nullspace_dim == 1
     assert rep.counterexample is None
 
-    rep = exposedness_report(Transposition(n=2), rng=np.random.default_rng(14))
+    rep = exposedness_report(transposition(2), rng=np.random.default_rng(14))
     assert rep.verdict != "NOT_EXPOSED"
 
-    rep = exposedness_report(Reduction(n=3), rng=np.random.default_rng(15))
+    rep = exposedness_report(reduction(3), rng=np.random.default_rng(15))
     assert rep.verdict == "NOT_EXPOSED"
     assert rep.nullspace_dim == 9
     W_prime = rep.counterexample
     assert W_prime is not None
     # re-validate the counterexample from scratch
-    from conewitness.catalog import reduction
-
     assert not is_ray_proportional(W_prime, choi_of(reduction(3)))
-    fresh = dual_face_samples(Reduction(n=3), 64, np.random.default_rng(16))
+    fresh = dual_face_samples(reduction(3), 64, np.random.default_rng(16))
     C = _per_pair_rows(fresh.X, fresh.Y)[0]
     coords = hermitian_to_coords(W_prime)
     coords = coords / np.linalg.norm(coords)
@@ -551,7 +565,7 @@ def test_exposedness_verdicts():
 
 
 def test_rejected_candidate_leaves_no_counterexample(monkeypatch):
-    # the search finds a candidate on Reduction(3) at this seed (see
+    # the search finds a candidate on reduction(3) at this seed (see
     # test_exposedness_verdicts); a failed re-validation must withhold it
     # and the certifier report that came with it
     validate = exposedness._validate_counterexample
@@ -562,7 +576,7 @@ def test_rejected_candidate_leaves_no_counterexample(monkeypatch):
         return False, report
 
     monkeypatch.setattr(exposedness, "_validate_counterexample", reject)
-    rep = exposedness_report(Reduction(n=3), rng=np.random.default_rng(15))
+    rep = exposedness_report(reduction(3), rng=np.random.default_rng(15))
     assert rep.verdict == "CONSISTENT_WITH_EXPOSED"
     assert rep.counterexample is None
     assert rep.counterexample_report is None
@@ -572,27 +586,27 @@ def test_rejected_candidate_leaves_no_counterexample(monkeypatch):
 def test_exposedness_breuer_hall_and_robertson_not_refuted():
     rng = np.random.default_rng(18)
     U = random_antisymmetric_unitary(4, rng)
-    rep = exposedness_report(BreuerHall(U=U), rng=np.random.default_rng(19))
+    rep = exposedness_report(breuer_hall(U), rng=np.random.default_rng(19))
     assert rep.verdict != "NOT_EXPOSED"
-    rep = exposedness_report(Robertson(), rng=np.random.default_rng(20))
+    rep = exposedness_report(robertson(), rng=np.random.default_rng(20))
     assert rep.verdict != "NOT_EXPOSED"
 
 
 def test_exposedness_requires_block_positivity():
     with pytest.raises(NotBlockPositive):
-        exposedness_report(ChoiFamily(a=0.5, b=0.3, c=0.7), rng=np.random.default_rng(21))
+        exposedness_report(choi_family(0.5, 0.3, 0.7), rng=np.random.default_rng(21))
 
 
 def test_exposedness_determinism():
-    a = exposedness_report(Reduction(n=3), rng=np.random.default_rng(22))
-    b = exposedness_report(Reduction(n=3), rng=np.random.default_rng(22))
+    a = exposedness_report(reduction(3), rng=np.random.default_rng(22))
+    b = exposedness_report(reduction(3), rng=np.random.default_rng(22))
     assert a.verdict == b.verdict
     assert a.nullspace_dim == b.nullspace_dim
     assert np.array_equal(a.counterexample, b.counterexample)
 
 
 def test_exposedness_diagnostics_contract():
-    rep = exposedness_report(Reduction(n=2), rng=np.random.default_rng(23))
+    rep = exposedness_report(reduction(2), rng=np.random.default_rng(23))
     diag = rep.diagnostics
     assert diag["dim_at_k"] == diag["dim_at_2k"] == 1
     assert diag["choi_containment_residual"] <= 10 * 1e-8 * max(diag["sigma_max"], 1.0)
@@ -600,11 +614,11 @@ def test_exposedness_diagnostics_contract():
 
 
 # a + b + c = 2 and bc = (1 - a)^2 with a = 1/2: exposed (Ha and Kye, OSID 2011)
-HA_KYE = ChoiFamily(a=0.5, b=0.19098300562505255, c=1.3090169943749475)
+HA_KYE = choi_family(0.5, 0.19098300562505255, 1.3090169943749475)
 
 
 @pytest.mark.parametrize(
-    "desc, seed, expected, budget",
+    "phi, seed, expected, budget",
     [
         pytest.param(HA_KYE, 0, "CERTIFIED_EXPOSED", 2000, id="ha-kye-0"),
         pytest.param(HA_KYE, 1, "CERTIFIED_EXPOSED", 2000, id="ha-kye-1"),
@@ -612,14 +626,14 @@ HA_KYE = ChoiFamily(a=0.5, b=0.19098300562505255, c=1.3090169943749475)
         pytest.param(HA_KYE, 19, "CERTIFIED_EXPOSED", 2000, id="ha-kye-19"),
         pytest.param(HA_KYE, 32, "CERTIFIED_EXPOSED", 2000, id="ha-kye-32"),
         pytest.param(
-            FromChoi(W=choi_of(robertson()), dim_in=4, dim_out=4),
+            map_from_choi(choi_of(robertson()), 4, 4),
             0,
             "CERTIFIED_EXPOSED",
             2000,
             id="raw-choi-robertson-0",
         ),
         pytest.param(
-            FromChoi(W=choi_of(reduction(3)), dim_in=3, dim_out=3),
+            map_from_choi(choi_of(reduction(3)), 3, 3),
             0,
             "NOT_EXPOSED",
             2000,
@@ -628,13 +642,13 @@ HA_KYE = ChoiFamily(a=0.5, b=0.19098300562505255, c=1.3090169943749475)
         # the first candidate is cut, and the repaired one is the counterexample:
         # a budget of two leaves no other way to reach the verdict
         pytest.param(
-            ChoiFamily(a=1.0, b=0.0, c=1.0), 0, "NOT_EXPOSED", 2, id="choi-101-0"
+            choi_family(1.0, 0.0, 1.0), 0, "NOT_EXPOSED", 2, id="choi-101-0"
         ),
     ],
 )
-def test_numeric_harvest_literature_verdicts(desc, seed, expected, budget):
+def test_numeric_harvest_literature_verdicts(phi, seed, expected, budget):
     """Verdicts decided through the numeric face harvest match the literature."""
-    rep = exposedness_report(desc, budget=budget, rng=np.random.default_rng(seed))
+    rep = exposedness_report(phi, budget=budget, rng=np.random.default_rng(seed))
     assert rep.verdict == expected
 
 
@@ -643,20 +657,20 @@ def test_polished_harvest_pairs_are_stationary(seed):
     """The harvest's polish puts each pair's stationarity residual far below the rank cutoff."""
     sample = dual_face_samples(HA_KYE, 39, np.random.default_rng(seed))
     assert sample.source == "numeric"
-    w = hermitian_to_coords(ray_representative(choi_of(build_map(HA_KYE))))
+    w = hermitian_to_coords(ray_representative(choi_of(HA_KYE)))
     assert np.max(np.abs(stationarity_rows(sample.X, sample.Y) @ w)) <= 1e-10
 
 
 def test_value_rows_add_no_rank_to_stationarity_rows():
     """A pair's value row is a real combination of its own stationarity rows."""
     U = random_antisymmetric_unitary(4, np.random.default_rng(31))
-    for desc, k in (
-        (Robertson(), 23),
-        (Reduction(n=3), 13),
-        (BreuerHall(U=U), 23),
-        (ChoiFamily(a=1.0, b=0.0, c=1.0), 39),
+    for phi, k in (
+        (robertson(), 23),
+        (reduction(3), 13),
+        (breuer_hall(U), 23),
+        (choi_family(1.0, 0.0, 1.0), 39),
     ):
-        sample = dual_face_samples(desc, k, np.random.default_rng(32))
+        sample = dual_face_samples(phi, k, np.random.default_rng(32))
         S = stationarity_rows(sample.X, sample.Y)
         C = _per_pair_rows(sample.X, sample.Y)[0]
         rank_s, _, _ = svd_nullspace(S)
@@ -669,11 +683,11 @@ def test_value_rows_add_no_rank_to_stationarity_rows():
 
 
 def test_optimality_spanning():
-    assert optimality_spanning_check(Reduction(n=2), rng=np.random.default_rng(24)) == (True, 4)
-    assert optimality_spanning_check(Reduction(n=3), rng=np.random.default_rng(25)) == (True, 9)
+    assert optimality_spanning_check(reduction(2), rng=np.random.default_rng(24)) == (True, 4)
+    assert optimality_spanning_check(reduction(3), rng=np.random.default_rng(25)) == (True, 9)
     with pytest.raises(InsufficientZeros):
         optimality_spanning_check(
-            FromChoi(W=np.eye(4), dim_in=2, dim_out=2), rng=np.random.default_rng(26)
+            map_from_choi(np.eye(4), 2, 2), rng=np.random.default_rng(26)
         )
 
 
@@ -684,14 +698,14 @@ def test_optimality_refuses_a_sample_too_small_to_span(monkeypatch):
         raise AssertionError("face sampled")
 
     monkeypatch.setattr(exposedness, "dual_face_samples", no_sampling)
-    for desc, count, floor in (
-        (Reduction(n=3), 4, 9), (Robertson(), 10, 16), (Robertson(), 15, 16)
+    for phi, count, floor in (
+        (reduction(3), 4, 9), (robertson(), 10, 16), (robertson(), 15, 16)
     ):
         with pytest.raises(ValueError, match=rf"sample_count must be at least {floor}$"):
-            optimality_spanning_check(desc, sample_count=count)
+            optimality_spanning_check(phi, sample_count=count)
     monkeypatch.undo()
     # the floor itself is accepted, and spans on the reduction's face
-    assert optimality_spanning_check(Reduction(n=3), 9, np.random.default_rng(24)) == (True, 9)
+    assert optimality_spanning_check(reduction(3), 9, np.random.default_rng(24)) == (True, 9)
 
 
 def _must_not_run(*args, **kwargs):
@@ -701,38 +715,38 @@ def _must_not_run(*args, **kwargs):
 def test_report_sample_count_must_be_an_integer(monkeypatch):
     monkeypatch.setattr(exposedness, "is_block_positive", _must_not_run)
     with pytest.raises(TypeError):
-        exposedness_report(Reduction(n=3), sample_count=13.9)
+        exposedness_report(reduction(3), sample_count=13.9)
     monkeypatch.undo()
-    dim, _ = double_dual_nullspace(Reduction(n=3), np.int64(13), np.random.default_rng(9))
+    dim, _ = double_dual_nullspace(reduction(3), np.int64(13), np.random.default_rng(9))
     assert dim == 9
 
 
 def test_optimality_sample_count_must_be_an_integer(monkeypatch):
     monkeypatch.setattr(exposedness, "dual_face_samples", _must_not_run)
     with pytest.raises(TypeError):
-        optimality_spanning_check(Reduction(n=3), sample_count=81.7)
+        optimality_spanning_check(reduction(3), sample_count=81.7)
     monkeypatch.undo()
-    spans = optimality_spanning_check(Reduction(n=3), np.int64(9), np.random.default_rng(24))
+    spans = optimality_spanning_check(reduction(3), np.int64(9), np.random.default_rng(24))
     assert spans == (True, 9)
 
 
 def test_budget_must_be_an_integer(monkeypatch):
-    phi = build_map(Reduction(n=3))
-    dim, basis = double_dual_nullspace(Reduction(n=3), rng=np.random.default_rng(4))
+    phi = reduction(3)
+    dim, basis = double_dual_nullspace(reduction(3), rng=np.random.default_rng(4))
     rows = hermitian_to_coords(basis)
-    face_x = dual_face_samples(Reduction(n=3), 13, np.random.default_rng(4)).X
+    face_x = dual_face_samples(reduction(3), 13, np.random.default_rng(4)).X
     with pytest.raises(TypeError):
         cone_search_off_ray(phi, rows, face_x, budget=2.5, rng=np.random.default_rng(4))
     assert cone_search_off_ray(phi, rows, face_x, np.int64(0), np.random.default_rng(4)) is None
     monkeypatch.setattr(exposedness, "is_block_positive", _must_not_run)
     with pytest.raises(TypeError):
-        exposedness_report(Reduction(n=3), budget=2.5)
+        exposedness_report(reduction(3), budget=2.5)
 
 
 def test_face_sample_count_must_be_an_integer():
     with pytest.raises(TypeError):
-        dual_face_samples(Reduction(n=3), 2.5, np.random.default_rng(0))
-    sample = dual_face_samples(Reduction(n=3), np.int64(5), np.random.default_rng(0))
+        dual_face_samples(reduction(3), 2.5, np.random.default_rng(0))
+    sample = dual_face_samples(reduction(3), np.int64(5), np.random.default_rng(0))
     assert sample.X.shape == (5, 3) and sample.source == "analytic"
 
 
@@ -788,8 +802,6 @@ def test_reduction4_decomposes_into_breuer_hall_pair():
     """A counterexample for the n=4 reduction exists by explicit decomposition."""
     rng = np.random.default_rng(29)
     U = random_antisymmetric_unitary(4, rng)
-    from conewitness.catalog import breuer_hall, reduction
-
     W_prime = 2.0 * choi_of(breuer_hall(U))
     W_second = 2.0 * choi_of(co_ad_map(U))
     assert frobenius(W_prime + W_second - 2.0 * choi_of(reduction(4))) < 1e-12
@@ -797,7 +809,7 @@ def test_reduction4_decomposes_into_breuer_hall_pair():
         verdict, _ = is_block_positive(map_from_choi(W, 4, 4), SeeSawConfig(), rng)
         assert verdict == "EVIDENCE_BP"
     # and the pair witnesses non-extremeness: both sit on the face of R4
-    sample = dual_face_samples(Reduction(n=4), 32, rng)
+    sample = dual_face_samples(reduction(4), 32, rng)
     C = _per_pair_rows(sample.X, sample.Y)[0]
     for W in (W_prime, W_second):
         coords = hermitian_to_coords(W)
@@ -806,23 +818,9 @@ def test_reduction4_decomposes_into_breuer_hall_pair():
 
 
 def test_exposedness_reduction4():
-    rep = exposedness_report(Reduction(n=4), rng=np.random.default_rng(30))
+    rep = exposedness_report(reduction(4), rng=np.random.default_rng(30))
     assert rep.verdict == "NOT_EXPOSED"
     assert rep.nullspace_dim == 36
-
-
-def test_exposedness_report_builds_the_map_once(monkeypatch):
-    calls = []
-
-    def counting_build_map(desc):
-        calls.append(desc)
-        return build_map(desc)
-
-    monkeypatch.setattr(exposedness, "build_map", counting_build_map)
-    # Reduction(3) at this seed reaches validation, the last sampler call
-    rep = exposedness_report(Reduction(n=3), rng=np.random.default_rng(15))
-    assert rep.verdict == "NOT_EXPOSED"
-    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n, m", [(3, 3), (4, 4), (2, 3), (8, 8)])
@@ -843,6 +841,6 @@ def test_random_probes_match_per_probe_draws(n, m):
 def test_breuer_hall6_nullspace_dimension():
     """BH_6 with U = I_3 (x) sigma_y: nullity 15, the dimension C(6, 4) of the 4-form maps."""
     U = np.kron(np.eye(3), SIGMA_Y)
-    dim, basis = double_dual_nullspace(BreuerHall(U=U), rng=np.random.default_rng(0))
+    dim, basis = double_dual_nullspace(breuer_hall(U), rng=np.random.default_rng(0))
     assert dim == 15
     assert basis.shape == (15, 36, 36)

@@ -128,6 +128,16 @@ def test_restarts_must_be_an_integer():
     _, rep = is_block_positive(phi, SeeSawConfig(restarts=np.int64(2)), np.random.default_rng(0))
     assert rep.restarts_used == 2
 
+    # max_iters too: a run of no sweep would report its random start as the minimum
+    phi = choi_family(0.5, 0.3, 0.7)
+    for bad, error in ((0, ValueError), (-3, ValueError), (2.5, TypeError)):
+        with pytest.raises(error):
+            is_block_positive(phi, SeeSawConfig(max_iters=bad), np.random.default_rng(1))
+    verdict, rep = is_block_positive(
+        phi, SeeSawConfig(max_iters=np.int64(500)), np.random.default_rng(1)
+    )
+    assert verdict == "CERTIFIED_NOT_BP" and rep.min_value < -0.16
+
 
 def test_cp_certificates():
     # reduction Choi has bottom eigenvalue 1-n exactly
