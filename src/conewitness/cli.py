@@ -17,13 +17,15 @@ in which case the file is written atomically (temp file, then rename).
 Exit codes: 0 success (verdicts are data, not exit codes), 2 malformed
 input, invalid parameters or a problem too large for memory, 3 see-saw
 convergence failure, 4 exposedness input that fails block-positivity, 5
-verify-suite failure.  The env var CONEWITNESS_SEED supplies a default
+verify-suite failure.  A flag that the chosen target does not read is
+refused with exit 2.  The env var CONEWITNESS_SEED supplies a default
 seed; an explicit --seed wins.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -60,15 +62,22 @@ from .positivity import (
 
 SCHEMA_VERSION = "1"
 
-CATALOG_NAMES = (
-    "transpose",
-    "reduction",
-    "choi-family",
-    "breuer-hall",
-    "robertson",
-    "ad",
-    "co-ad",
-)
+# each catalog map: its constructor and the flags it reads, in argument order
+CATALOG = {
+    "transpose": (transposition, ("n",)),
+    "reduction": (reduction, ("n",)),
+    "choi-family": (choi_family, ("a", "b", "c")),
+    "breuer-hall": (breuer_hall, ("u",)),
+    "robertson": (robertson, ()),
+    "ad": (ad_map, ("v",)),
+    "co-ad": (co_ad_map, ("v",)),
+}
+# the catalog flags that name a matrix file, with the label its errors carry
+_MATRIX_FLAGS = {"u": "unitary file", "v": "matrix file"}
+# the flags each verify suite reads besides --suite, --seed, --dim and --out
+_SUITE_FLAGS = {"lemma1": ("trials",), "bh-structure": ("trials", "u"), "robertson-equality": ()}
+# every flag that some target leaves unread
+_OPTIONAL_FLAGS = ("n", "a", "b", "c", "u", "v", "dim_in", "trials", "restarts")
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +90,15 @@ def canonical_json(obj) -> str:
 
 
 def _render(obj, level: int) -> str:
+    """Render one value; a dataclass as the dict of its fields, an array as a matrix file.
+
+    A 1-D array renders as one column.
+    """
     pad = "  " * level
+    if dataclasses.is_dataclass(obj):
+        obj = dataclasses.asdict(obj)
+    elif isinstance(obj, np.ndarray):
+        obj = matrix_to_obj(obj.reshape(-1, 1) if obj.ndim == 1 else obj)
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -128,10 +145,6 @@ def matrix_to_obj(M: np.ndarray) -> dict:
     if M.shape[0] == M.shape[1] and is_hermitian(M):
         doc["hermitian"] = True
     return doc
-
-
-def vector_to_obj(v: np.ndarray) -> dict:
-    return matrix_to_obj(np.asarray(v, dtype=complex).reshape(-1, 1))
 
 
 def matrix_from_obj(obj, what: str = "matrix") -> np.ndarray:
@@ -224,13 +237,15 @@ def split_dims(size: int, dim_in: int | None, what: str) -> tuple[int, int]:
 def map_from_args(args) -> LinearMatrixMap:
     """Catalog name plus flags, or a Choi matrix file, to the map."""
     name = args.target
-    if name in CATALOG_NAMES:
+    if name in CATALOG:
         return _catalog_map(name, args)
     if not os.path.exists(name):
         raise ValueError(
-            f"{name!r} is neither a catalog name {CATALOG_NAMES} nor a file"
+            f"{name!r} is neither a catalog name {tuple(CATALOG)} nor a file"
         )
-    return _load_choi(name, getattr(args, "dim_in", None), "choi file")
+    phi = _load_choi(name, args.dim_in, "choi file")
+    _refuse_unread(args, ("dim_in",), f"choi file {name!r}")
+    return phi
 
 
 def _load_choi(path: str, dim_in: int | None, what: str) -> LinearMatrixMap:
@@ -243,32 +258,30 @@ def _load_choi(path: str, dim_in: int | None, what: str) -> LinearMatrixMap:
     return map_from_choi(W, n, m)
 
 
-def _require_flag(value, flag: str, name: str):
-    if value is None:
-        raise ValueError(f"catalog map {name!r} requires {flag}")
-    return value
-
-
 def _catalog_map(name: str, args) -> LinearMatrixMap:
-    if name == "transpose":
-        return transposition(_require_flag(args.n, "--n", name))
-    if name == "reduction":
-        return reduction(_require_flag(args.n, "--n", name))
-    if name == "choi-family":
-        return choi_family(
-            _require_flag(args.a, "--a", name),
-            _require_flag(args.b, "--b", name),
-            _require_flag(args.c, "--c", name),
-        )
-    if name == "breuer-hall":
-        return breuer_hall(load_matrix(_require_flag(args.u, "--u", name), what="unitary file"))
-    if name == "robertson":
-        return robertson()
-    if name == "ad":
-        return ad_map(load_matrix(_require_flag(args.v, "--v", name), what="matrix file"))
-    if name == "co-ad":
-        return co_ad_map(load_matrix(_require_flag(args.v, "--v", name), what="matrix file"))
-    raise ValueError(f"unknown catalog map {name!r}")
+    build, reads = CATALOG[name]
+    values = []
+    for flag in reads:
+        value = getattr(args, flag)
+        if value is None:
+            raise ValueError(f"catalog map {name!r} requires --{flag}")
+        if flag in _MATRIX_FLAGS:
+            value = load_matrix(value, what=_MATRIX_FLAGS[flag])
+        values.append(value)
+    phi = build(*values)
+    _refuse_unread(args, reads, name)
+    return phi
+
+
+def _refuse_unread(args, reads: tuple[str, ...], target: str) -> None:
+    """Refuse a flag that was given but that ``target`` does not read.
+
+    Callers check after the flags the target does read, so an error in one
+    of those is reported first.
+    """
+    for flag in _OPTIONAL_FLAGS:
+        if flag not in reads and getattr(args, flag, None) is not None:
+            raise ValueError(f"--{flag.replace('_', '-')} does not apply to {target}")
 
 
 def base_report(argv: list[str], seed: int | None, config: dict) -> dict:
@@ -280,35 +293,21 @@ def base_report(argv: list[str], seed: int | None, config: dict) -> dict:
     }
 
 
-def bp_report_obj(rep) -> dict:
-    doc = {
-        "min_value": rep.min_value,
-        "converged": rep.converged,
-        "restarts_used": rep.restarts_used,
-        "iterations": rep.iterations,
-        "tolerance": rep.tolerance,
-    }
-    doc["argmin"] = {
-        "x": vector_to_obj(rep.argmin.x),
-        "y": vector_to_obj(rep.argmin.y),
-        "value": rep.argmin.value,
-    }
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_catalog(args, argv: list[str]) -> int:
     phi = _catalog_map(args.name, args)
-    write_output(canonical_json(matrix_to_obj(choi_of(phi))), args.out)
+    write_output(canonical_json(choi_of(phi)), args.out)
     return 0
 
 
 def cmd_check(args, argv: list[str]) -> int:
     seed = resolve_seed(args)
     phi = _load_choi(args.choi_file, args.dim_in, "choi file")
+    reads = ("dim_in", "restarts") if args.mode == "block-positive" else ("dim_in",)
+    _refuse_unread(args, reads, f"--mode {args.mode}")
     n, m = phi.dim_in, phi.dim_out
 
     config = SeeSawConfig() if args.restarts is None else SeeSawConfig(restarts=args.restarts)
@@ -328,7 +327,7 @@ def cmd_check(args, argv: list[str]) -> int:
     if args.mode == "block-positive":
         verdict, rep = is_block_positive(phi, config, np.random.default_rng(seed))
         doc["verdict"] = verdict
-        doc["report"] = bp_report_obj(rep)
+        doc["report"] = rep
         if not rep.converged:
             exit_code = 3
     elif args.mode == "cp":
@@ -368,18 +367,7 @@ def cmd_exposedness(args, argv: list[str]) -> int:
             "rel_tol": NULLSPACE_REL_TOL,
         },
     )
-    doc["verdict"] = rep.verdict
-    doc["nullspace_dim"] = rep.nullspace_dim
-    doc["samples_used"] = rep.samples_used
-    doc["counterexample"] = (
-        matrix_to_obj(rep.counterexample) if rep.counterexample is not None else None
-    )
-    doc["counterexample_report"] = (
-        bp_report_obj(rep.counterexample_report)
-        if rep.counterexample_report is not None
-        else None
-    )
-    doc["diagnostics"] = dict(rep.diagnostics)
+    doc.update(dataclasses.asdict(rep))
     write_output(canonical_json(doc), args.out)
     return 0
 
@@ -387,61 +375,44 @@ def cmd_exposedness(args, argv: list[str]) -> int:
 def cmd_verify(args, argv: list[str]) -> int:
     seed = resolve_seed(args)
     rng = np.random.default_rng(seed)
-    if args.trials is not None and args.suite == "robertson-equality":
-        raise ValueError("--trials applies only to the lemma1 and bh-structure suites")
+    _refuse_unread(args, _SUITE_FLAGS[args.suite], args.suite)
     trials = 100 if args.trials is None else args.trials
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
-    if args.u is not None and args.suite != "bh-structure":
-        raise ValueError(f"--u applies only to the bh-structure suite, not {args.suite}")
-    if args.suite == "robertson-equality" and args.dim != 4:
-        raise ValueError(f"robertson-equality is a check on M_4, got --dim {args.dim}")
-    doc = base_report(
-        argv,
-        seed,
-        {"suite": args.suite, "trials": trials, "dim": args.dim},
-    )
+    fixed_U = None
+    if args.u is not None:
+        fixed_U = require_antisymmetric_unitary(load_matrix(args.u, what="unitary file"))
+    # a fixed unitary sets the dimension unless --dim is given
+    dim = args.dim if args.dim is not None else 4 if fixed_U is None else fixed_U.shape[0]
+    if args.suite == "robertson-equality" and dim != 4:
+        raise ValueError(f"robertson-equality is a check on M_4, got --dim {dim}")
+    doc = base_report(argv, seed, {"suite": args.suite, "trials": trials, "dim": dim})
 
     if args.suite == "lemma1":
-        if args.dim % 2 != 0 or args.dim < 2:
+        if dim % 2 != 0 or dim < 2:
             raise ValueError("lemma1 needs an even dimension >= 2")
-        residuals = []
-        for _ in range(trials):
-            V = random_unitary(args.dim, rng)
-            x = random_unit_vector(args.dim, rng)
-            residuals.append(verify_lemma1(V, x))
-        doc["max_residual"] = max(residuals)
+        doc["max_residual"] = max(
+            verify_lemma1(random_unitary(dim, rng), random_unit_vector(dim, rng))
+            for _ in range(trials)
+        )
         doc["tolerance"] = 1e-10
         doc["passed"] = doc["max_residual"] <= doc["tolerance"]
     elif args.suite == "bh-structure":
-        if args.dim % 2 != 0 or args.dim < 4:
+        if dim % 2 != 0 or dim < 4:
             raise ValueError("bh-structure needs an even dimension >= 4")
-        fixed_U = None
-        if args.u is not None:
-            fixed_U = require_antisymmetric_unitary(
-                load_matrix(args.u, what="unitary file")
+        if fixed_U is not None and fixed_U.shape[0] != dim:
+            raise ValueError(
+                f"unitary file {args.u!r} is {fixed_U.shape[0]}x{fixed_U.shape[0]}, "
+                f"but --dim is {dim}"
             )
-            if fixed_U.shape[0] != args.dim:
-                raise ValueError(
-                    f"unitary file {args.u!r} is {fixed_U.shape[0]}x{fixed_U.shape[0]}, "
-                    f"but --dim is {args.dim}"
-                )
-        passed = True
-        max_apply = 0.0
-        max_remark1 = 0.0
-        max_orth = 0.0
+        reps = []
         for _ in range(trials):
-            U = fixed_U if fixed_U is not None else random_antisymmetric_unitary(args.dim, rng)
-            x = random_unit_vector(U.shape[0], rng)
-            rep = verify_bh_structure(U, x)
-            passed = passed and rep.passed
-            max_apply = max(max_apply, rep.apply_residual)
-            max_remark1 = max(max_remark1, rep.remark1_residual)
-            max_orth = max(max_orth, abs(rep.orthogonality_value))
-        doc["max_apply_residual"] = max_apply
-        doc["max_remark1_residual"] = max_remark1
-        doc["max_orthogonality"] = max_orth
-        doc["passed"] = passed
+            U = fixed_U if fixed_U is not None else random_antisymmetric_unitary(dim, rng)
+            reps.append(verify_bh_structure(U, random_unit_vector(dim, rng)))
+        doc["max_apply_residual"] = max(r.apply_residual for r in reps)
+        doc["max_remark1_residual"] = max(r.remark1_residual for r in reps)
+        doc["max_orthogonality"] = max(abs(r.orthogonality_value) for r in reps)
+        doc["passed"] = all(r.passed for r in reps)
     else:
         diff = choi_of(robertson()) - choi_of(breuer_hall(robertson_unitary()))
         doc["max_residual"] = float(np.max(np.abs(diff)))
@@ -473,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="cmd", required=True)
 
     p = subs.add_parser("catalog", help="write the Choi matrix of a catalog map")
-    p.add_argument("name", choices=CATALOG_NAMES)
+    p.add_argument("name", choices=CATALOG)
     _add_catalog_flags(p)
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(handler=cmd_catalog)
@@ -482,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("choi_file")
     p.add_argument("--mode", choices=("block-positive", "cp", "ccp"), required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--restarts", type=int)
+    p.add_argument("--restarts", type=int, help="block-positive mode only")
     p.add_argument("--dim-in", type=int, dest="dim_in")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(handler=cmd_check)
@@ -507,12 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="structural identity suites")
     p.add_argument(
         "--suite",
-        choices=("lemma1", "bh-structure", "robertson-equality"),
+        choices=_SUITE_FLAGS,
         required=True,
     )
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int, help="default 100; lemma1 and bh-structure only")
-    p.add_argument("--dim", type=int, default=4)
+    p.add_argument("--dim", type=int, help="default 4, or the size of --u")
     p.add_argument("--u", help="matrix file with an antisymmetric unitary")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(handler=cmd_verify)

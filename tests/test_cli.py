@@ -9,6 +9,7 @@ import pytest
 
 from conewitness import cli
 from conewitness.catalog import (
+    SIGMA_Y,
     ad_map,
     breuer_hall,
     co_ad_map,
@@ -18,7 +19,7 @@ from conewitness.catalog import (
     transposition,
 )
 from conewitness.maps import choi_of
-from conewitness.positivity import SeeSawConfig
+from conewitness.positivity import ProductPair, SeeSawConfig
 
 
 def run(argv, tmp_path, name="out.json"):
@@ -62,6 +63,21 @@ def test_canonical_json_shape():
     assert text.index('"a"') < text.index('"b"')
     assert "1" in text
     assert "true" in text and "null" in text
+
+
+def test_canonical_json_renders_dataclasses_and_arrays():
+    """A dataclass renders as the dict of its fields, a 1-D array as one column."""
+    x, y = np.array([1.0, 2.0j]), np.array([0.5, -1.0, 3.0])
+    pair = ProductPair(x, y, -0.25)
+    assert cli.canonical_json(pair) == cli.canonical_json(
+        {
+            "x": cli.matrix_to_obj(x.reshape(-1, 1)),
+            "y": cli.matrix_to_obj(y.reshape(-1, 1)),
+            "value": -0.25,
+        }
+    )
+    M = np.array([[1.0, 1.0j], [-1.0j, 2.0]])
+    assert cli.canonical_json({"m": M}) == cli.canonical_json({"m": cli.matrix_to_obj(M)})
 
 
 def test_canonical_json_float_format():
@@ -405,10 +421,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for argv, message in (
         (["--suite", "robertson-equality", "--dim", "6"], "is a check on M_4"),
         (["--suite", "lemma1", "--dim", "3"], "lemma1 needs an even dimension"),
-        (["--suite", "lemma1", "--u", str(tmp_path / "missing.json")], "--u applies only"),
-        (["--suite", "robertson-equality", "--u", str(u)], "--u applies only"),
-        (["--suite", "robertson-equality", "--trials", "3"], "--trials applies only"),
-        (["--suite", "robertson-equality", "--trials", "100"], "--trials applies only"),
+        (["--suite", "lemma1", "--u", str(tmp_path / "missing.json")], "--u does not apply to lemma1"),
+        (["--suite", "robertson-equality", "--u", str(u)], "--u does not apply to robertson-equality"),
+        (["--suite", "robertson-equality", "--trials", "3"], "--trials does not apply to robertson-equality"),
+        (["--suite", "robertson-equality", "--trials", "100"], "--trials does not apply to robertson-equality"),
     ):
         assert cli.main(["verify", *argv]) == 2
         out = capsys.readouterr()
@@ -416,6 +432,47 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     # a negative cone-search budget is rejected before any search
     assert cli.main(["exposedness", "reduction", "--n", "3", "--budget", "-1"]) == 2
     assert "budget must be nonnegative" in capsys.readouterr().err
+
+
+def test_unread_flags_are_refused(tmp_path, capsys):
+    """Every command refuses a flag its target does not read, after a missing one."""
+    r3 = write_choi(tmp_path, choi_of(reduction(3)), "r3.json")
+    for argv, message in (
+        (["catalog", "robertson", "--n", "4"], "--n does not apply to robertson"),
+        (["catalog", "transpose", "--n", "2", "--a", "1"], "--a does not apply to transpose"),
+        (["exposedness", "reduction", "--n", "3", "--dim-in", "3"], "--dim-in does not apply to reduction"),
+        (["exposedness", "reduction", "--n", "3", "--v", "nofile.json"], "--v does not apply to reduction"),
+        (["exposedness", r3, "--n", "3"], f"--n does not apply to choi file {r3!r}"),
+        (["exposedness", r3, "--u", "nofile"], f"--u does not apply to choi file {r3!r}"),
+        (["check", r3, "--mode", "cp", "--restarts", "5"], "--restarts does not apply to --mode cp"),
+        (["check", r3, "--mode", "ccp", "--restarts", "5"], "--restarts does not apply to --mode ccp"),
+        (["catalog", "choi-family", "--a", "1", "--n", "3"], "catalog map 'choi-family' requires --b"),
+    ):
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {message}\n"
+    # the flags a target reads are still accepted, and --restarts is echoed
+    code, doc, _ = run(["exposedness", r3, "--dim-in", "3", "--seed", "0"], tmp_path)
+    assert code == 0 and doc["nullspace_dim"] == 9
+    code, doc, _ = run(["check", r3, "--mode", "block-positive", "--restarts", "5"], tmp_path)
+    assert code == 0 and doc["config"]["restarts"] == 5
+
+
+def test_verify_bh_structure_takes_its_dimension_from_u(tmp_path, capsys):
+    u6 = write_choi(tmp_path, np.kron(np.eye(3), SIGMA_Y), "u6.json")
+    argv = ["verify", "--suite", "bh-structure", "--u", u6, "--trials", "3", "--seed", "0"]
+    code, doc, _ = run(argv, tmp_path)
+    assert code == 0 and doc["passed"] is True
+    assert doc["config"]["dim"] == 6
+    code, doc, _ = run([*argv, "--dim", "6"], tmp_path)
+    assert code == 0 and doc["config"]["dim"] == 6
+    # an explicit --dim must still match the file
+    assert cli.main([*argv, "--dim", "4"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"unitary file {u6!r} is 6x6, but --dim is 4" in out.err
+    # without --u the dimension stays 4
+    code, doc, _ = run(["verify", "--suite", "bh-structure", "--trials", "2"], tmp_path)
+    assert code == 0 and doc["config"]["dim"] == 4
 
 
 def test_reports_echo_fixed_cutoffs(tmp_path):

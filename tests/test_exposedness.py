@@ -504,6 +504,44 @@ def test_probe_pairings_equal_witness_pairing_per_basis_element():
     assert np.array_equal(got, hermitian_to_coords(outer) @ rows.T)
 
 
+def test_confirm_rejection_moves_the_search_to_its_next_seed(monkeypatch):
+    """A candidate the full-config see-saw rejects is dropped, and the search goes on.
+
+    The next seed is a blind direction; the report still finds a validated
+    counterexample, off the rejected candidate's ray.
+    """
+    phi = reduction(3)
+    real = exposedness.is_block_positive
+    calls, rejected = [], []
+
+    def reject_first_confirm(cand_map, config, rng):
+        verdict, report = real(cand_map, config, rng)
+        if cand_map is not phi and config == SeeSawConfig() and not rejected:
+            calls.append("rejected")
+            rejected.append(cand_map.choi)
+            return "CERTIFIED_NOT_BP", report
+        calls.append("full" if config == SeeSawConfig() else "search")
+        return verdict, report
+
+    monkeypatch.setattr(exposedness, "is_block_positive", reject_first_confirm)
+    rep = exposedness_report(phi, rng=np.random.default_rng(0))
+    assert rep.verdict == "NOT_EXPOSED" and rep.nullspace_dim == 9
+    # the search ran on after the rejection before a later candidate was confirmed
+    assert calls.index("rejected") < calls.index("search", calls.index("rejected"))
+    assert not is_ray_proportional(rep.counterexample, rejected[0])
+
+
+def test_probe_vectors_on_a_two_dimensional_kernel():
+    """Robertson's face points have a 2-D kernel: 2 kernel, 6 combination and 2 off-face probes each."""
+    phi = robertson()
+    face_x = dual_face_samples(phi, 60, np.random.default_rng(0)).X
+    Z = exposedness._probe_vectors(phi, face_x, np.random.default_rng(1))
+    assert Z.shape == (48 * (2 + 6 + 2) + 128, 16)
+    values = np.einsum("ki,ij,kj->k", Z.conj(), phi.choi, Z).real
+    on_face = values[: 48 * 10].reshape(48, 10)[:, :8]
+    assert np.max(np.abs(on_face)) <= ZERO_TOL
+
+
 def test_report_searches_the_rows_double_dual_nullspace_converts(monkeypatch):
     """The cone search gets the ranked coordinate rows; the public basis is them as matrices."""
     seen = {}
@@ -844,3 +882,12 @@ def test_breuer_hall6_nullspace_dimension():
     dim, basis = double_dual_nullspace(breuer_hall(U), rng=np.random.default_rng(0))
     assert dim == 15
     assert basis.shape == (15, 36, 36)
+
+
+def test_breuer_hall6_is_not_exposed():
+    """BH_6 with U = I_3 (x) sigma_y is NOT_EXPOSED: nullity 15 and a counterexample off W's ray."""
+    phi = breuer_hall(np.kron(np.eye(3), SIGMA_Y))
+    rep = exposedness_report(phi, rng=np.random.default_rng(0))
+    assert rep.verdict == "NOT_EXPOSED"
+    assert rep.nullspace_dim == 15
+    assert not is_ray_proportional(rep.counterexample, phi.choi)
