@@ -37,6 +37,7 @@ from .linalg import (
     _coordinate_entries,
     _entries_to_coords,
     _unit_rows,
+    _weight_blocks,
     fix_phase,
     frobenius,
     hermitian_to_coords,
@@ -229,16 +230,18 @@ def _nullspace_with_diagnostics(phi, k, rng):
     n, m = phi.dim_in, phi.dim_out
     d = n * m
 
-    # both blocks of stationarity rows are copied into one column-major
-    # matrix, which LAPACK reads as is; the first block is its top half.
-    # The null space of both blocks is V1 null(C2 V1), with V1 spanning the
-    # first block's: the second block is ranked only inside V1, cut at the
-    # first block's norm, so no row of the first block is decomposed twice
+    # both samples' stationarity rows are copied into one column-major
+    # matrix, which LAPACK reads as is; the first sample's are its top half,
+    # ranked one torus-weight block of columns at a time.  The null space of
+    # both samples is V1 null(C2 V1), with V1 spanning the first sample's:
+    # the second sample is ranked only inside V1, cut at the first sample's
+    # sigma_max, so no row of the first sample is decomposed twice
     r = 2 * (n + m) * k
     C = np.empty((2 * r, d * d), order="F")
+    blocks = _weight_blocks(phi.choi, n, m)
     first = dual_face_samples(phi, k, rng)
     C[:r] = stationarity_rows(first.X, first.Y)
-    rank1, V1, sigma_max = svd_nullspace(C[:r])
+    rank1, V1, sigma_max = svd_nullspace(C[:r], blocks=blocks)
     dim1 = d * d - rank1
 
     second = dual_face_samples(phi, k, rng)
@@ -268,6 +271,9 @@ def _nullspace_with_diagnostics(phi, k, rng):
         "choi_containment_residual": containment,
         "sample_count": 2 * k,
     }
+    if len(blocks) > 1:
+        diagnostics["weight_blocks"] = len(blocks)
+        diagnostics["largest_block"] = max(map(len, blocks))
     return dim2, basis_coords.T, diagnostics, first
 
 
@@ -283,8 +289,10 @@ def double_dual_nullspace(
     face satisfies.  The dimension is recomputed on a doubled sample, the
     second sample ranked inside the first sample's null space, and must
     agree (UnstableDimension otherwise); the map's own Choi must lie
-    inside.  Both ranks count singular values at most
-    ``NULLSPACE_REL_TOL`` times the first sample's largest as zero.
+    inside.  The first sample is ranked one torus-weight block of columns at
+    a time (see :func:`conewitness.linalg._weight_blocks`), and both ranks
+    count singular values at most ``NULLSPACE_REL_TOL`` times the largest of
+    its blocks' as zero.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -554,7 +562,9 @@ def verify_lemma1(V: np.ndarray, x: np.ndarray) -> float:
     return float(frobenius(S - target))
 
 
-def verify_bh_structure(U: np.ndarray, x: np.ndarray) -> BHStructureReport:
+def verify_bh_structure(
+    U: np.ndarray, x: np.ndarray
+) -> BHStructureReport | list[BHStructureReport]:
     """Check the four structural facts the exposedness argument rests on.
 
     (i) the map sends |x><x| to the two-projector deflation,
@@ -562,12 +572,29 @@ def verify_bh_structure(U: np.ndarray, x: np.ndarray) -> BHStructureReport:
     (iii) x is orthogonal to U conj(x),
     (iv) the sign-flipped alternative is refuted by an explicit vector
     orthogonal to both kernel directions, where its expectation is -1.
+
+    ``x`` is one unit vector, which gives one report, or a stack ``(k, n)``
+    of them, which gives a list of ``k`` reports.  The three Choi matrices
+    and check (ii), which depend on U alone, are computed once per call.
     """
     U = require_antisymmetric_unitary(np.asarray(U, dtype=complex))
     n2 = U.shape[0]
-    x = _checked_unit_vector(x, n2)
+    X = np.asarray(x)
+    stacked = X.ndim == 2
+    X = [_checked_unit_vector(v, n2) for v in (X if stacked else [X])]
 
     phi = breuer_hall(U)
+    twin = co_ad_map(U)
+    remark1_residual = float(
+        frobenius(choi_of(phi) + choi_of(twin) - choi_of(reduction(n2)))
+    )
+    reports = [_bh_structure_at(phi, U, v, remark1_residual) for v in X]
+    return reports if stacked else reports[0]
+
+
+def _bh_structure_at(phi, U, x, remark1_residual):
+    """The checks of :func:`verify_bh_structure` at one unit vector ``x``."""
+    n2 = U.shape[0]
     P_x = np.outer(x, x.conj())
     u = U @ x.conj()
     P_u = np.outer(u, u.conj())
@@ -576,11 +603,6 @@ def verify_bh_structure(U: np.ndarray, x: np.ndarray) -> BHStructureReport:
     lhs = apply(phi, P_x)
     rhs = (eye - P_x) - P_u
     apply_residual = float(frobenius(lhs - rhs))
-
-    twin = co_ad_map(U)
-    remark1_residual = float(
-        frobenius(choi_of(phi) + choi_of(twin) - choi_of(reduction(n2)))
-    )
 
     orthogonality_value = float(abs(np.vdot(x, u)))
 

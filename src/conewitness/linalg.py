@@ -11,6 +11,7 @@ is no ambient RNG state anywhere in the library.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -48,21 +49,39 @@ def require_hermitian(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def svd_nullspace(M: np.ndarray, *, scale: float | None = None):
+def _decompose(M):
+    """Singular values and ``V^H`` of ``M``, through a tall matrix's R factor."""
+    rows, cols = M.shape
+    try:
+        if rows > cols:
+            M = np.linalg.qr(M, mode="r")
+        _, s, vh = np.linalg.svd(M, full_matrices=rows < cols)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
+        raise ConvergenceFailure(str(exc)) from exc
+    return s, vh
+
+
+def svd_nullspace(M: np.ndarray, *, scale: float | None = None, blocks=None):
     """Numerical rank, null-space basis and largest singular value of a matrix.
 
     ``M`` may be real or complex; a complex ``M`` gets a complex basis.
 
+    ``blocks``, a partition of the columns into index arrays, ranks each
+    block's columns on their own: exact whenever the null space is the
+    direct sum of its parts in the blocks (as :func:`_weight_blocks`
+    guarantees), and far cheaper than one decomposition of every column.
+    The default is one block of every column, ``M`` itself.
+
     Singular values at most ``NULLSPACE_REL_TOL * scale`` count as zero;
-    ``scale`` defaults to the largest singular value of ``M`` itself.  A
-    caller that ranks one block of rows projected onto another block's null
-    space passes the other block's largest singular value, so that both
+    ``scale`` defaults to ``sigma_max``, the largest singular value of any
+    block.  A caller that ranks one set of rows projected onto another
+    set's null space passes the other set's ``sigma_max``, so that both
     ranks are cut at one absolute level.
 
     Returns ``(rank, basis, sigma_max)`` where ``basis`` has orthonormal
-    columns spanning the null space (shape ``(cols, cols - rank)``) and
-    ``sigma_max`` is the spectral norm of ``M`` whatever ``scale`` is, all
-    from one decomposition.
+    columns spanning the null space (shape ``(cols, cols - rank)``, block
+    by block, each block's vectors zero off its columns) and ``sigma_max``
+    is the same whatever ``scale`` is, all from one decomposition per block.
 
     A tall matrix is decomposed through its Householder ``R`` factor: the
     SVD of ``R`` has the same singular values and ``V`` (Chan's R-SVD, which
@@ -78,17 +97,19 @@ def svd_nullspace(M: np.ndarray, *, scale: float | None = None):
         raise ValueError("svd_nullspace requires a nonempty matrix")
     if scale is not None and not scale >= 0.0:
         raise ValueError(f"scale must be nonnegative, got {scale}")
-    rows, cols = M.shape
-    try:
-        if rows > cols:
-            M = np.linalg.qr(M, mode="r")
-        _, s, vh = np.linalg.svd(M, full_matrices=rows < cols)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
-        raise ConvergenceFailure(str(exc)) from exc
-    smax = float(s[0])
+    if blocks is None:
+        blocks = [slice(None)]
+    parts = [_decompose(M[:, cols]) for cols in blocks]
+    smax = max(float(s[0]) for s, _ in parts)
     cutoff = NULLSPACE_REL_TOL * (smax if scale is None else scale)
-    rank = int(np.count_nonzero(s > cutoff))
-    return rank, vh[rank:].conj().T.copy(), smax
+    ranks = [int(np.count_nonzero(s > cutoff)) for s, _ in parts]
+    basis = np.zeros((M.shape[1], M.shape[1] - sum(ranks)), dtype=M.dtype)
+    j = 0
+    for cols, (_, vh), rank in zip(blocks, parts, ranks):
+        null = vh[rank:].conj().T
+        basis[cols, j : j + null.shape[1]] = null
+        j += null.shape[1]
+    return sum(ranks), basis, smax
 
 
 def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -173,6 +194,77 @@ def _coordinate_entries(d: int):
     a.flags.writeable = False
     b.flags.writeable = False
     return a, b
+
+
+def _integer_null_point(G) -> np.ndarray:
+    """A generic point of the null space of the square integer matrix ``G``.
+
+    Fraction-free elimination in Python integers brings ``G`` to reduced
+    echelon form exactly, so no cutoff decides the null space.  The point
+    is the sum of the null-space basis vectors (one per free column)
+    weighted by the square roots of distinct primes, which are linearly
+    independent over the rationals: a rational functional vanishes there
+    only if it vanishes on the whole null space.
+    """
+    rows = G.tolist()
+    p = len(rows)
+    pivots = []
+    for col in range(p):
+        r = len(pivots)
+        piv = next((t for t in range(r, p) if rows[t][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for t in range(p):
+            f, g = rows[t][col], rows[r][col]
+            if t != r and f:
+                new = [g * x - f * y for x, y in zip(rows[t], rows[r])]
+                div = math.gcd(*new) or 1
+                rows[t] = [x // div for x in new]
+        pivots.append(col)
+    free = [c for c in range(p) if c not in pivots]
+    primes = [q for q in range(2, 8 * p + 8) if all(q % t for t in range(2, math.isqrt(q) + 1))]
+    point = np.zeros(p)
+    for weight, f in zip(np.sqrt(primes), free):
+        point[f] += weight
+        for r, c in enumerate(pivots):
+            point[c] -= weight * rows[r][f] / rows[r][c]
+    return point
+
+
+def _weight_blocks(W: np.ndarray, n: int, m: int) -> list:
+    """Coordinate columns of ``nm x nm`` Hermitian matrices, one block per torus-weight class of ``W``.
+
+    Give basis vector ``(i, k)`` the weight ``mu = alpha_i + beta_k``, with
+    ``mu_a = mu_b`` wherever ``W[a, b] != 0`` exactly.  The diagonal unitaries
+    ``exp(i t mu)`` are then product unitaries that fix ``W``, so they map the
+    dual face to itself and its null space N to itself, and entry ``(a, b)`` of a
+    Hermitian matrix turns with weight ``mu_a - mu_b``.  N is therefore the
+    direct sum of its parts in the classes ``{lambda, -lambda}`` of these
+    weights, and each class can be ranked on its own columns.  The Re and Im
+    columns of an entry share its class; the diagonal is weight 0.
+
+    Classes are keyed by ``|mu_a - mu_b|`` at one generic point of the
+    weight space, found from W's zero pattern alone.  Keys closer than a gap
+    far above round-off share a block: a merge of two classes is still
+    exact, a split never happens.  A W with no zero entries gets one block.
+    Blocks come in key order, each with its columns ascending.
+    """
+    d = n * m
+    a, b = np.nonzero(W)
+    i, k = np.divmod(a, m)
+    j, l = np.divmod(b, m)
+    eye_n, eye_m = np.eye(n, dtype=np.int64), np.eye(m, dtype=np.int64)
+    A = np.concatenate([eye_n[i] - eye_n[j], eye_m[k] - eye_m[l]], axis=1)
+    point = _integer_null_point(A.T @ A)
+    mu = (point[:n, np.newaxis] + point[n:]).ravel()
+    ea, eb = _coordinate_entries(d)
+    key = np.abs(mu[ea] - mu[eb])
+    key = np.concatenate([key, key[d:]])
+    order = np.argsort(key, kind="stable")
+    gap = 1e-9 * max(1.0, float(key[order[-1]]))
+    cuts = np.flatnonzero(np.diff(key[order]) > gap) + 1
+    return [np.sort(block) for block in np.split(order, cuts)]
 
 
 def _entries_to_coords(E: np.ndarray, d: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from conewitness.errors import (
     UnstableDimension,
 )
 from conewitness.linalg import (
+    _weight_blocks,
     coords_to_hermitian,
     fix_phase,
     frobenius,
@@ -44,7 +45,7 @@ from conewitness.maps import (
     witness_pairing,
 )
 from conewitness.positivity import SeeSawConfig, is_block_positive
-from conewitness import cli, exposedness
+from conewitness import cli, exposedness, linalg
 from conewitness.exposedness import (
     DualFaceSample,
     cone_search_off_ray,
@@ -354,9 +355,9 @@ def test_nullspace_rejects_undersampling(monkeypatch):
 
 
 def test_nullspace_basis_bits_match_stacked_c_order_blocks():
-    """One column-major system gives the bits of C-order blocks, the second ranked inside the first."""
+    """One column-major system gives the bits of C-order blocks, weight block by weight block."""
     U = random_antisymmetric_unitary(4, np.random.default_rng(3))
-    for phi, n in ((robertson(), 4), (breuer_hall(U), 4), (reduction(3), 3)):
+    for phi, n, n_blocks in ((robertson(), 4, 13), (breuer_hall(U), 4, 1), (reduction(3), 3, 10)):
         d = n * n
         k = d * d // (4 * n - 3) + 4  # face pairs per block
         rng = np.random.default_rng(11)
@@ -364,7 +365,22 @@ def test_nullspace_basis_bits_match_stacked_c_order_blocks():
         for _ in range(2):
             sample = dual_face_samples(phi, k, rng)
             blocks.append(_per_pair_rows(sample.X, sample.Y)[1])
-        rank1, V1, sigma_max = svd_nullspace(blocks[0])
+        # the first sample's rows, ranked one weight block of columns at a
+        # time and cut at the largest block's norm, scattered back to full rows
+        weight_blocks = _weight_blocks(phi.choi, n, n)
+        assert len(weight_blocks) == n_blocks
+        if n_blocks == 1:
+            rank1, V1, sigma_max = svd_nullspace(blocks[0])
+        else:
+            sigma_max = max(svd_nullspace(blocks[0][:, cols])[2] for cols in weight_blocks)
+            parts = []
+            for cols in weight_blocks:
+                _, null, _ = svd_nullspace(blocks[0][:, cols], scale=sigma_max)
+                part = np.zeros((d * d, null.shape[1]))
+                part[cols] = null
+                parts.append(part)
+            V1 = np.hstack(parts)
+            rank1 = d * d - V1.shape[1]
         # a product's bits follow its operands' layout, and the library's
         # second block is a row slice of its column-major system
         C2_V1 = np.asfortranarray(blocks[1]) @ V1
@@ -397,6 +413,93 @@ def test_projected_nullspace_spans_stacked_nullspace(seed):
         assert np.linalg.norm(B_new - B_old @ (B_old.T @ B_new), 2) <= 1e-10
 
 
+def _one_block(W, n, m):
+    """Every coordinate column in one block: the rank of the whole first sample."""
+    return [np.arange((n * m) ** 2)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_blocked_nullity_equals_one_block_nullity(seed, monkeypatch):
+    """Weight blocks give the one-block nullity, on closed-form, harvested and file-read faces."""
+    U = random_antisymmetric_unitary(4, np.random.default_rng(1234))
+    maps = (
+        transposition(3),
+        reduction(3),
+        reduction(4),
+        robertson(),
+        breuer_hall(robertson_unitary()),
+        breuer_hall(U),
+        choi_family(1.0, 0.0, 1.0),
+        HA_KYE,
+        map_from_choi(choi_of(reduction(3)), 3, 3),
+    )
+    counts = [len(_weight_blocks(phi.choi, phi.dim_in, phi.dim_out)) for phi in maps]
+    assert counts == [10, 10, 28, 13, 13, 1, 10, 10, 10]
+    blocked = [double_dual_nullspace(phi, rng=np.random.default_rng(seed))[0] for phi in maps]
+    monkeypatch.setattr(exposedness, "_weight_blocks", _one_block)
+    whole = [double_dual_nullspace(phi, rng=np.random.default_rng(seed))[0] for phi in maps]
+    assert blocked == whole == [1, 9, 36, 1, 1, 1, 14, 1, 9]
+
+
+def test_haar_breuer_hall_is_one_block(tmp_path, monkeypatch, capsys):
+    """A W with no zero entry is one block, and its report is the bytes of a one-block call."""
+    U = random_antisymmetric_unitary(4, np.random.default_rng(1234))
+    phi = breuer_hall(U)
+    assert np.all(phi.choi != 0)
+    assert len(_weight_blocks(phi.choi, 4, 4)) == 1
+    u_file = tmp_path / "u.json"
+    u_file.write_text(cli.canonical_json(cli.matrix_to_obj(U)))
+    argv = ["exposedness", "breuer-hall", "--u", str(u_file), "--seed", "7"]
+    assert cli.main(argv) == 0
+    blocked = capsys.readouterr().out
+    monkeypatch.setattr(exposedness, "_weight_blocks", _one_block)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == blocked
+    assert "weight_blocks" not in blocked and "largest_block" not in blocked
+
+
+@pytest.mark.parametrize("k, count, widest", [(3, 43, 96), (4, 113, 168)])
+def test_breuer_hall_weight_blocks_come_from_w_alone(k, count, widest, monkeypatch):
+    """BH_6 and BH_8 with U = I_k (x) sigma_y: the partition needs no decomposition of any matrix."""
+
+    def no_decomposition(*args, **kwargs):
+        raise AssertionError("a matrix was decomposed")
+
+    for module, name in ((linalg, "_decompose"), (np.linalg, "svd"), (np.linalg, "qr")):
+        monkeypatch.setattr(module, name, no_decomposition)
+    n = 2 * k
+    d = n * n
+    blocks = _weight_blocks(breuer_hall(np.kron(np.eye(k), SIGMA_Y)).choi, n, n)
+    assert len(blocks) == count
+    assert max(map(len, blocks)) == widest
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(d * d))
+    # the Re and Im columns of an entry share a block, and the diagonal is weight 0
+    p = (d * d - d) // 2
+    owner = np.empty(d * d, dtype=int)
+    for t, cols in enumerate(blocks):
+        owner[cols] = t
+    assert np.array_equal(owner[d : d + p], owner[d + p :])
+    assert np.all(owner[:d] == 0)
+
+
+def test_filling_a_zero_of_w_coarsens_the_blocks_and_keeps_the_nullity(monkeypatch):
+    """A partition from a W with one zero pair filled is a union of classes, so it is still exact."""
+    phi = reduction(3)
+    W = phi.choi.copy()
+    a, b = 1, 3  # entry ((0, 1), (1, 0)) of R_3's Choi matrix
+    assert W[a, b] == 0 == W[b, a]
+    W[a, b] = W[b, a] = 0.5
+    fine, coarse = _weight_blocks(phi.choi, 3, 3), _weight_blocks(W, 3, 3)
+    assert len(coarse) < len(fine)
+    owner = np.empty(81, dtype=int)
+    for t, cols in enumerate(coarse):
+        owner[cols] = t
+    assert all(np.all(owner[cols] == owner[cols[0]]) for cols in fine)
+    dim = double_dual_nullspace(phi, rng=np.random.default_rng(0))[0]
+    monkeypatch.setattr(exposedness, "_weight_blocks", lambda *args: coarse)
+    assert double_dual_nullspace(phi, rng=np.random.default_rng(0))[0] == dim == 9
+
+
 def test_full_rank_first_block_is_refused_without_a_second_decomposition(monkeypatch):
     """A first block of full rank leaves nothing to project; the containment check refuses."""
     noise = np.random.default_rng(0)
@@ -405,16 +508,19 @@ def test_full_rank_first_block_is_refused_without_a_second_decomposition(monkeyp
         exposedness, "stationarity_rows", lambda X, Y: noise.standard_normal(rows(X, Y).shape)
     )
     shapes = []
-    rank = exposedness.svd_nullspace
+    decompose = linalg._decompose
 
-    def counting_rank(M, *args, **kwargs):
+    def counting_decompose(M):
         shapes.append(M.shape)
-        return rank(M, *args, **kwargs)
+        return decompose(M)
 
-    monkeypatch.setattr(exposedness, "svd_nullspace", counting_rank)
+    monkeypatch.setattr(linalg, "_decompose", counting_decompose)
     with pytest.raises(UnstableDimension, match="excludes the map's own Choi"):
         double_dual_nullspace(reduction(3), rng=np.random.default_rng(0))
-    assert shapes == [(2 * 6 * 13, 81)]
+    # one decomposition per weight block of the first sample's rows, none of the second's
+    widths = [len(cols) for cols in _weight_blocks(reduction(3).choi, 3, 3)]
+    assert len(widths) == 10 and sum(widths) == 81
+    assert shapes == [(2 * 6 * 13, c) for c in widths]
 
 
 def test_nullspace_dimension_change_is_refused(monkeypatch, capsys):
@@ -649,6 +755,8 @@ def test_exposedness_diagnostics_contract():
     assert diag["dim_at_k"] == diag["dim_at_2k"] == 1
     assert diag["choi_containment_residual"] <= 10 * 1e-8 * max(diag["sigma_max"], 1.0)
     assert rep.samples_used == diag["sample_count"]
+    # the rank ran in three weight blocks, the widest 8 of R_2's 16 columns
+    assert diag["weight_blocks"] == 3 and diag["largest_block"] == 8
 
 
 # a + b + c = 2 and bc = (1 - a)^2 with a = 1/2: exposed (Ha and Kye, OSID 2011)
@@ -836,6 +944,22 @@ def test_verify_bh_structure_random_and_contrived_x():
     assert abs(rep.orthogonality_value) < 1e-12
 
 
+def test_verify_bh_structure_on_a_stack_builds_the_maps_once(monkeypatch):
+    """A stack of x gives one report per row, each the bytes of its own call, from one set of Choi matrices."""
+    rng = np.random.default_rng(29)
+    U = random_antisymmetric_unitary(6, rng)
+    X = np.stack([random_unit_vector(6, rng) for _ in range(4)])
+    singles = [cli.canonical_json(verify_bh_structure(U, x)) for x in X]
+    builds = []
+    build = exposedness.breuer_hall
+    monkeypatch.setattr(exposedness, "breuer_hall", lambda U: builds.append(U) or build(U))
+    reps = verify_bh_structure(U, X)
+    assert [cli.canonical_json(rep) for rep in reps] == singles
+    assert len(builds) == 1
+    with pytest.raises(DimensionMismatch):
+        verify_bh_structure(U, X[:, :4])
+
+
 def test_reduction4_decomposes_into_breuer_hall_pair():
     """A counterexample for the n=4 reduction exists by explicit decomposition."""
     rng = np.random.default_rng(29)
@@ -885,9 +1009,11 @@ def test_breuer_hall6_nullspace_dimension():
 
 
 def test_breuer_hall6_is_not_exposed():
-    """BH_6 with U = I_3 (x) sigma_y is NOT_EXPOSED: nullity 15 and a counterexample off W's ray."""
+    """BH_6 with U = I_3 (x) sigma_y is NOT_EXPOSED at seeds 0-4: nullity 15, a counterexample off W's ray."""
     phi = breuer_hall(np.kron(np.eye(3), SIGMA_Y))
-    rep = exposedness_report(phi, rng=np.random.default_rng(0))
-    assert rep.verdict == "NOT_EXPOSED"
-    assert rep.nullspace_dim == 15
-    assert not is_ray_proportional(rep.counterexample, phi.choi)
+    for seed in range(5):
+        rep = exposedness_report(phi, rng=np.random.default_rng(seed))
+        assert rep.verdict == "NOT_EXPOSED"
+        assert rep.nullspace_dim == 15
+        assert rep.diagnostics["weight_blocks"] == 43
+        assert not is_ray_proportional(rep.counterexample, phi.choi)

@@ -134,6 +134,30 @@ def test_svd_nullspace_scale_sets_the_cutoff():
             assert np.array_equal(got[1], vh[want_rank:].conj().T)
 
 
+def test_svd_nullspace_blocks_rank_each_column_block():
+    """Column blocks are ranked on their own, cut at the largest block's norm, scattered back."""
+    rng = np.random.default_rng(5)
+    M = rng.integers(-5, 6, size=(40, 6)).astype(float)
+    M[:, 4] = M[:, 0] + M[:, 1]
+    M[:, 5] = M[:, 2] - M[:, 3]
+    blocks = [np.array([0, 1, 4]), np.array([2, 3, 5])]
+    rank, basis, sigma_max = svd_nullspace(M, blocks=blocks)
+    assert rank == 4 and basis.shape == (6, 2)
+    # each block's null vector is zero off its own columns
+    assert np.all(basis[[2, 3, 5], 0] == 0.0) and np.all(basis[[0, 1, 4], 1] == 0.0)
+    assert sigma_max == max(svd_nullspace(M[:, cols])[2] for cols in blocks)
+    assert sigma_max < np.linalg.norm(M, 2)
+    # here the null space splits over the blocks, so it is the whole matrix's
+    _, whole, _ = svd_nullspace(M)
+    assert frobenius(basis @ basis.T - whole @ whole.T) < 1e-12
+    # one cutoff for every block
+    assert svd_nullspace(M, blocks=blocks, scale=1e12)[0] == 0
+    # a single block is the whole matrix, bit for bit
+    one = svd_nullspace(M, blocks=[np.arange(6)])
+    assert one[0] == 4 and one[2] == svd_nullspace(M)[2]
+    assert np.array_equal(one[1], whole)
+
+
 def test_random_unitary_is_unitary():
     rng = np.random.default_rng(1)
     for n in (1, 2, 5):
