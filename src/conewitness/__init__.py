@@ -20,6 +20,7 @@ from .errors import (
     ConeWitnessError,
     ConvergenceFailure,
     DimensionMismatch,
+    FrameMismatch,
     InsufficientZeros,
     NegativeParameter,
     NonHermitianInput,

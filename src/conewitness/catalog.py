@@ -7,7 +7,8 @@ Robertson map they specialize to in M_4.
 
 The constructors of the transposition, reduction, Breuer-Hall and
 Robertson maps also attach the map's dual face in closed form, as a draw
-``face(count, rng) -> (X, Y)``.
+``face(count, rng) -> (X, Y)``.  The Breuer-Hall constructor attaches the
+Youla frame of its unitary as well (see :func:`youla_form`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     OddDimension,
 )
 from .linalg import _row_norms, _unit_rows, frobenius, random_unitary
-from .maps import LinearMatrixMap, choi_from_apply
+from .maps import Frame, LinearMatrixMap, choi_from_apply
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -197,14 +198,61 @@ def choi_family_boundary_margin(a: float, b: float, c: float) -> float:
     return min(margins)
 
 
+def _breuer_hall_action(U):
+    eye = np.eye(U.shape[0])
+    Ud = U.conj().T
+    return lambda E: eye * np.trace(E) - E - U @ E.T @ Ud
+
+
 def breuer_hall(U: np.ndarray) -> LinearMatrixMap:
-    """``X -> I tr X - X - U X^t U*`` for an antisymmetric unitary U."""
+    """``X -> I tr X - X - U X^t U*`` for an antisymmetric unitary U.
+
+    With ``U = V K V^t`` (:func:`youla_form`), ``BH_U = Ad_V o BH_K o Ad_V*``,
+    so the map carries the frame ``V`` with the Choi matrix of ``BH_K``.
+    """
     U = require_antisymmetric_unitary(U)
     n2 = U.shape[0]
-    eye = np.eye(n2)
-    Ud = U.conj().T
     face = functools.partial(_unitary_face, U)
-    return choi_from_apply(lambda E: eye * np.trace(E) - E - U @ E.T @ Ud, n2, n2, face)
+    frame = Frame(youla_form(U), _youla_choi(n2))
+    return choi_from_apply(_breuer_hall_action(U), n2, n2, face, frame)
+
+
+@functools.cache
+def _youla_choi(n2):
+    """The Choi matrix of ``BH_K``, ``K = I (x) [[0, -1], [1, 0]]``, built once per dimension and read-only.
+
+    Every entry of K is 0 or +-1, so every entry is computed exactly, and its
+    zero pattern is exact.
+    """
+    K = np.kron(np.eye(n2 // 2), [[0.0, -1.0], [1.0, 0.0]])
+    W = choi_from_apply(_breuer_hall_action(K), n2, n2).choi
+    W.flags.writeable = False
+    return W
+
+
+def youla_form(U: np.ndarray) -> np.ndarray:
+    """A unitary V with ``V^dag U conj(V) = K = I (x) [[0, -1], [1, 0]]``, so ``U = V K V^t``.
+
+    Columns come in pairs ``v, U conj(v)``: ``v_1 = e_1``, and each later
+    ``v`` is the standard basis vector that keeps the most norm when
+    Gram-Schmidt takes the columns so far off it (the one whose row of
+    those columns is shortest, the first of equals), taken off them twice
+    and normalized.  ``U conj(v)`` is orthogonal to v (``x`` is orthogonal
+    to ``U conj(x)`` for antisymmetric U) and to every earlier pair, since
+    ``<a, U conj(b)> = -<b, U conj(a)>``.  For ``U = K`` every step is exact
+    and V is the identity.
+    """
+    U = require_antisymmetric_unitary(U)
+    n2 = U.shape[0]
+    V = np.zeros((n2, n2), dtype=complex)
+    for j in range(0, n2, 2):
+        Q = V[:, :j]
+        v = np.eye(n2)[np.argmin(_row_norms(Q))]
+        for _ in range(2):
+            v = v - Q @ (Q.conj().T @ v)
+        V[:, j] = v / np.linalg.norm(v)
+        V[:, j + 1] = U @ V[:, j].conj()
+    return V
 
 
 def robertson() -> LinearMatrixMap:

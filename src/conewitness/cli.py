@@ -98,7 +98,7 @@ def _render(obj, level: int) -> str:
     if dataclasses.is_dataclass(obj):
         obj = dataclasses.asdict(obj)
     elif isinstance(obj, np.ndarray):
-        obj = matrix_to_obj(obj.reshape(-1, 1) if obj.ndim == 1 else obj)
+        return _render_matrix(obj.reshape(-1, 1) if obj.ndim == 1 else obj, level)
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -110,6 +110,8 @@ def _render(obj, level: int) -> str:
         if not math.isfinite(v):
             raise ValueError("reports must not contain non-finite numbers")
         return format(v, ".17g")
+    if isinstance(obj, _Rendered):
+        return obj
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -124,9 +126,37 @@ def _render(obj, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [f"{pad}  {_render(v, level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+        return _join([_render(v, level + 1) for v in obj], pad + "  ")
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def _render_matrix(M: np.ndarray, level: int) -> str:
+    """The rendering of ``matrix_to_obj(M)``, its entries joined from ``.tolist()``.
+
+    The bytes are those :func:`_render` gives the dict, with no call per entry.
+    """
+    M = np.asarray(M, dtype=complex)
+    if not np.isfinite(M).all():
+        raise ValueError("reports must not contain non-finite numbers")
+    doc = _matrix_header(M)
+    pad = "  " * level
+    # the pads of the data list's rows, of a row's entries and of an entry's parts
+    p2, p3, p4 = (pad + "  " * t for t in (2, 3, 4))
+    rows = []
+    for re, im in zip(M.real.tolist(), M.imag.tolist()):
+        entries = [_join([format(a, ".17g"), format(b, ".17g")], p4) for a, b in zip(re, im)]
+        rows.append(_join(entries, p3) if entries else "[]")
+    doc["data"] = _Rendered(_join(rows, p2) if rows else "[]")
+    return _render(doc, level)
+
+
+def _join(items: list, pad: str) -> str:
+    """A rendered list of rendered items: one per line at ``pad``, closed one level out."""
+    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[:-2]}]"
+
+
+class _Rendered(str):
+    """Text :func:`_render` emits as it is."""
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +165,14 @@ def _render(obj, level: int) -> str:
 
 def matrix_to_obj(M: np.ndarray) -> dict:
     M = np.asarray(M, dtype=complex)
-    doc = {
-        "rows": int(M.shape[0]),
-        "cols": int(M.shape[1]),
-        "data": [
-            [[float(z.real), float(z.imag)] for z in row] for row in M
-        ],
-    }
+    doc = _matrix_header(M)
+    doc["data"] = [[[float(z.real), float(z.imag)] for z in row] for row in M]
+    return doc
+
+
+def _matrix_header(M: np.ndarray) -> dict:
+    """A matrix file's object without its ``data``."""
+    doc = {"rows": int(M.shape[0]), "cols": int(M.shape[1])}
     if M.shape[0] == M.shape[1] and is_hermitian(M):
         doc["hermitian"] = True
     return doc

@@ -57,5 +57,9 @@ class InsufficientZeros(ConeWitnessError):
     """Numeric dual-face harvesting found fewer product zeros than requested."""
 
 
+class FrameMismatch(ConeWitnessError):
+    """A map's frame is not unitary or does not carry its Choi matrix to the frame's."""
+
+
 class UnstableDimension(ConeWitnessError):
     """Null-space dimension changed when the constraint sample count was doubled."""

@@ -11,6 +11,7 @@ search is incomplete by nature.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -48,7 +49,7 @@ from .linalg import (
 from .maps import (
     LinearMatrixMap,
     apply,
-    choi_of,
+    frame_conjugate,
     is_ray_proportional,
     map_from_choi,
     product_vector,
@@ -226,9 +227,22 @@ def _checked_sample_count(phi, sample_count):
 
 
 def _nullspace_with_diagnostics(phi, k, rng):
-    """Orthonormal null-space coordinate rows ``(dim, (nm)^2)`` of two ``k``-pair samples."""
+    """Orthonormal null-space coordinate rows ``(dim, (nm)^2)`` of two ``k``-pair samples.
+
+    A map with a ``frame`` is ranked in it: both samples' pairs are carried
+    by ``V^dag`` to the reference map's face, ranked in the weight blocks of
+    the reference's Choi matrix, and the null space is carried back by
+    ``H -> L^dag H L``.  The returned sample keeps the map's own pairs.
+    """
     n, m = phi.dim_in, phi.dim_out
     d = n * m
+    frame = phi.frame
+
+    def rows(sample):
+        X, Y = sample.X, sample.Y
+        if frame is not None:
+            X, Y = X @ frame.V.conj(), Y @ frame.V.conj()
+        return stationarity_rows(X, Y)
 
     # both samples' stationarity rows are copied into one column-major
     # matrix, which LAPACK reads as is; the first sample's are its top half,
@@ -238,14 +252,14 @@ def _nullspace_with_diagnostics(phi, k, rng):
     # sigma_max, so no row of the first sample is decomposed twice
     r = 2 * (n + m) * k
     C = np.empty((2 * r, d * d), order="F")
-    blocks = _weight_blocks(phi.choi, n, m)
+    blocks = _weight_blocks(phi.choi if frame is None else frame.choi, n, m)
     first = dual_face_samples(phi, k, rng)
-    C[:r] = stationarity_rows(first.X, first.Y)
+    C[:r] = rows(first)
     rank1, V1, sigma_max = svd_nullspace(C[:r], blocks=blocks)
     dim1 = d * d - rank1
 
     second = dual_face_samples(phi, k, rng)
-    C[r:] = stationarity_rows(second.X, second.Y)
+    C[r:] = rows(second)
     basis_coords = V1
     if dim1:
         _, V2, _ = svd_nullspace(C[r:] @ V1, scale=sigma_max)
@@ -256,7 +270,9 @@ def _nullspace_with_diagnostics(phi, k, rng):
             f"nullspace dim {dim1} at {k} samples vs {dim2} at {2 * k}"
         )
 
-    c = hermitian_to_coords(ray_representative(phi.choi))
+    # the map's own Choi matrix, in the frame the rows were built in
+    W = phi.choi if frame is None else frame_conjugate(phi.choi, frame.V)
+    c = hermitian_to_coords(ray_representative(W))
     c = c / np.linalg.norm(c)
     containment = float(np.linalg.norm(C @ c))
     if containment > 10 * NULLSPACE_REL_TOL * max(sigma_max, 1.0):
@@ -264,6 +280,10 @@ def _nullspace_with_diagnostics(phi, k, rng):
             f"sampled face excludes the map's own Choi (residual {containment:.3e})"
         )
 
+    basis_coords = basis_coords.T
+    if frame is not None:
+        H = frame_conjugate(coords_to_hermitian(basis_coords, d), frame.V.conj().T)
+        basis_coords = hermitian_to_coords(H)
     diagnostics = {
         "dim_at_k": dim1,
         "dim_at_2k": dim2,
@@ -274,7 +294,7 @@ def _nullspace_with_diagnostics(phi, k, rng):
     if len(blocks) > 1:
         diagnostics["weight_blocks"] = len(blocks)
         diagnostics["largest_block"] = max(map(len, blocks))
-    return dim2, basis_coords.T, diagnostics, first
+    return dim2, basis_coords, diagnostics, first
 
 
 def double_dual_nullspace(
@@ -292,7 +312,9 @@ def double_dual_nullspace(
     inside.  The first sample is ranked one torus-weight block of columns at
     a time (see :func:`conewitness.linalg._weight_blocks`), and both ranks
     count singular values at most ``NULLSPACE_REL_TOL`` times the largest of
-    its blocks' as zero.
+    its blocks' as zero.  A map with a ``frame`` is ranked in the frame's
+    blocks and its null space carried back (see
+    :class:`conewitness.maps.Frame`).
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -575,7 +597,8 @@ def verify_bh_structure(
 
     ``x`` is one unit vector, which gives one report, or a stack ``(k, n)``
     of them, which gives a list of ``k`` reports.  The three Choi matrices
-    and check (ii), which depend on U alone, are computed once per call.
+    and check (ii), which depend on U alone, are computed once per call, the
+    reduction map's once per dimension.
     """
     U = require_antisymmetric_unitary(np.asarray(U, dtype=complex))
     n2 = U.shape[0]
@@ -585,11 +608,17 @@ def verify_bh_structure(
 
     phi = breuer_hall(U)
     twin = co_ad_map(U)
-    remark1_residual = float(
-        frobenius(choi_of(phi) + choi_of(twin) - choi_of(reduction(n2)))
-    )
+    remark1_residual = float(frobenius(phi.choi + twin.choi - _reduction_choi(n2)))
     reports = [_bh_structure_at(phi, U, v, remark1_residual) for v in X]
     return reports if stacked else reports[0]
+
+
+@functools.cache
+def _reduction_choi(n2):
+    """The reduction map's Choi matrix, built once per dimension and read-only."""
+    W = reduction(n2).choi
+    W.flags.writeable = False
+    return W
 
 
 def _bh_structure_at(phi, U, x, remark1_residual):

@@ -232,7 +232,7 @@ def _integer_null_point(G) -> np.ndarray:
     return point
 
 
-def _weight_blocks(W: np.ndarray, n: int, m: int) -> list:
+def _weight_blocks(W: np.ndarray, n: int, m: int) -> tuple:
     """Coordinate columns of ``nm x nm`` Hermitian matrices, one block per torus-weight class of ``W``.
 
     Give basis vector ``(i, k)`` the weight ``mu = alpha_i + beta_k``, with
@@ -248,10 +248,17 @@ def _weight_blocks(W: np.ndarray, n: int, m: int) -> list:
     weight space, found from W's zero pattern alone.  Keys closer than a gap
     far above round-off share a block: a merge of two classes is still
     exact, a split never happens.  A W with no zero entries gets one block.
-    Blocks come in key order, each with its columns ascending.
+    Blocks come in key order, each with its columns ascending.  They are
+    computed once per zero pattern and shared, so the arrays are read-only.
     """
+    return _pattern_blocks(n, m, np.packbits(W != 0).tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _pattern_blocks(n, m, pattern):
     d = n * m
-    a, b = np.nonzero(W)
+    nonzero = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=d * d)
+    a, b = np.divmod(np.flatnonzero(nonzero), d)
     i, k = np.divmod(a, m)
     j, l = np.divmod(b, m)
     eye_n, eye_m = np.eye(n, dtype=np.int64), np.eye(m, dtype=np.int64)
@@ -264,7 +271,10 @@ def _weight_blocks(W: np.ndarray, n: int, m: int) -> list:
     order = np.argsort(key, kind="stable")
     gap = 1e-9 * max(1.0, float(key[order[-1]]))
     cuts = np.flatnonzero(np.diff(key[order]) > gap) + 1
-    return [np.sort(block) for block in np.split(order, cuts)]
+    blocks = tuple(np.sort(block) for block in np.split(order, cuts))
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
 
 
 def _entries_to_coords(E: np.ndarray, d: int) -> np.ndarray:

@@ -28,9 +28,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PAIRING_IMAG_TOL, RAY_TOL
-from .errors import DimensionMismatch, NonRealPairing
+from .config import FRAME_RTOL, PAIRING_IMAG_TOL, RAY_TOL
+from .errors import DimensionMismatch, FrameMismatch, NonRealPairing
 from .linalg import frobenius, hermitian_to_coords, require_hermitian
+
+
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """A unitary ``V`` that carries a map on M_n to a reference map with Choi matrix ``choi``.
+
+    The reference map is ``X -> V^dag phi(V X V^dag) V``; its Choi matrix is
+    ``L W L^dag`` with ``L = V^t (x) V^dag`` (see :func:`frame_conjugate`), and
+    ``L`` sends a pair's product vector ``conj(x) (x) y`` to that of
+    ``(V^dag x, V^dag y)``.  So the pair ``(x, y)`` is on phi's dual face
+    exactly when ``(V^dag x, V^dag y)`` is on the reference's, and the face's
+    null spaces correspond by ``H -> L H L^dag``.
+    """
+
+    V: np.ndarray
+    choi: np.ndarray
+
+
+def frame_conjugate(A: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``L A L^dag`` with ``L = V^t (x) V^dag``, for one or stacked ``n^2 x n^2`` matrices ``A``.
+
+    ``A`` the Choi matrix of phi gives that of ``X -> V^dag phi(V X V^dag) V``;
+    ``V^dag`` in place of ``V`` undoes it.
+    """
+    n = V.shape[0]
+    L = (V.T[:, np.newaxis, :, np.newaxis] * V.conj().T[:, np.newaxis, :]).reshape(n * n, n * n)
+    return L @ A @ L.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,12 +69,19 @@ class LinearMatrixMap:
     ``(X, Y)`` from it, one pair per row.  Every drawn pair is still checked
     against the Choi matrix before use.  ``None`` means the face is
     harvested numerically.
+
+    ``frame``, a :class:`Frame`, is set by the Breuer-Hall constructor: the
+    face's null space is ranked in the frame, in the weight blocks of its
+    reference Choi matrix.  A frame that is not unitary, or that does not
+    carry ``choi`` to its own, to ``FRAME_RTOL``, is refused with
+    FrameMismatch.
     """
 
     dim_in: int
     dim_out: int
     choi: np.ndarray
     face: Callable | None = None
+    frame: Frame | None = None
 
     def __post_init__(self):
         n, m = self.dim_in, self.dim_out
@@ -59,6 +93,8 @@ class LinearMatrixMap:
                 f"Choi matrix shape {W.shape} does not match dims ({n}, {m})"
             )
         object.__setattr__(self, "choi", W)
+        if self.frame is not None:
+            _check_frame(self.frame, W, n, m)
 
     def __add__(self, other: "LinearMatrixMap") -> "LinearMatrixMap":
         return add(self, other)
@@ -68,6 +104,20 @@ class LinearMatrixMap:
 
     def __rmul__(self, lam: float) -> "LinearMatrixMap":
         return scale(self, lam)
+
+
+def _check_frame(frame, W, n, m):
+    """Refuse a frame that does not fit the map, is not unitary or does not carry W to its Choi."""
+    V = frame.V
+    if n != m or V.shape != (n, n) or frame.choi.shape != W.shape:
+        raise DimensionMismatch(f"a frame of shape {V.shape} does not fit a map M_{n} -> M_{m}")
+    bound = FRAME_RTOL * max(1.0, frobenius(W))
+    for what, defect in (
+        ("unitarity", frobenius(V.conj().T @ V - np.eye(n))),
+        ("Choi", frobenius(frame_conjugate(W, V) - frame.choi)),
+    ):
+        if defect > bound:
+            raise FrameMismatch(f"frame {what} defect {defect:.3e} exceeds bound {bound:.3e}")
 
 
 def choi_of(phi: LinearMatrixMap) -> np.ndarray:
@@ -80,12 +130,12 @@ def map_from_choi(W: np.ndarray, dim_in: int, dim_out: int) -> LinearMatrixMap:
     return LinearMatrixMap(dim_in, dim_out, np.asarray(W, dtype=complex))
 
 
-def choi_from_apply(fn, dim_in: int, dim_out: int, face=None) -> LinearMatrixMap:
+def choi_from_apply(fn, dim_in: int, dim_out: int, face=None, frame=None) -> LinearMatrixMap:
     """Build a map from its action on matrix units.
 
     ``fn`` receives each ``e_ij`` (as an ``n x n`` array) and must return the
     ``m x m`` image.  This is how every catalog constructor evaluates its
-    defining formula; ``face`` is passed through to the map.
+    defining formula; ``face`` and ``frame`` are passed through to the map.
     """
     n, m = dim_in, dim_out
     T = np.zeros((n, m, n, m), dtype=complex)
@@ -94,7 +144,7 @@ def choi_from_apply(fn, dim_in: int, dim_out: int, face=None) -> LinearMatrixMap
             unit = np.zeros((n, n), dtype=complex)
             unit[i, j] = 1.0
             T[i, :, j, :] = np.asarray(fn(unit), dtype=complex)
-    return LinearMatrixMap(n, m, T.reshape(n * m, n * m), face)
+    return LinearMatrixMap(n, m, T.reshape(n * m, n * m), face, frame)
 
 
 def apply(phi: LinearMatrixMap, X: np.ndarray) -> np.ndarray:

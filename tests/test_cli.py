@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from conewitness import cli
+from conewitness import cli, exposedness
 from conewitness.catalog import (
     SIGMA_Y,
     ad_map,
@@ -78,6 +78,28 @@ def test_canonical_json_renders_dataclasses_and_arrays():
     )
     M = np.array([[1.0, 1.0j], [-1.0j, 2.0]])
     assert cli.canonical_json({"m": M}) == cli.canonical_json({"m": cli.matrix_to_obj(M)})
+
+
+def test_canonical_json_array_fast_path_is_the_dict_bytes():
+    """An array renders as the bytes of its matrix file's dict, at any depth; non-finite entries raise."""
+    tiny = 5e-324
+    cases = [
+        np.array([[-0.0, 1e308, -1e308], [tiny, -tiny, 2.5]]),
+        np.array([[1.0, -0.0j], [0.0, 2.0]]),  # Hermitian, so tagged
+        np.array([[complex(-0.0, -0.0), 1e-310 + 1e308j, 0.1]]),
+        np.zeros((3, 0)),
+    ]
+    for M in cases:
+        obj = cli.matrix_to_obj(M)
+        assert cli.canonical_json(M) == cli.canonical_json(obj)
+        assert cli.canonical_json([{"a": [M]}]) == cli.canonical_json([{"a": [obj]}])
+    assert '"hermitian": true' in cli.canonical_json(cases[1])
+    v = np.array([-0.0, tiny, 1e308j])
+    assert cli.canonical_json({"v": v}) == cli.canonical_json({"v": cli.matrix_to_obj(v.reshape(-1, 1))})
+    assert cli.canonical_json(np.zeros(0)) == cli.canonical_json(cli.matrix_to_obj(np.zeros((0, 1))))
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            cli.canonical_json({"m": np.array([[1.0, bad]])})
 
 
 def test_canonical_json_float_format():
@@ -473,6 +495,19 @@ def test_verify_bh_structure_takes_its_dimension_from_u(tmp_path, capsys):
     # without --u the dimension stays 4
     code, doc, _ = run(["verify", "--suite", "bh-structure", "--trials", "2"], tmp_path)
     assert code == 0 and doc["config"]["dim"] == 4
+
+
+def test_verify_bh_structure_builds_the_reduction_map_once(tmp_path, monkeypatch):
+    """Without --u every trial draws its own U, and the reduction map is built once per run."""
+    argv = ["verify", "--suite", "bh-structure", "--trials", "5", "--seed", "3"]
+    _, _, before = run(argv, tmp_path)
+    builds = []
+    monkeypatch.setattr(exposedness, "reduction", lambda n: builds.append(n) or reduction(n))
+    exposedness._reduction_choi.cache_clear()
+    code, doc, raw = run(argv, tmp_path)
+    assert code == 0 and doc["passed"] is True
+    assert builds == [4]
+    assert raw == before
 
 
 def test_reports_echo_fixed_cutoffs(tmp_path):

@@ -1,5 +1,6 @@
 """Dual-face sampling, null spaces, cone search, and the exposedness verdicts."""
 
+import json
 import warnings
 
 import numpy as np
@@ -37,6 +38,7 @@ from conewitness.linalg import (
     svd_nullspace,
 )
 from conewitness.maps import (
+    LinearMatrixMap,
     choi_of,
     is_ray_proportional,
     map_from_choi,
@@ -357,7 +359,10 @@ def test_nullspace_rejects_undersampling(monkeypatch):
 def test_nullspace_basis_bits_match_stacked_c_order_blocks():
     """One column-major system gives the bits of C-order blocks, weight block by weight block."""
     U = random_antisymmetric_unitary(4, np.random.default_rng(3))
-    for phi, n, n_blocks in ((robertson(), 4, 13), (breuer_hall(U), 4, 1), (reduction(3), 3, 10)):
+    # the Haar BH_4 with its frame left off: a W with no zero entry is one block
+    haar = breuer_hall(U)
+    one_block = LinearMatrixMap(4, 4, haar.choi, haar.face)
+    for phi, n, n_blocks in ((robertson(), 4, 13), (one_block, 4, 1), (reduction(3), 3, 10)):
         d = n * n
         k = d * d // (4 * n - 3) + 4  # face pairs per block
         rng = np.random.default_rng(11)
@@ -441,21 +446,39 @@ def test_blocked_nullity_equals_one_block_nullity(seed, monkeypatch):
     assert blocked == whole == [1, 9, 36, 1, 1, 1, 14, 1, 9]
 
 
-def test_haar_breuer_hall_is_one_block(tmp_path, monkeypatch, capsys):
-    """A W with no zero entry is one block, and its report is the bytes of a one-block call."""
+def test_haar_breuer_hall_is_ranked_in_its_youla_frame(tmp_path, capsys, monkeypatch):
+    """A W with no zero entry is one block; its Youla frame gives BH_K's 13 and the one-block verdicts."""
     U = random_antisymmetric_unitary(4, np.random.default_rng(1234))
     phi = breuer_hall(U)
     assert np.all(phi.choi != 0)
     assert len(_weight_blocks(phi.choi, 4, 4)) == 1
     u_file = tmp_path / "u.json"
     u_file.write_text(cli.canonical_json(cli.matrix_to_obj(U)))
-    argv = ["exposedness", "breuer-hall", "--u", str(u_file), "--seed", "7"]
-    assert cli.main(argv) == 0
-    blocked = capsys.readouterr().out
+    assert cli.main(["exposedness", "breuer-hall", "--u", str(u_file), "--seed", "7"]) == 0
+    diag = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert diag["weight_blocks"] == 13 and diag["largest_block"] == 48
+    framed = [exposedness_report(phi, rng=np.random.default_rng(seed)) for seed in range(5)]
     monkeypatch.setattr(exposedness, "_weight_blocks", _one_block)
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out == blocked
-    assert "weight_blocks" not in blocked and "largest_block" not in blocked
+    off = LinearMatrixMap(4, 4, phi.choi, phi.face)
+    whole = [exposedness_report(off, rng=np.random.default_rng(seed)) for seed in range(5)]
+    assert [(r.verdict, r.nullspace_dim) for r in framed] == [
+        (r.verdict, r.nullspace_dim) for r in whole
+    ] == [("CERTIFIED_EXPOSED", 1)] * 5
+    assert "weight_blocks" not in whole[0].diagnostics
+
+
+def test_haar_breuer_hall6_nullspace_in_its_youla_frame():
+    """A Haar BH_6 has BH_K's nullity 15, carried back: the map's own Choi is in the span."""
+    U = random_antisymmetric_unitary(6, np.random.default_rng(1234))
+    phi = breuer_hall(U)
+    dim, basis = double_dual_nullspace(phi, rng=np.random.default_rng(0))
+    assert dim == 15
+    rows = hermitian_to_coords(basis)
+    c = hermitian_to_coords(phi.choi)
+    assert np.linalg.norm(c - rows.T @ (rows @ c)) <= 1e-10 * np.linalg.norm(c)
+    # each element stays first-order stationary on fresh pairs of the map's own face
+    sample = dual_face_samples(phi, 20, np.random.default_rng(1))
+    assert np.max(np.abs(stationarity_rows(sample.X, sample.Y) @ rows.T)) <= 1e-10
 
 
 @pytest.mark.parametrize("k, count, widest", [(3, 43, 96), (4, 113, 168)])
