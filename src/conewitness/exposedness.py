@@ -12,6 +12,7 @@ search is incomplete by nature.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -37,13 +38,11 @@ from .errors import (
 from .linalg import (
     _coordinate_entries,
     _entries_to_coords,
-    _unit_rows,
     _weight_blocks,
     fix_phase,
     frobenius,
     hermitian_to_coords,
     coords_to_hermitian,
-    random_unit_vector,
     svd_nullspace,
 )
 from .maps import (
@@ -61,7 +60,6 @@ from .positivity import (
     ProductPair,
     SeeSawConfig,
     _sweep,
-    _y_side,
     is_block_positive,
     seesaw_endpoints,
 )
@@ -232,7 +230,7 @@ def _nullspace_with_diagnostics(phi, k, rng):
     A map with a ``frame`` is ranked in it: both samples' pairs are carried
     by ``V^dag`` to the reference map's face, ranked in the weight blocks of
     the reference's Choi matrix, and the null space is carried back by
-    ``H -> L^dag H L``.  The returned sample keeps the map's own pairs.
+    ``H -> L^dag H L``.
     """
     n, m = phi.dim_in, phi.dim_out
     d = n * m
@@ -294,7 +292,7 @@ def _nullspace_with_diagnostics(phi, k, rng):
     if len(blocks) > 1:
         diagnostics["weight_blocks"] = len(blocks)
         diagnostics["largest_block"] = max(map(len, blocks))
-    return dim2, basis_coords, diagnostics, first
+    return dim2, basis_coords, diagnostics
 
 
 def double_dual_nullspace(
@@ -319,48 +317,8 @@ def double_dual_nullspace(
     if rng is None:
         rng = np.random.default_rng(0)
     k = _checked_sample_count(phi, sample_count)
-    dim, rows, _, _ = _nullspace_with_diagnostics(phi, k, rng)
+    dim, rows, _ = _nullspace_with_diagnostics(phi, k, rng)
     return dim, coords_to_hermitian(rows, phi.dim_in * phi.dim_out)
-
-
-def _probe_vectors(phi, face_x, rng):
-    """Product vectors used to refute candidates cheaply.
-
-    Face-kernel probes matter most: at a face point x the contracted
-    witness has a kernel, and any null-space direction that dips negative
-    somewhere on that kernel circle is caught by a single inner product.
-    The face points are the first rows of ``face_x``.
-    """
-    n, m = phi.dim_in, phi.dim_out
-    T = phi.choi.reshape(n, m, n, m)
-    scale = max(1.0, frobenius(phi.choi))
-    probes = []
-
-    X = face_x[:48]
-    W, V = np.linalg.eigh(_y_side(T, X))
-    for x, w, v in zip(X, W, V):
-        kernel = v[:, w <= 1e-7 * scale]
-        kdim = kernel.shape[1]
-        if kdim == 0:
-            continue
-        for col in range(kdim):
-            probes.append(product_vector(x, kernel[:, col]))
-        if kdim >= 2:
-            coeff = rng.standard_normal((6, kdim)) + 1j * rng.standard_normal((6, kdim))
-            ys = coeff @ kernel.T
-            ys /= np.linalg.norm(ys, axis=1, keepdims=True)
-            for y in ys:
-                probes.append(product_vector(x, y))
-        # slightly off-face probes guard directions negative just outside
-        for delta in (0.03, 0.2):
-            y = kernel[:, 0] + delta * random_unit_vector(m, rng)
-            probes.append(product_vector(x, y / np.linalg.norm(y)))
-
-    # random probes, drawn in the order of one random_unit_vector per x and y
-    G = rng.standard_normal((128, 2 * (n + m)))
-    x = _unit_rows(G[:, :n] + 1j * G[:, n : 2 * n])
-    y = _unit_rows(G[:, 2 * n : 2 * n + m] + 1j * G[:, 2 * n + m :])
-    return np.concatenate([np.reshape(probes, (-1, n * m)), product_vector(x, y)])
 
 
 def _pairings(Z, basis):
@@ -379,20 +337,20 @@ def _pairings(Z, basis):
 def cone_search_off_ray(
     phi: LinearMatrixMap,
     basis: np.ndarray,
-    face_x: np.ndarray,
     budget: int = 2000,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray | None:
     """Search the span of ``basis`` for a block-positive element off the map's ray.
 
     ``basis`` holds orthonormal coordinate rows ``(dim, (nm)^2)``, as ranked.
-    Candidates are screened against product-vector probes built on the
-    face points ``face_x`` (a negative probe pairing is an exact
-    refutation), then certified by see-saw; certified violations feed back
-    as new probe rows, and the violated candidate is repaired along the
-    cutting direction a few times before giving up on it.  First surviving
-    candidate wins; None is a legitimate outcome and the only possible one
-    when dim < 2.
+    Every seed is the map's ray tilted by 0.1, 0.3 or 0.7 (in turn) along a
+    random direction orthogonal to it.  A candidate is screened against the
+    cutting planes found so far (a negative pairing is an exact refutation),
+    then certified by a quick see-saw; a certified violation becomes a new
+    cutting plane, and the violated candidate is repaired along it a few
+    times before the next seed.  The full see-saw confirms what survives,
+    and the first confirmed candidate wins; None is a legitimate outcome and
+    the only possible one when dim < 2.
     """
     budget = operator.index(budget)
     if budget < 0:
@@ -412,33 +370,23 @@ def cone_search_off_ray(
     c = c / np.linalg.norm(c)
     gamma_ray = basis @ c
 
-    Q = _pairings(_probe_vectors(phi, face_x, rng), basis)
+    Q = np.empty((0, dim))  # cutting planes: pairing rows of certified violations
     reject_below = -10 * ZERO_TOL
     spent = 0
-    seed_index = 0
+    tilts = itertools.cycle((0.1, 0.3, 0.7))
     while spent < budget:
-        # alternate anchored perturbations of the ray with blind directions
+        # a seed: the ray tilted along a random direction orthogonal to it
         u = rng.standard_normal(dim)
-        if seed_index % 2 == 0:
-            u -= gamma_ray * (gamma_ray @ u)
-            norm = np.linalg.norm(u)
-            if norm < 1e-12:
-                seed_index += 1
-                continue
-            eps = (0.1, 0.3, 0.7)[(seed_index // 2) % 3]
-            gamma = gamma_ray + eps * (u / norm)
-        else:
-            gamma = u
+        u -= gamma_ray * (gamma_ray @ u)
+        gamma = gamma_ray + next(tilts) * (u / np.linalg.norm(u))
         gamma = gamma / np.linalg.norm(gamma)
-        seed_index += 1
 
         for _ in range(8):  # repair rounds for this seed
             if spent >= budget:
                 break
             spent += 1
             vals = Q @ gamma
-            j = int(np.argmin(vals))
-            worst = float(vals[j])
+            worst, j = (float(vals.min()), int(vals.argmin())) if vals.size else (0.0, -1)
             if worst >= reject_below:
                 cand = ray_representative(coords_to_hermitian(gamma @ basis, d))
                 if is_ray_proportional(cand, phi.choi):
@@ -495,11 +443,11 @@ def exposedness_report(
             f"map has a product pair with pairing {bp_report.min_value:.6e}"
         )
 
-    dim, basis, diagnostics, samples = _nullspace_with_diagnostics(phi, k, rng)
+    dim, basis, diagnostics = _nullspace_with_diagnostics(phi, k, rng)
     verdict, cand, cand_report = "CERTIFIED_EXPOSED", None, None
     if dim != 1:
         verdict = "CONSISTENT_WITH_EXPOSED"
-        cand = cone_search_off_ray(phi, basis, samples.X, budget, rng)
+        cand = cone_search_off_ray(phi, basis, budget, rng)
         if cand is not None:
             ok, cand_report = _validate_counterexample(phi, cand, rng)
             if ok:

@@ -24,11 +24,25 @@ def frobenius(A: np.ndarray) -> float:
     return float(np.linalg.norm(A))
 
 
+def _hermiticity(A):
+    """Whether square ``A`` meets ``||A - A^H||_F <= HERMITIAN_RTOL * max(1, ||A||_F)``, and both sides.
+
+    Weighed after an exact power-of-two scaling that brings every real and
+    imaginary part below one, so no subtraction or norm overflows; the
+    sides are scaled back for messages only, where they may read inf.
+    """
+    _, e = np.frexp(max(np.abs(A.real).max(initial=0.0), np.abs(A.imag).max(initial=0.0)))
+    e = max(int(e), 0)
+    S = A * 2.0**-e
+    defect = frobenius(S - S.conj().T)
+    bound = HERMITIAN_RTOL * max(2.0**-e, frobenius(S))
+    with np.errstate(over="ignore"):
+        return defect <= bound, float(np.ldexp(defect, e)), float(np.ldexp(bound, e))
+
+
 def is_hermitian(A: np.ndarray) -> bool:
     A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        return False
-    return frobenius(A - A.conj().T) <= HERMITIAN_RTOL * max(1.0, frobenius(A))
+    return A.ndim == 2 and A.shape[0] == A.shape[1] and _hermiticity(A)[0]
 
 
 def require_hermitian(A: np.ndarray) -> np.ndarray:
@@ -40,12 +54,9 @@ def require_hermitian(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NonHermitianInput(f"expected a square matrix, got shape {A.shape}")
-    defect = frobenius(A - A.conj().T)
-    bound = HERMITIAN_RTOL * max(1.0, frobenius(A))
-    if defect > bound:
-        raise NonHermitianInput(
-            f"Hermiticity defect {defect:.3e} exceeds bound {bound:.3e}"
-        )
+    ok, defect, bound = _hermiticity(A)
+    if not ok:
+        raise NonHermitianInput(f"Hermiticity defect {defect:.3e} exceeds bound {bound:.3e}")
     return A
 
 

@@ -3,6 +3,8 @@
 import functools
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -386,6 +388,17 @@ def test_reports_are_byte_identical(tmp_path):
     code, doc, again = run(argv, tmp_path)
     assert code == 0 and doc["config"]["samples"] is None
     assert again == first
+
+
+def test_reports_are_byte_identical_across_processes():
+    """Two fresh interpreters print the same report bytes for the same seed."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else os.pathsep.join([src, path])}
+    argv = [sys.executable, "-m", "conewitness.cli", "exposedness", "reduction", "--n", "3", "--seed", "7"]
+    first, second = (subprocess.run(argv, env=env, capture_output=True, check=True) for _ in range(2))
+    assert json.loads(first.stdout)["verdict"] == "NOT_EXPOSED"
+    assert first.stdout == second.stdout
 
 
 def test_memory_error_exits_two(monkeypatch, capsys):

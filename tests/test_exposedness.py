@@ -593,8 +593,7 @@ def test_cone_search_finds_reduction3_counterexample():
     rng = np.random.default_rng(11)
     phi = reduction(3)
     dim, basis = double_dual_nullspace(phi, rng=rng)
-    face_x = dual_face_samples(phi, 162, rng).X
-    cand = cone_search_off_ray(phi, hermitian_to_coords(basis), face_x, budget=2000, rng=rng)
+    cand = cone_search_off_ray(phi, hermitian_to_coords(basis), budget=2000, rng=rng)
     assert cand is not None
     assert not is_ray_proportional(cand, choi_of(phi))
     verdict, _ = is_block_positive(map_from_choi(cand, 3, 3), SeeSawConfig(), rng)
@@ -606,24 +605,37 @@ def test_cone_search_trivial_when_dim_one():
 
     phi = reduction(2)
     dim, basis = double_dual_nullspace(reduction(2), rng=rng)
-    face_x = dual_face_samples(reduction(2), 32, rng).X
     rows = hermitian_to_coords(basis)
-    assert cone_search_off_ray(phi, rows, face_x, budget=100, rng=rng) is None
+    assert cone_search_off_ray(phi, rows, budget=100, rng=rng) is None
+
+
+def test_cone_search_reads_no_face_sample(monkeypatch):
+    """The search draws no face pairs; a report draws two samples and one for validation."""
+    phi = reduction(3)
+    dim, basis = double_dual_nullspace(phi, rng=np.random.default_rng(11))
+    monkeypatch.setattr(exposedness, "dual_face_samples", _must_not_run)
+    rng = np.random.default_rng(11)
+    cand = cone_search_off_ray(phi, hermitian_to_coords(basis), budget=2000, rng=rng)
+    assert dim == 9 and cand is not None and not is_ray_proportional(cand, phi.choi)
+    monkeypatch.undo()
+    draws = []
+    sampler = exposedness.dual_face_samples
+    monkeypatch.setattr(
+        exposedness, "dual_face_samples", lambda *args: draws.append(args[1]) or sampler(*args)
+    )
+    rep = exposedness_report(phi, rng=np.random.default_rng(7))
+    assert rep.verdict == "NOT_EXPOSED" and len(draws) == 3
 
 
 def test_probe_pairings_equal_witness_pairing_per_basis_element():
-    """The value-row pairings equal W's pairing with each basis element at each probe."""
+    """A cutting plane's pairings equal W's pairing with each basis element at each product vector."""
     phi = reduction(4)
     rng = np.random.default_rng(5)
     dim, basis = double_dual_nullspace(phi, rng=rng)
     rows = hermitian_to_coords(basis)
-    face_x = dual_face_samples(phi, 60, rng).X
-    Z = exposedness._probe_vectors(phi, face_x, rng)
-    # each probe is a product vector conj(x) (x) y: its 4 x 4 reshape has rank one
-    u, s, vh = np.linalg.svd(Z.reshape(-1, 4, 4))
-    assert np.max(s[:, 1]) < 1e-12
-    X, Y = u[:, :, 0].conj(), s[:, :1] * vh[:, 0]
-    assert np.max(np.abs(product_vector(X, Y) - Z)) < 1e-12
+    X = np.stack([random_unit_vector(4, rng) for _ in range(40)])
+    Y = np.stack([random_unit_vector(4, rng) for _ in range(40)])
+    Z = product_vector(X, Y)
     want = np.stack([witness_pairing(coords_to_hermitian(r, 16), X, Y) for r in rows], axis=1)
     got = exposedness._pairings(Z, rows)
     assert dim == 36 and got.shape == (len(Z), dim)
@@ -636,8 +648,8 @@ def test_probe_pairings_equal_witness_pairing_per_basis_element():
 def test_confirm_rejection_moves_the_search_to_its_next_seed(monkeypatch):
     """A candidate the full-config see-saw rejects is dropped, and the search goes on.
 
-    The next seed is a blind direction; the report still finds a validated
-    counterexample, off the rejected candidate's ray.
+    The next seed is the ray tilted along a fresh direction; the report
+    still finds a validated counterexample, off the rejected candidate's ray.
     """
     phi = reduction(3)
     real = exposedness.is_block_positive
@@ -658,17 +670,6 @@ def test_confirm_rejection_moves_the_search_to_its_next_seed(monkeypatch):
     # the search ran on after the rejection before a later candidate was confirmed
     assert calls.index("rejected") < calls.index("search", calls.index("rejected"))
     assert not is_ray_proportional(rep.counterexample, rejected[0])
-
-
-def test_probe_vectors_on_a_two_dimensional_kernel():
-    """Robertson's face points have a 2-D kernel: 2 kernel, 6 combination and 2 off-face probes each."""
-    phi = robertson()
-    face_x = dual_face_samples(phi, 60, np.random.default_rng(0)).X
-    Z = exposedness._probe_vectors(phi, face_x, np.random.default_rng(1))
-    assert Z.shape == (48 * (2 + 6 + 2) + 128, 16)
-    values = np.einsum("ki,ij,kj->k", Z.conj(), phi.choi, Z).real
-    on_face = values[: 48 * 10].reshape(48, 10)[:, :8]
-    assert np.max(np.abs(on_face)) <= ZERO_TOL
 
 
 def test_report_searches_the_rows_double_dual_nullspace_converts(monkeypatch):
@@ -698,10 +699,9 @@ def test_report_searches_the_rows_double_dual_nullspace_converts(monkeypatch):
 def test_cone_search_refuses_hermitian_basis():
     phi = reduction(3)
     dim, basis = double_dual_nullspace(reduction(3), rng=np.random.default_rng(4))
-    face_x = dual_face_samples(reduction(3), 13, np.random.default_rng(4)).X
     for bad in (basis, basis[:1], hermitian_to_coords(basis)[:, :80]):
         with pytest.raises(DimensionMismatch, match="is not rows"):
-            cone_search_off_ray(phi, bad, face_x, budget=10, rng=np.random.default_rng(4))
+            cone_search_off_ray(phi, bad, budget=10, rng=np.random.default_rng(4))
 
 
 def test_exposedness_verdicts():
@@ -903,10 +903,9 @@ def test_budget_must_be_an_integer(monkeypatch):
     phi = reduction(3)
     dim, basis = double_dual_nullspace(reduction(3), rng=np.random.default_rng(4))
     rows = hermitian_to_coords(basis)
-    face_x = dual_face_samples(reduction(3), 13, np.random.default_rng(4)).X
     with pytest.raises(TypeError):
-        cone_search_off_ray(phi, rows, face_x, budget=2.5, rng=np.random.default_rng(4))
-    assert cone_search_off_ray(phi, rows, face_x, np.int64(0), np.random.default_rng(4)) is None
+        cone_search_off_ray(phi, rows, budget=2.5, rng=np.random.default_rng(4))
+    assert cone_search_off_ray(phi, rows, np.int64(0), np.random.default_rng(4)) is None
     monkeypatch.setattr(exposedness, "is_block_positive", _must_not_run)
     with pytest.raises(TypeError):
         exposedness_report(reduction(3), budget=2.5)
@@ -1006,21 +1005,6 @@ def test_exposedness_reduction4():
     rep = exposedness_report(reduction(4), rng=np.random.default_rng(30))
     assert rep.verdict == "NOT_EXPOSED"
     assert rep.nullspace_dim == 36
-
-
-@pytest.mark.parametrize("n, m", [(3, 3), (4, 4), (2, 3), (8, 8)])
-def test_random_probes_match_per_probe_draws(n, m):
-    phi = map_from_choi(random_hermitian(n * m, np.random.default_rng(n + m)), n, m)
-    rng, ref_rng = np.random.default_rng(40), np.random.default_rng(40)
-    probes = exposedness._probe_vectors(phi, np.empty((0, n), complex), rng)
-    ref = np.stack(
-        [
-            product_vector(random_unit_vector(n, ref_rng), random_unit_vector(m, ref_rng))
-            for _ in range(128)
-        ]
-    )
-    assert np.array_equal(probes, ref)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_breuer_hall6_nullspace_dimension():

@@ -1,10 +1,13 @@
 """Unit tests for the dense linear algebra kernel."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conewitness import cli
 from conewitness.config import NULLSPACE_REL_TOL
 from conewitness.errors import NonHermitianInput
 from conewitness.linalg import (
@@ -36,6 +39,24 @@ def test_require_hermitian_accepts_and_rejects():
         require_hermitian(np.zeros((2, 3)))
     assert not is_hermitian(np.zeros((2, 3)))
     assert is_hermitian(np.eye(4))
+    # a matrix weighed in a scale of two reports its defect and bound unscaled
+    with pytest.raises(NonHermitianInput, match=r"^Hermiticity defect 1\.414e\+03 exceeds bound 1\.000e-09$"):
+        require_hermitian(np.array([[0.0, 1e3], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e308])
+def test_hermiticity_check_does_not_overflow(scale):
+    """Huge entries are weighed without overflow: the defect and the bound are never both inf."""
+    bad = np.array([[scale, scale], [-scale, 1.0]])
+    good = np.array([[1e200, 1e200 + 3e199j], [1e200 - 3e199j, -1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_hermitian(bad)
+        with pytest.raises(NonHermitianInput, match="exceeds bound"):
+            require_hermitian(bad)
+        assert "hermitian" not in cli.matrix_to_obj(bad)
+        assert is_hermitian(good) and require_hermitian(good) is not None
+        assert cli.matrix_to_obj(good)["hermitian"] is True
 
 
 def test_svd_nullspace_known_matrix():
