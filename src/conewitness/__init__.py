@@ -20,7 +20,6 @@ from .errors import (
     ConeWitnessError,
     ConvergenceFailure,
     DimensionMismatch,
-    FrameMismatch,
     InsufficientZeros,
     NegativeParameter,
     NonHermitianInput,
@@ -33,6 +32,7 @@ from .errors import (
     NotUnitary,
     OddDimension,
     UnstableDimension,
+    ZeroWitness,
 )
 from .linalg import (
     coords_to_hermitian,

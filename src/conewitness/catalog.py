@@ -27,7 +27,7 @@ from .errors import (
     OddDimension,
 )
 from .linalg import _row_norms, _unit_rows, frobenius, random_unitary
-from .maps import Frame, LinearMatrixMap, choi_from_apply
+from .maps import LinearMatrixMap, choi_from_apply
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -198,36 +198,19 @@ def choi_family_boundary_margin(a: float, b: float, c: float) -> float:
     return min(margins)
 
 
-def _breuer_hall_action(U):
-    eye = np.eye(U.shape[0])
-    Ud = U.conj().T
-    return lambda E: eye * np.trace(E) - E - U @ E.T @ Ud
-
-
 def breuer_hall(U: np.ndarray) -> LinearMatrixMap:
     """``X -> I tr X - X - U X^t U*`` for an antisymmetric unitary U.
 
     With ``U = V K V^t`` (:func:`youla_form`), ``BH_U = Ad_V o BH_K o Ad_V*``,
-    so the map carries the frame ``V`` with the Choi matrix of ``BH_K``.
+    so the map carries the frame ``V``, which takes it to ``BH_K``.
     """
     U = require_antisymmetric_unitary(U)
     n2 = U.shape[0]
+    eye = np.eye(n2)
+    Ud = U.conj().T
     face = functools.partial(_unitary_face, U)
-    frame = Frame(youla_form(U), _youla_choi(n2))
-    return choi_from_apply(_breuer_hall_action(U), n2, n2, face, frame)
-
-
-@functools.cache
-def _youla_choi(n2):
-    """The Choi matrix of ``BH_K``, ``K = I (x) [[0, -1], [1, 0]]``, built once per dimension and read-only.
-
-    Every entry of K is 0 or +-1, so every entry is computed exactly, and its
-    zero pattern is exact.
-    """
-    K = np.kron(np.eye(n2 // 2), [[0.0, -1.0], [1.0, 0.0]])
-    W = choi_from_apply(_breuer_hall_action(K), n2, n2).choi
-    W.flags.writeable = False
-    return W
+    frame = youla_form(U)
+    return choi_from_apply(lambda E: eye * np.trace(E) - E - U @ E.T @ Ud, n2, n2, face, frame)
 
 
 def youla_form(U: np.ndarray) -> np.ndarray:

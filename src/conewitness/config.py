@@ -16,12 +16,13 @@ HERMITIAN_RTOL = 1e-12
 # Frobenius bound on ||U + U^t||_F and ||U^dag U - I||_F for antisymmetric
 # unitaries
 ANTISYM_ATOL = 1e-10
-# relative Frobenius bound on a map's frame (see maps.Frame):
-# ||V^dag V - I||_F and ||L W L^dag - choi||_F are at most
-# FRAME_RTOL * max(1, ||W||_F).  It is ten times ANTISYM_ATOL, so every
-# antisymmetric unitary that passes its check keeps its Youla frame, and a
-# tenth of NULLSPACE_REL_TOL, so what such a defect couples across the
-# frame's weight blocks stays below the rank cutoff
+# relative bound for a map's frame V (see maps.LinearMatrixMap), with two
+# uses: ||V^dag V - I||_F must be at most FRAME_RTOL * max(1, ||W||_F), and
+# entries of the carried Choi matrix L W L^dag at most that count as zero
+# in the pattern its weight blocks are read from.  It is ten times
+# ANTISYM_ATOL, so every antisymmetric unitary that passes its check keeps
+# its Youla frame, and a tenth of NULLSPACE_REL_TOL, so what a floored
+# entry couples across the weight blocks stays below the rank cutoff
 FRAME_RTOL = 1e-9
 # singular-value rank cutoff relative to the largest singular value
 NULLSPACE_REL_TOL = 1e-8

@@ -57,8 +57,8 @@ class InsufficientZeros(ConeWitnessError):
     """Numeric dual-face harvesting found fewer product zeros than requested."""
 
 
-class FrameMismatch(ConeWitnessError):
-    """A map's frame is not unitary or does not carry its Choi matrix to the frame's."""
+class ZeroWitness(ConeWitnessError):
+    """A map whose Choi matrix is zero has no ray, so no face to rank or search."""
 
 
 class UnstableDimension(ConeWitnessError):

@@ -26,7 +26,7 @@ from .catalog import (
     require_antisymmetric_unitary,
     require_unitary,
 )
-from .config import COUNTEREXAMPLE_FACE_TOL, NULLSPACE_REL_TOL, ZERO_TOL
+from .config import COUNTEREXAMPLE_FACE_TOL, FRAME_RTOL, NULLSPACE_REL_TOL, ZERO_TOL
 from .errors import (
     DimensionMismatch,
     InsufficientZeros,
@@ -34,6 +34,7 @@ from .errors import (
     NotUnitVector,
     OddDimension,
     UnstableDimension,
+    ZeroWitness,
 )
 from .linalg import (
     _coordinate_entries,
@@ -227,19 +228,22 @@ def _checked_sample_count(phi, sample_count):
 def _nullspace_with_diagnostics(phi, k, rng):
     """Orthonormal null-space coordinate rows ``(dim, (nm)^2)`` of two ``k``-pair samples.
 
-    A map with a ``frame`` is ranked in it: both samples' pairs are carried
-    by ``V^dag`` to the reference map's face, ranked in the weight blocks of
-    the reference's Choi matrix, and the null space is carried back by
-    ``H -> L^dag H L``.
+    A map with a ``frame`` V is ranked in it: both samples' pairs are carried
+    by ``V^dag``, the blocks are read off ``frame_conjugate(W, V)`` with
+    entries at most ``FRAME_RTOL * max(1, ||W||_F)`` as zero, and the null
+    space is carried back by ``H -> L^dag H L``.
     """
     n, m = phi.dim_in, phi.dim_out
     d = n * m
-    frame = phi.frame
+    V = phi.frame
+    # the map's own Choi matrix, in the frame the rows are built in
+    W = phi.choi if V is None else frame_conjugate(phi.choi, V)
+    pattern = W if V is None else np.abs(W) > FRAME_RTOL * max(1.0, frobenius(W))
 
     def rows(sample):
         X, Y = sample.X, sample.Y
-        if frame is not None:
-            X, Y = X @ frame.V.conj(), Y @ frame.V.conj()
+        if V is not None:
+            X, Y = X @ V.conj(), Y @ V.conj()
         return stationarity_rows(X, Y)
 
     # both samples' stationarity rows are copied into one column-major
@@ -250,7 +254,7 @@ def _nullspace_with_diagnostics(phi, k, rng):
     # sigma_max, so no row of the first sample is decomposed twice
     r = 2 * (n + m) * k
     C = np.empty((2 * r, d * d), order="F")
-    blocks = _weight_blocks(phi.choi if frame is None else frame.choi, n, m)
+    blocks = _weight_blocks(pattern, n, m)
     first = dual_face_samples(phi, k, rng)
     C[:r] = rows(first)
     rank1, V1, sigma_max = svd_nullspace(C[:r], blocks=blocks)
@@ -268,8 +272,6 @@ def _nullspace_with_diagnostics(phi, k, rng):
             f"nullspace dim {dim1} at {k} samples vs {dim2} at {2 * k}"
         )
 
-    # the map's own Choi matrix, in the frame the rows were built in
-    W = phi.choi if frame is None else frame_conjugate(phi.choi, frame.V)
     c = hermitian_to_coords(ray_representative(W))
     c = c / np.linalg.norm(c)
     containment = float(np.linalg.norm(C @ c))
@@ -279,8 +281,8 @@ def _nullspace_with_diagnostics(phi, k, rng):
         )
 
     basis_coords = basis_coords.T
-    if frame is not None:
-        H = frame_conjugate(coords_to_hermitian(basis_coords, d), frame.V.conj().T)
+    if V is not None:
+        H = frame_conjugate(coords_to_hermitian(basis_coords, d), V.conj().T)
         basis_coords = hermitian_to_coords(H)
     diagnostics = {
         "dim_at_k": dim1,
@@ -310,10 +312,12 @@ def double_dual_nullspace(
     inside.  The first sample is ranked one torus-weight block of columns at
     a time (see :func:`conewitness.linalg._weight_blocks`), and both ranks
     count singular values at most ``NULLSPACE_REL_TOL`` times the largest of
-    its blocks' as zero.  A map with a ``frame`` is ranked in the frame's
-    blocks and its null space carried back (see
-    :class:`conewitness.maps.Frame`).
+    its blocks' as zero.  A map with a ``frame`` is ranked in the blocks of
+    its Choi matrix carried into the frame, and its null space carried back
+    (see :class:`conewitness.maps.LinearMatrixMap`).  A zero map is refused
+    with ZeroWitness.
     """
+    _require_ray(phi)
     if rng is None:
         rng = np.random.default_rng(0)
     k = _checked_sample_count(phi, sample_count)
@@ -321,17 +325,10 @@ def double_dual_nullspace(
     return dim, coords_to_hermitian(rows, phi.dim_in * phi.dim_out)
 
 
-def _pairings(Z, basis):
-    """Pairing ``<z|B_i|z> = coords(z z^H) . B_i`` of every product vector row z and basis row.
-
-    Only the entries of ``z z^H`` the coordinates read are formed.  The
-    product is spelled ``np.multiply``: ``*`` may reuse its right-hand
-    temporary and swap the operands, and a complex product's bits depend on
-    operand order.
-    """
-    d = Z.shape[1]
-    a, b = _coordinate_entries(d)
-    return _entries_to_coords(np.multiply(Z[:, a], Z[:, b].conj()), d) @ basis.T
+def _require_ray(phi):
+    """Refuse a map whose Choi matrix is zero to Frobenius norm: it has no ray."""
+    if frobenius(phi.choi) == 0.0:
+        raise ZeroWitness("the map's Choi matrix is zero, so it has no ray")
 
 
 def cone_search_off_ray(
@@ -350,8 +347,9 @@ def cone_search_off_ray(
     cutting plane, and the violated candidate is repaired along it a few
     times before the next seed.  The full see-saw confirms what survives,
     and the first confirmed candidate wins; None is a legitimate outcome and
-    the only possible one when dim < 2.
+    the only possible one when dim < 2.  A zero map raises ZeroWitness.
     """
+    _require_ray(phi)
     budget = operator.index(budget)
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
@@ -400,7 +398,8 @@ def cone_search_off_ray(
                     break
                 # cutting plane: remember this violation and repair along it
                 z = product_vector(report.argmin.x, report.argmin.y)
-                Q = np.vstack([Q, _pairings(z[np.newaxis], basis)])
+                plane = hermitian_to_coords(np.outer(z, z.conj()))[np.newaxis] @ basis.T
+                Q = np.vstack([Q, plane])
                 worst, j = report.min_value, len(Q) - 1
             # repair: lift the violated pairing back to zero
             q = Q[j]
@@ -429,7 +428,9 @@ def exposedness_report(
     CERTIFIED_EXPOSED needs linear dimension one.  NOT_EXPOSED needs a
     counterexample that survives independent re-validation: block-positive
     evidence, off the map's ray, and vanishing on freshly drawn face pairs.
+    A zero map raises ZeroWitness before any see-saw.
     """
+    _require_ray(phi)
     budget = operator.index(budget)
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")

@@ -29,31 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FRAME_RTOL, PAIRING_IMAG_TOL, RAY_TOL
-from .errors import DimensionMismatch, FrameMismatch, NonRealPairing
+from .errors import DimensionMismatch, NonRealPairing, NotUnitary
 from .linalg import frobenius, hermitian_to_coords, require_hermitian
-
-
-@dataclass(frozen=True, eq=False)
-class Frame:
-    """A unitary ``V`` that carries a map on M_n to a reference map with Choi matrix ``choi``.
-
-    The reference map is ``X -> V^dag phi(V X V^dag) V``; its Choi matrix is
-    ``L W L^dag`` with ``L = V^t (x) V^dag`` (see :func:`frame_conjugate`), and
-    ``L`` sends a pair's product vector ``conj(x) (x) y`` to that of
-    ``(V^dag x, V^dag y)``.  So the pair ``(x, y)`` is on phi's dual face
-    exactly when ``(V^dag x, V^dag y)`` is on the reference's, and the face's
-    null spaces correspond by ``H -> L H L^dag``.
-    """
-
-    V: np.ndarray
-    choi: np.ndarray
 
 
 def frame_conjugate(A: np.ndarray, V: np.ndarray) -> np.ndarray:
     """``L A L^dag`` with ``L = V^t (x) V^dag``, for one or stacked ``n^2 x n^2`` matrices ``A``.
 
     ``A`` the Choi matrix of phi gives that of ``X -> V^dag phi(V X V^dag) V``;
-    ``V^dag`` in place of ``V`` undoes it.
+    ``V^dag`` in place of ``V`` undoes it.  ``L`` sends the product vector of
+    ``(x, y)`` to that of ``(V^dag x, V^dag y)``, so the two maps' faces and
+    their null spaces correspond.
     """
     n = V.shape[0]
     L = (V.T[:, np.newaxis, :, np.newaxis] * V.conj().T[:, np.newaxis, :]).reshape(n * n, n * n)
@@ -70,18 +56,18 @@ class LinearMatrixMap:
     against the Choi matrix before use.  ``None`` means the face is
     harvested numerically.
 
-    ``frame``, a :class:`Frame`, is set by the Breuer-Hall constructor: the
-    face's null space is ranked in the frame, in the weight blocks of its
-    reference Choi matrix.  A frame that is not unitary, or that does not
-    carry ``choi`` to its own, to ``FRAME_RTOL``, is refused with
-    FrameMismatch.
+    ``frame``, a unitary ``V``, is set by the Breuer-Hall constructor: the
+    face's null space is ranked in the weight blocks of the Choi matrix
+    carried into the frame, :func:`frame_conjugate` of W.  Like ``face`` it
+    is a hint, which can cost speed but not change a verdict.  A frame that
+    is not unitary to ``FRAME_RTOL`` is refused with NotUnitary.
     """
 
     dim_in: int
     dim_out: int
     choi: np.ndarray
     face: Callable | None = None
-    frame: Frame | None = None
+    frame: np.ndarray | None = None
 
     def __post_init__(self):
         n, m = self.dim_in, self.dim_out
@@ -94,7 +80,7 @@ class LinearMatrixMap:
             )
         object.__setattr__(self, "choi", W)
         if self.frame is not None:
-            _check_frame(self.frame, W, n, m)
+            object.__setattr__(self, "frame", _check_frame(self.frame, W, n, m))
 
     def __add__(self, other: "LinearMatrixMap") -> "LinearMatrixMap":
         return add(self, other)
@@ -106,18 +92,16 @@ class LinearMatrixMap:
         return scale(self, lam)
 
 
-def _check_frame(frame, W, n, m):
-    """Refuse a frame that does not fit the map, is not unitary or does not carry W to its Choi."""
-    V = frame.V
-    if n != m or V.shape != (n, n) or frame.choi.shape != W.shape:
+def _check_frame(V, W, n, m):
+    """``V`` as a complex array, refused unless it is a unitary that fits the map."""
+    V = np.asarray(V, dtype=complex)
+    if n != m or V.shape != (n, n):
         raise DimensionMismatch(f"a frame of shape {V.shape} does not fit a map M_{n} -> M_{m}")
     bound = FRAME_RTOL * max(1.0, frobenius(W))
-    for what, defect in (
-        ("unitarity", frobenius(V.conj().T @ V - np.eye(n))),
-        ("Choi", frobenius(frame_conjugate(W, V) - frame.choi)),
-    ):
-        if defect > bound:
-            raise FrameMismatch(f"frame {what} defect {defect:.3e} exceeds bound {bound:.3e}")
+    defect = frobenius(V.conj().T @ V - np.eye(n))
+    if defect > bound:
+        raise NotUnitary(f"frame unitarity defect {defect:.3e} exceeds bound {bound:.3e}")
+    return V
 
 
 def choi_of(phi: LinearMatrixMap) -> np.ndarray:

@@ -24,8 +24,6 @@ from conewitness.catalog import (
     youla_form,
 )
 from conewitness.errors import (
-    DimensionMismatch,
-    FrameMismatch,
     NegativeParameter,
     NotAntisymmetric,
     NotPositiveMap,
@@ -36,7 +34,6 @@ from conewitness.config import ZERO_TOL
 from conewitness.exposedness import dual_face_samples
 from conewitness.linalg import frobenius, random_unitary
 from conewitness.maps import (
-    Frame,
     LinearMatrixMap,
     apply,
     choi_from_apply,
@@ -205,38 +202,18 @@ def youla_k(n2):
 
 @pytest.mark.parametrize("n2", [4, 6, 8])
 def test_youla_form(n2):
-    """V is unitary and V^dag U conj(V) = K for Haar U; V = I exactly for U = K."""
+    """V is unitary, V^dag U conj(V) = K and V carries BH_U to BH_K for Haar U; V = I exactly for U = K."""
     K = youla_k(n2)
+    W_K = breuer_hall(K).choi
     for seed in range(3):
         U = random_antisymmetric_unitary(n2, np.random.default_rng(seed))
         V = youla_form(U)
         assert frobenius(V.conj().T @ V - np.eye(n2)) <= 1e-13
         assert frobenius(V.conj().T @ U @ V.conj() - K) <= 1e-13
+        assert frobenius(frame_conjugate(breuer_hall(U).choi, V) - W_K) <= 1e-12
     assert np.array_equal(youla_form(K), np.eye(n2))
     with pytest.raises(NotAntisymmetric):
         youla_form(random_unitary(n2, np.random.default_rng(0)))
-
-
-def test_breuer_hall_frame_carries_w_to_bh_k():
-    """The frame's Choi is BH_K's, exact and shared per dimension; a frame that does not carry W is refused."""
-    U = random_antisymmetric_unitary(4, np.random.default_rng(7))
-    phi = breuer_hall(U)
-    W_K = breuer_hall(youla_k(4)).choi
-    assert phi.frame.choi is breuer_hall(robertson_unitary()).frame.choi
-    assert not phi.frame.choi.flags.writeable
-    assert np.array_equal(phi.frame.choi, W_K)
-    assert np.array_equal(W_K, np.round(W_K.real))
-    assert frobenius(frame_conjugate(phi.choi, phi.frame.V) - W_K) <= 1e-13
-    other = breuer_hall(random_antisymmetric_unitary(4, np.random.default_rng(8))).frame
-    for W, frame in (
-        (reduction(4).choi, phi.frame),
-        (phi.choi, other),
-        (phi.choi, Frame(2 * phi.frame.V, W_K)),
-    ):
-        with pytest.raises(FrameMismatch):
-            LinearMatrixMap(4, 4, W, frame=frame)
-    with pytest.raises(DimensionMismatch):
-        LinearMatrixMap(4, 4, phi.choi, frame=Frame(np.eye(3), W_K))
 
 
 def test_random_antisymmetric_unitary():

@@ -336,6 +336,15 @@ def test_exposedness_rejects_non_bp(tmp_path, capsys):
     assert "not block-positive" in capsys.readouterr().err
 
 
+def test_exposedness_refuses_the_zero_map(tmp_path, capsys):
+    """BH_2 is the zero map: it has no ray, and the refusal names its zero Choi matrix."""
+    u = write_choi(tmp_path, np.array([[0.0, -1.0], [1.0, 0.0]]), "u.json")
+    assert cli.main(["exposedness", "breuer-hall", "--u", u]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: the map's Choi matrix is zero, so it has no ray\n"
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -390,15 +399,26 @@ def test_reports_are_byte_identical(tmp_path):
     assert again == first
 
 
-def test_reports_are_byte_identical_across_processes():
-    """Two fresh interpreters print the same report bytes for the same seed."""
+def test_reports_are_byte_identical_across_processes(tmp_path):
+    """Two fresh interpreters print the same report bytes for the same seed.
+
+    reduction-3 is NOT_EXPOSED with a counterexample; the Haar BH_4 is
+    ranked in its Youla frame, in 13 weight blocks of the carried Choi matrix.
+    """
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src if not path else os.pathsep.join([src, path])}
-    argv = [sys.executable, "-m", "conewitness.cli", "exposedness", "reduction", "--n", "3", "--seed", "7"]
-    first, second = (subprocess.run(argv, env=env, capture_output=True, check=True) for _ in range(2))
-    assert json.loads(first.stdout)["verdict"] == "NOT_EXPOSED"
-    assert first.stdout == second.stdout
+    u = write_choi(tmp_path, BH4_U, "u.json")
+    for target, verdict in (
+        (["reduction", "--n", "3"], "NOT_EXPOSED"),
+        (["breuer-hall", "--u", u], "CERTIFIED_EXPOSED"),
+    ):
+        argv = [sys.executable, "-m", "conewitness.cli", "exposedness", *target, "--seed", "7"]
+        first, second = (subprocess.run(argv, env=env, capture_output=True, check=True) for _ in range(2))
+        doc = json.loads(first.stdout)
+        assert doc["verdict"] == verdict
+        assert first.stdout == second.stdout
+    assert doc["diagnostics"]["weight_blocks"] == 13
 
 
 def test_memory_error_exits_two(monkeypatch, capsys):

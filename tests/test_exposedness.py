@@ -16,9 +16,11 @@ from conewitness.catalog import (
     robertson,
     robertson_unitary,
     transposition,
+    youla_form,
 )
 from conewitness.config import ANTISYM_ATOL, ZERO_TOL
 from conewitness.errors import (
+    ConeWitnessError,
     DimensionMismatch,
     InsufficientZeros,
     NotBlockPositive,
@@ -26,8 +28,11 @@ from conewitness.errors import (
     NotUnitary,
     OddDimension,
     UnstableDimension,
+    ZeroWitness,
 )
 from conewitness.linalg import (
+    _coordinate_entries,
+    _entries_to_coords,
     _weight_blocks,
     coords_to_hermitian,
     fix_phase,
@@ -467,6 +472,52 @@ def test_haar_breuer_hall_is_ranked_in_its_youla_frame(tmp_path, capsys, monkeyp
     assert "weight_blocks" not in whole[0].diagnostics
 
 
+def test_a_zero_map_is_refused_before_any_sample(monkeypatch):
+    """A zero Choi matrix has no ray: ZeroWitness before any see-saw or face sample, with no warning."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("a zero map reached the see-saw or the face sampler")
+
+    monkeypatch.setattr(exposedness, "dual_face_samples", never)
+    monkeypatch.setattr(exposedness, "is_block_positive", never)
+    zero = map_from_choi(np.zeros((9, 9)), 3, 3)
+    bh2 = breuer_hall(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert not np.any(bh2.choi)
+    for call in (
+        lambda: double_dual_nullspace(zero),
+        lambda: exposedness_report(zero),
+        lambda: exposedness_report(bh2),
+        lambda: cone_search_off_ray(zero, np.eye(2, 81)),
+    ):
+        with pytest.raises(ZeroWitness, match="Choi matrix is zero"):
+            call()
+    assert issubclass(ZeroWitness, ConeWitnessError)
+
+
+def test_a_frame_is_a_hint_that_never_changes_a_verdict():
+    """A unitary frame that does not sparsify W costs speed only; one that is not unitary, or does not fit, is refused."""
+    V = random_unitary(4, np.random.default_rng(3))
+    # reduction is unitarily covariant: its W carried by any V is its own W
+    rep = exposedness_report(LinearMatrixMap(4, 4, reduction(4).choi, frame=V), rng=np.random.default_rng(0))
+    assert (rep.verdict, rep.nullspace_dim, rep.diagnostics["weight_blocks"]) == ("NOT_EXPOSED", 36, 28)
+    U = random_antisymmetric_unitary(4, np.random.default_rng(7))
+    phi = breuer_hall(U)
+    assert np.array_equal(phi.frame, youla_form(U))
+    # another BH_4's Youla frame leaves this W dense: one block, the unframed verdict
+    other = breuer_hall(random_antisymmetric_unitary(4, np.random.default_rng(8))).frame
+    framed, unframed = (
+        exposedness_report(LinearMatrixMap(4, 4, phi.choi, phi.face, frame), rng=np.random.default_rng(0))
+        for frame in (other, None)
+    )
+    assert (framed.verdict, framed.nullspace_dim) == (unframed.verdict, unframed.nullspace_dim)
+    assert (framed.verdict, framed.nullspace_dim) == ("CERTIFIED_EXPOSED", 1)
+    assert "weight_blocks" not in framed.diagnostics
+    with pytest.raises(NotUnitary):
+        LinearMatrixMap(4, 4, phi.choi, frame=2 * phi.frame)
+    with pytest.raises(DimensionMismatch):
+        LinearMatrixMap(4, 4, phi.choi, frame=np.eye(3))
+
+
 def test_haar_breuer_hall6_nullspace_in_its_youla_frame():
     """A Haar BH_6 has BH_K's nullity 15, carried back: the map's own Choi is in the span."""
     U = random_antisymmetric_unitary(6, np.random.default_rng(1234))
@@ -637,12 +688,15 @@ def test_probe_pairings_equal_witness_pairing_per_basis_element():
     Y = np.stack([random_unit_vector(4, rng) for _ in range(40)])
     Z = product_vector(X, Y)
     want = np.stack([witness_pairing(coords_to_hermitian(r, 16), X, Y) for r in rows], axis=1)
-    got = exposedness._pairings(Z, rows)
+    # the cone search's plane: one (1, d^2) row of coordinates per product vector
+    got = np.concatenate([hermitian_to_coords(np.outer(z, z.conj()))[np.newaxis] @ rows.T for z in Z])
     assert dim == 36 and got.shape == (len(Z), dim)
     assert np.max(np.abs(got - want)) <= 1e-12
-    # the entries read from z z^H give the full outer products' coordinates, bitwise
-    outer = Z[:, :, np.newaxis] * Z[:, np.newaxis, :].conj()
-    assert np.array_equal(got, hermitian_to_coords(outer) @ rows.T)
+    # the full outer product gives, bitwise, the coordinates of the entries
+    # z_a conj(z_b) that the coordinates read, formed one by one
+    a, b = _coordinate_entries(16)
+    read = _entries_to_coords(np.multiply(Z[:, a], Z[:, b].conj()), 16)
+    assert np.array_equal(got, np.concatenate([c[np.newaxis] @ rows.T for c in read]))
 
 
 def test_confirm_rejection_moves_the_search_to_its_next_seed(monkeypatch):
