@@ -26,7 +26,7 @@ from .catalog import (
     require_antisymmetric_unitary,
     require_unitary,
 )
-from .config import COUNTEREXAMPLE_FACE_TOL, FRAME_RTOL, NULLSPACE_REL_TOL, ZERO_TOL
+from .config import COUNTEREXAMPLE_FACE_TOL, FRAME_RTOL, NULLSPACE_REL_TOL, RAY_TOL, ZERO_TOL
 from .errors import (
     DimensionMismatch,
     InsufficientZeros,
@@ -156,11 +156,12 @@ def dual_face_samples(
         Xe, Ye, vals, _, _ = seesaw_endpoints(phi_hat, cfg, rng)
         # a fixed polish makes near-zero endpoints stationary to round-off
         near = vals <= ZERO_TOL
-        Xe, Ye = Xe[near], Ye[near]
-        for _ in range(64):
-            Xe, Ye, _ = _sweep(T, Xe, Ye)
-        found = _accept(W_hat, Xe, Ye)
-        X, Y, values = (np.concatenate([a, b])[:count] for a, b in zip((X, Y, values), found))
+        if near.any():
+            Xe, Ye = Xe[near], Ye[near]
+            for _ in range(64):
+                Xe, Ye, _ = _sweep(T, Xe, Ye)
+            found = _accept(W_hat, Xe, Ye)
+            X, Y, values = (np.concatenate([a, b])[:count] for a, b in zip((X, Y, values), found))
         rounds += 1
         # a clearly positive global minimum will never yield zeros
         if not values.size and vals.min() > max(1e-3, 100 * ZERO_TOL):
@@ -208,6 +209,25 @@ def stationarity_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return _entries_to_coords(parts, d).reshape(-1, d * d)
 
 
+def _stationarity_residuals(X, Y, H):
+    """``stationarity_rows(X, Y) @ hermitian_to_coords(H).T``, without forming the rows.
+
+    Row ``(w, z)`` realified pairs with a Hermitian ``H`` to the real and the
+    imaginary part of ``<w|H|z>``, so the residuals need ``H z`` only:
+    ``<e_i (x) y|H z>`` contracts it with ``conj(y)``, ``<conj(x) (x) e_k|H z>``
+    with ``x``.  ``H`` is one ``(nm, nm)`` Hermitian matrix, which gives
+    ``(rows,)``, or a stack ``(s, nm, nm)``, which gives ``(rows, s)``; rows
+    come in the order :func:`stationarity_rows` gives them.
+    """
+    k, n, m = X.shape[0], X.shape[1], Y.shape[1]
+    Hz = np.swapaxes(H @ product_vector(X, Y).T, -1, -2).reshape(H.shape[:-2] + (k, n, m))
+    y_side = (Hz @ Y.conj()[:, :, np.newaxis])[..., 0]  # (..., k, n)
+    x_side = (X[:, np.newaxis, :] @ Hz)[..., 0, :]  # (..., k, m)
+    q = np.concatenate([y_side, x_side], axis=-1)
+    residuals = np.stack([q.real, q.imag], axis=-1).reshape(H.shape[:-2] + (-1,))
+    return np.moveaxis(residuals, 0, -1) if H.ndim == 3 else residuals
+
+
 def _checked_sample_count(phi, sample_count):
     """``sample_count``, by default its floor, the fewest face pairs per sample.
 
@@ -230,41 +250,48 @@ def _nullspace_with_diagnostics(phi, k, rng):
 
     A map with a ``frame`` V is ranked in it: both samples' pairs are carried
     by ``V^dag``, the blocks are read off ``frame_conjugate(W, V)`` with
-    entries at most ``FRAME_RTOL * max(1, ||W||_F)`` as zero, and the null
-    space is carried back by ``H -> L^dag H L``.
+    entries at most ``FRAME_RTOL * max(1, ||W||_F)`` as zero, and as real
+    when every imaginary part is at most that, and the null space is carried
+    back by ``H -> L^dag H L``.
     """
     n, m = phi.dim_in, phi.dim_out
     d = n * m
     V = phi.frame
-    # the map's own Choi matrix, in the frame the rows are built in
+    # the map's own Choi matrix, in the frame the rows are built in, and the
+    # same matrix as its blocks read it: its zero entries and its reality
     W = phi.choi if V is None else frame_conjugate(phi.choi, V)
-    pattern = W if V is None else np.abs(W) > FRAME_RTOL * max(1.0, frobenius(W))
+    pattern = W
+    if V is not None:
+        floor = FRAME_RTOL * max(1.0, frobenius(W))
+        pattern = np.where(np.abs(W) > floor, W, 0.0)
+        if np.abs(W.imag).max() <= floor:
+            pattern = pattern.real
 
-    def rows(sample):
-        X, Y = sample.X, sample.Y
-        if V is not None:
-            X, Y = X @ V.conj(), Y @ V.conj()
-        return stationarity_rows(X, Y)
+    def pairs(sample):
+        if V is None:
+            return sample.X, sample.Y
+        return sample.X @ V.conj(), sample.Y @ V.conj()
 
-    # both samples' stationarity rows are copied into one column-major
-    # matrix, which LAPACK reads as is; the first sample's are its top half,
-    # ranked one torus-weight block of columns at a time.  The null space of
-    # both samples is V1 null(C2 V1), with V1 spanning the first sample's:
-    # the second sample is ranked only inside V1, cut at the first sample's
-    # sigma_max, so no row of the first sample is decomposed twice
-    r = 2 * (n + m) * k
-    C = np.empty((2 * r, d * d), order="F")
-    blocks = _weight_blocks(pattern, n, m)
+    # the first sample's stationarity rows are ranked in the weight blocks
+    # of the pattern.  The null space of both samples is V1 null(C2 V1), with
+    # V1 spanning the first sample's null space.  C2 V1 holds the second
+    # sample's residuals of V1's elements, so C2 is never formed; C2 V1 is
+    # cut at the first sample's sigma_max, and no row of the first sample is
+    # decomposed twice
     first = dual_face_samples(phi, k, rng)
-    C[:r] = rows(first)
-    rank1, V1, sigma_max = svd_nullspace(C[:r], blocks=blocks)
+    C = stationarity_rows(*pairs(first))
+    blocks = _weight_blocks(pattern, n, m)
+    rank1, V1, sigma_max = svd_nullspace(C, blocks=blocks)
     dim1 = d * d - rank1
 
+    c = hermitian_to_coords(ray_representative(W))
+    c = c / np.linalg.norm(c)
     second = dual_face_samples(phi, k, rng)
-    C[r:] = rows(second)
+    # the residuals of V1's elements and of W's ray, from one product
+    R2 = _stationarity_residuals(*pairs(second), coords_to_hermitian(np.vstack([V1.T, c]), d))
     basis_coords = V1
     if dim1:
-        _, V2, _ = svd_nullspace(C[r:] @ V1, scale=sigma_max)
+        _, V2, _ = svd_nullspace(R2[:, :-1], scale=sigma_max)
         basis_coords = V1 @ V2
     dim2 = basis_coords.shape[1]
     if dim1 != dim2:
@@ -272,13 +299,19 @@ def _nullspace_with_diagnostics(phi, k, rng):
             f"nullspace dim {dim1} at {k} samples vs {dim2} at {2 * k}"
         )
 
-    c = hermitian_to_coords(ray_representative(W))
-    c = c / np.linalg.norm(c)
-    containment = float(np.linalg.norm(C @ c))
-    if containment > 10 * NULLSPACE_REL_TOL * max(sigma_max, 1.0):
-        raise UnstableDimension(
-            f"sampled face excludes the map's own Choi (residual {containment:.3e})"
-        )
+    # W's residuals read the ranked rows themselves, so rows that are not
+    # stationarity rows are caught; and W's ray must lie in the ranked null
+    # space, which a block partition the null space does not split breaks
+    containment = float(np.linalg.norm(np.concatenate([C @ c, R2[:, -1]])))
+    off_ray = float(np.linalg.norm(c - basis_coords @ (basis_coords.T @ c)))
+    for residual, bound in (
+        (containment, 10 * NULLSPACE_REL_TOL * max(sigma_max, 1.0)),
+        (off_ray, RAY_TOL),
+    ):
+        if residual > bound:
+            raise UnstableDimension(
+                f"sampled face excludes the map's own Choi (residual {residual:.3e})"
+            )
 
     basis_coords = basis_coords.T
     if V is not None:
@@ -307,13 +340,16 @@ def double_dual_nullspace(
     Rows are the first-order stationarity constraints of the sampled pairs
     (see :func:`stationarity_rows`), which every member of the double-dual
     face satisfies.  The dimension is recomputed on a doubled sample, the
-    second sample ranked inside the first sample's null space, and must
-    agree (UnstableDimension otherwise); the map's own Choi must lie
-    inside.  The first sample is ranked one torus-weight block of columns at
-    a time (see :func:`conewitness.linalg._weight_blocks`), and both ranks
-    count singular values at most ``NULLSPACE_REL_TOL`` times the largest of
-    its blocks' as zero.  A map with a ``frame`` is ranked in the blocks of
-    its Choi matrix carried into the frame, and its null space carried back
+    second sample ranked inside the first sample's null space on its
+    stationarity residuals, with no rows assembled, and must agree
+    (UnstableDimension otherwise).  The map's own Choi must satisfy both
+    samples' rows and lie in the ranked null space (UnstableDimension
+    otherwise).  The first sample is ranked one weight block of columns at
+    a time, torus-weight classes split into Re and Im parts when W is real
+    (see :func:`conewitness.linalg._weight_blocks`), and both ranks count
+    singular values at most ``NULLSPACE_REL_TOL`` times the largest of its
+    blocks' as zero.  A map with a ``frame`` is ranked in the blocks of its
+    Choi matrix carried into the frame, and its null space carried back
     (see :class:`conewitness.maps.LinearMatrixMap`).  A zero map is refused
     with ZeroWitness.
     """

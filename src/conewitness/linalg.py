@@ -61,8 +61,8 @@ def require_hermitian(A: np.ndarray) -> np.ndarray:
 
 
 def _decompose(M):
-    """Singular values and ``V^H`` of ``M``, through a tall matrix's R factor."""
-    rows, cols = M.shape
+    """Singular values and ``V^H`` of ``M`` or of each matrix of a stack, via a tall matrix's R factor."""
+    rows, cols = M.shape[-2:]
     try:
         if rows > cols:
             M = np.linalg.qr(M, mode="r")
@@ -81,7 +81,10 @@ def svd_nullspace(M: np.ndarray, *, scale: float | None = None, blocks=None):
     block's columns on their own: exact whenever the null space is the
     direct sum of its parts in the blocks (as :func:`_weight_blocks`
     guarantees), and far cheaper than one decomposition of every column.
-    The default is one block of every column, ``M`` itself.
+    Blocks of one width are decomposed as one stack, one QR and one SVD
+    call per distinct width; LAPACK runs the same routine on each matrix of
+    a stack, so every block gets the bits of its own call.  The default is
+    one block of every column, ``M`` itself.
 
     Singular values at most ``NULLSPACE_REL_TOL * scale`` count as zero;
     ``scale`` defaults to ``sigma_max``, the largest singular value of any
@@ -91,17 +94,17 @@ def svd_nullspace(M: np.ndarray, *, scale: float | None = None, blocks=None):
 
     Returns ``(rank, basis, sigma_max)`` where ``basis`` has orthonormal
     columns spanning the null space (shape ``(cols, cols - rank)``, block
-    by block, each block's vectors zero off its columns) and ``sigma_max``
-    is the same whatever ``scale`` is, all from one decomposition per block.
+    by block in the order given, each block's vectors zero off its columns)
+    and ``sigma_max`` is the same whatever ``scale`` is, all from one
+    decomposition per block.
 
     A tall matrix is decomposed through its Householder ``R`` factor: the
     SVD of ``R`` has the same singular values and ``V`` (Chan's R-SVD, which
     LAPACK's ``gesdd`` runs internally on a tall enough matrix anyway), and
     neither ``Q`` nor a rows x cols ``U`` is ever formed.  A wide matrix
     needs the full ``V``, whose trailing rows beyond the row count span part
-    of the null space.  LAPACK works on column-major data: a column-major
-    ``M`` (or a row slice of one) is read without a transposing copy and
-    gives the same bits as its C-order copy.
+    of the null space.  NumPy hands LAPACK a column-major copy of every
+    matrix, so the layout of ``M`` (or of a stack) never changes the bits.
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex if np.iscomplexobj(M) else float))
     if M.size == 0:
@@ -109,8 +112,16 @@ def svd_nullspace(M: np.ndarray, *, scale: float | None = None, blocks=None):
     if scale is not None and not scale >= 0.0:
         raise ValueError(f"scale must be nonnegative, got {scale}")
     if blocks is None:
-        blocks = [slice(None)]
-    parts = [_decompose(M[:, cols]) for cols in blocks]
+        blocks = [np.arange(M.shape[1])]
+    by_width = {}
+    for t, cols in enumerate(blocks):
+        by_width.setdefault(len(cols), []).append(t)
+    parts = [None] * len(blocks)
+    for ts in by_width.values():
+        # one (blocks, rows, width) stack per width, gathered as rows of M^T
+        s, vh = _decompose(M.T[np.stack([blocks[t] for t in ts])].swapaxes(-1, -2))
+        for i, t in enumerate(ts):
+            parts[t] = s[i], vh[i]
     smax = max(float(s[0]) for s, _ in parts)
     cutoff = NULLSPACE_REL_TOL * (smax if scale is None else scale)
     ranks = [int(np.count_nonzero(s > cutoff)) for s, _ in parts]
@@ -244,7 +255,7 @@ def _integer_null_point(G) -> np.ndarray:
 
 
 def _weight_blocks(W: np.ndarray, n: int, m: int) -> tuple:
-    """Coordinate columns of ``nm x nm`` Hermitian matrices, one block per torus-weight class of ``W``.
+    """Coordinate columns of ``nm x nm`` Hermitian matrices, in blocks that split the face's null space.
 
     Give basis vector ``(i, k)`` the weight ``mu = alpha_i + beta_k``, with
     ``mu_a = mu_b`` wherever ``W[a, b] != 0`` exactly.  The diagonal unitaries
@@ -255,18 +266,27 @@ def _weight_blocks(W: np.ndarray, n: int, m: int) -> tuple:
     weights, and each class can be ranked on its own columns.  The Re and Im
     columns of an entry share its class; the diagonal is weight 0.
 
+    A real ``W`` (a real array, or an imaginary part that is exactly zero)
+    fixes the face under ``(x, y) -> (conj(x), conj(y))``, so N is fixed
+    under ``A -> conj(A)``, which keeps the diagonal and Re coordinates and
+    negates the Im ones.  Each class then splits once more, into its
+    diagonal and Re columns and its Im columns; the conjugation swaps
+    ``lambda`` and ``-lambda``, so it keeps every class.
+
     Classes are keyed by ``|mu_a - mu_b|`` at one generic point of the
     weight space, found from W's zero pattern alone.  Keys closer than a gap
     far above round-off share a block: a merge of two classes is still
-    exact, a split never happens.  A W with no zero entries gets one block.
-    Blocks come in key order, each with its columns ascending.  They are
-    computed once per zero pattern and shared, so the arrays are read-only.
+    exact, a split never happens.  A complex W with no zero entries gets one
+    block.  Blocks come in key order, a real W's diagonal and Re part of a
+    class before its Im part, each with its columns ascending.  They are
+    computed once per zero pattern and reality and shared, so the arrays
+    are read-only.
     """
-    return _pattern_blocks(n, m, np.packbits(W != 0).tobytes())
+    return _pattern_blocks(n, m, np.packbits(W != 0).tobytes(), not W.imag.any())
 
 
 @functools.lru_cache(maxsize=64)
-def _pattern_blocks(n, m, pattern):
+def _pattern_blocks(n, m, pattern, real):
     d = n * m
     nonzero = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=d * d)
     a, b = np.divmod(np.flatnonzero(nonzero), d)
@@ -282,10 +302,14 @@ def _pattern_blocks(n, m, pattern):
     order = np.argsort(key, kind="stable")
     gap = 1e-9 * max(1.0, float(key[order[-1]]))
     cuts = np.flatnonzero(np.diff(key[order]) > gap) + 1
-    blocks = tuple(np.sort(block) for block in np.split(order, cuts))
+    blocks = [np.sort(block) for block in np.split(order, cuts)]
+    if real:
+        # the Im columns are the last (d^2 - d) / 2
+        im = (d * d + d) // 2
+        blocks = [part for block in blocks for part in (block[block < im], block[block >= im]) if part.size]
     for block in blocks:
         block.flags.writeable = False
-    return blocks
+    return tuple(blocks)
 
 
 def _entries_to_coords(E: np.ndarray, d: int) -> np.ndarray:

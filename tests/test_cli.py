@@ -403,7 +403,7 @@ def test_reports_are_byte_identical_across_processes(tmp_path):
     """Two fresh interpreters print the same report bytes for the same seed.
 
     reduction-3 is NOT_EXPOSED with a counterexample; the Haar BH_4 is
-    ranked in its Youla frame, in 13 weight blocks of the carried Choi matrix.
+    ranked in its Youla frame, in 26 weight blocks of the carried Choi matrix.
     """
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.environ.get("PYTHONPATH")
@@ -418,7 +418,7 @@ def test_reports_are_byte_identical_across_processes(tmp_path):
         doc = json.loads(first.stdout)
         assert doc["verdict"] == verdict
         assert first.stdout == second.stdout
-    assert doc["diagnostics"]["weight_blocks"] == 13
+    assert doc["diagnostics"]["weight_blocks"] == 26
 
 
 def test_memory_error_exits_two(monkeypatch, capsys):

@@ -208,7 +208,12 @@ def test_numeric_harvest_for_plain_choi_input():
         assert abs(witness_pairing(W_hat, pair.x, pair.y)) <= 1e-9
 
 
-def test_interior_choi_has_no_zeros():
+def test_interior_choi_has_no_zeros(monkeypatch):
+    # with no see-saw endpoint near zero, the harvest polishes nothing
+    def no_polish(*args):
+        raise AssertionError("the harvest polished an empty stack")
+
+    monkeypatch.setattr(exposedness, "_sweep", no_polish)
     # phi(X) = Tr(X) I has pairing 1 on every product pair
     with pytest.raises(InsufficientZeros):
         dual_face_samples(map_from_choi(np.eye(4), 2, 2), 5, np.random.default_rng(4))
@@ -362,42 +367,79 @@ def test_nullspace_rejects_undersampling(monkeypatch):
 
 
 def test_nullspace_basis_bits_match_stacked_c_order_blocks():
-    """One column-major system gives the bits of C-order blocks, weight block by weight block."""
+    """The basis has the bits of C-order blocks ranked one by one and of the second sample's residuals."""
     U = random_antisymmetric_unitary(4, np.random.default_rng(3))
-    # the Haar BH_4 with its frame left off: a W with no zero entry is one block
+    # the Haar BH_4 with its frame left off: a complex W with no zero entry is one block
     haar = breuer_hall(U)
     one_block = LinearMatrixMap(4, 4, haar.choi, haar.face)
-    for phi, n, n_blocks in ((robertson(), 4, 13), (one_block, 4, 1), (reduction(3), 3, 10)):
+    for phi, n, n_blocks in ((robertson(), 4, 26), (one_block, 4, 1), (reduction(3), 3, 20)):
         d = n * n
-        k = d * d // (4 * n - 3) + 4  # face pairs per block
+        k = d * d // (4 * n - 3) + 4  # face pairs per sample
         rng = np.random.default_rng(11)
-        blocks = []
-        for _ in range(2):
-            sample = dual_face_samples(phi, k, rng)
-            blocks.append(_per_pair_rows(sample.X, sample.Y)[1])
+        first, second = (dual_face_samples(phi, k, rng) for _ in range(2))
+        C1 = _per_pair_rows(first.X, first.Y)[1]
         # the first sample's rows, ranked one weight block of columns at a
         # time and cut at the largest block's norm, scattered back to full rows
         weight_blocks = _weight_blocks(phi.choi, n, n)
         assert len(weight_blocks) == n_blocks
-        if n_blocks == 1:
-            rank1, V1, sigma_max = svd_nullspace(blocks[0])
-        else:
-            sigma_max = max(svd_nullspace(blocks[0][:, cols])[2] for cols in weight_blocks)
-            parts = []
-            for cols in weight_blocks:
-                _, null, _ = svd_nullspace(blocks[0][:, cols], scale=sigma_max)
-                part = np.zeros((d * d, null.shape[1]))
-                part[cols] = null
-                parts.append(part)
-            V1 = np.hstack(parts)
-            rank1 = d * d - V1.shape[1]
-        # a product's bits follow its operands' layout, and the library's
-        # second block is a row slice of its column-major system
-        C2_V1 = np.asfortranarray(blocks[1]) @ V1
-        _, V2, _ = svd_nullspace(C2_V1, scale=sigma_max)
+        sigma_max = max(svd_nullspace(C1[:, cols])[2] for cols in weight_blocks)
+        parts = []
+        for cols in weight_blocks:
+            _, null, _ = svd_nullspace(C1[:, cols], scale=sigma_max)
+            part = np.zeros((d * d, null.shape[1]))
+            part[cols] = null
+            parts.append(part)
+        V1 = np.hstack(parts)
+        # the second sample is ranked on its residuals of V1's elements
+        R2 = exposedness._stationarity_residuals(second.X, second.Y, coords_to_hermitian(V1.T, d))
+        _, V2, _ = svd_nullspace(R2, scale=sigma_max)
         dim, basis = double_dual_nullspace(phi, rng=np.random.default_rng(11))
-        assert dim == V2.shape[1] <= d * d - rank1
+        assert dim == V2.shape[1] <= V1.shape[1]
         assert np.array_equal(basis, coords_to_hermitian((V1 @ V2).T, d))
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (4, 4), (2, 3)])
+def test_stationarity_residuals_equal_the_assembled_rows(n, m):
+    """The second sample's residuals equal stationarity_rows @ coords(H).T, for one H and a stack."""
+    rng = np.random.default_rng(10 * n + m)
+    d = n * m
+    k = 9
+    X = fix_phase(np.stack([random_unit_vector(n, rng) for _ in range(k)]))
+    Y = fix_phase(np.stack([random_unit_vector(m, rng) for _ in range(k)]))
+    samples = [(X, Y)]
+    if n == m == 4:
+        # pairs of a Haar BH_4's face carried into its Youla frame, as ranked
+        phi = breuer_hall(random_antisymmetric_unitary(4, rng))
+        sample = dual_face_samples(phi, k, rng)
+        samples.append((sample.X @ phi.frame.conj(), sample.Y @ phi.frame.conj()))
+    H = np.stack([random_hermitian(d, rng) * scale for scale in (1e-3, 1.0, 40.0)])
+    for X, Y in samples:
+        C = stationarity_rows(X, Y)
+        for h in (H[2], H):
+            got = exposedness._stationarity_residuals(X, Y, h)
+            want = C @ hermitian_to_coords(h).T
+            assert got.shape == want.shape
+            norms = np.linalg.norm(h, axis=(-2, -1))
+            assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, norms))
+
+
+def test_a_complex_w_is_never_split_and_a_forced_split_is_refused(monkeypatch, capsys):
+    """The unframed Haar BH_4 stays one block; a Re/Im split its null space does not respect is refused."""
+    U = random_antisymmetric_unitary(4, np.random.default_rng(1234))
+    haar = breuer_hall(U)
+    phi = LinearMatrixMap(4, 4, haar.choi, haar.face)
+    assert np.any(phi.choi.imag) and np.all(phi.choi != 0)
+    assert len(_weight_blocks(phi.choi, 4, 4)) == 1
+    rep = exposedness_report(phi, rng=np.random.default_rng(0))
+    assert (rep.verdict, rep.nullspace_dim) == ("CERTIFIED_EXPOSED", 1)
+    assert "weight_blocks" not in rep.diagnostics
+    # W's real part has W's zero pattern but splits every class: the ranked
+    # null space misses W's ray, though W annihilates every ranked row
+    split = _weight_blocks(phi.choi.real, 4, 4)
+    assert len(split) == 2
+    monkeypatch.setattr(exposedness, "_weight_blocks", lambda W, n, m: split)
+    with pytest.raises(UnstableDimension, match=r"^sampled face excludes the map's own Choi \(residual \S+\)$"):
+        exposedness_report(phi, rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -444,7 +486,8 @@ def test_blocked_nullity_equals_one_block_nullity(seed, monkeypatch):
         map_from_choi(choi_of(reduction(3)), 3, 3),
     )
     counts = [len(_weight_blocks(phi.choi, phi.dim_in, phi.dim_out)) for phi in maps]
-    assert counts == [10, 10, 28, 13, 13, 1, 10, 10, 10]
+    # every W here is real but the Haar BH_4's, so its classes split in two
+    assert counts == [20, 20, 56, 26, 26, 1, 20, 20, 20]
     blocked = [double_dual_nullspace(phi, rng=np.random.default_rng(seed))[0] for phi in maps]
     monkeypatch.setattr(exposedness, "_weight_blocks", _one_block)
     whole = [double_dual_nullspace(phi, rng=np.random.default_rng(seed))[0] for phi in maps]
@@ -452,7 +495,7 @@ def test_blocked_nullity_equals_one_block_nullity(seed, monkeypatch):
 
 
 def test_haar_breuer_hall_is_ranked_in_its_youla_frame(tmp_path, capsys, monkeypatch):
-    """A W with no zero entry is one block; its Youla frame gives BH_K's 13 and the one-block verdicts."""
+    """A complex W with no zero entry is one block; its Youla frame gives BH_K's 26 and the one-block verdicts."""
     U = random_antisymmetric_unitary(4, np.random.default_rng(1234))
     phi = breuer_hall(U)
     assert np.all(phi.choi != 0)
@@ -461,7 +504,7 @@ def test_haar_breuer_hall_is_ranked_in_its_youla_frame(tmp_path, capsys, monkeyp
     u_file.write_text(cli.canonical_json(cli.matrix_to_obj(U)))
     assert cli.main(["exposedness", "breuer-hall", "--u", str(u_file), "--seed", "7"]) == 0
     diag = json.loads(capsys.readouterr().out)["diagnostics"]
-    assert diag["weight_blocks"] == 13 and diag["largest_block"] == 48
+    assert diag["weight_blocks"] == 26 and diag["largest_block"] == 26
     framed = [exposedness_report(phi, rng=np.random.default_rng(seed)) for seed in range(5)]
     monkeypatch.setattr(exposedness, "_weight_blocks", _one_block)
     off = LinearMatrixMap(4, 4, phi.choi, phi.face)
@@ -499,7 +542,7 @@ def test_a_frame_is_a_hint_that_never_changes_a_verdict():
     V = random_unitary(4, np.random.default_rng(3))
     # reduction is unitarily covariant: its W carried by any V is its own W
     rep = exposedness_report(LinearMatrixMap(4, 4, reduction(4).choi, frame=V), rng=np.random.default_rng(0))
-    assert (rep.verdict, rep.nullspace_dim, rep.diagnostics["weight_blocks"]) == ("NOT_EXPOSED", 36, 28)
+    assert (rep.verdict, rep.nullspace_dim, rep.diagnostics["weight_blocks"]) == ("NOT_EXPOSED", 36, 56)
     U = random_antisymmetric_unitary(4, np.random.default_rng(7))
     phi = breuer_hall(U)
     assert np.array_equal(phi.frame, youla_form(U))
@@ -534,7 +577,12 @@ def test_haar_breuer_hall6_nullspace_in_its_youla_frame():
 
 @pytest.mark.parametrize("k, count, widest", [(3, 43, 96), (4, 113, 168)])
 def test_breuer_hall_weight_blocks_come_from_w_alone(k, count, widest, monkeypatch):
-    """BH_6 and BH_8 with U = I_k (x) sigma_y: the partition needs no decomposition of any matrix."""
+    """BH_6 and BH_8 with U = I_k (x) sigma_y: the partition needs no decomposition of any matrix.
+
+    ``count`` torus-weight classes, the widest ``widest`` columns wide; W is
+    real, so each class comes as two blocks, its diagonal and Re columns
+    and then its Im columns.
+    """
 
     def no_decomposition(*args, **kwargs):
         raise AssertionError("a matrix was decomposed")
@@ -544,15 +592,17 @@ def test_breuer_hall_weight_blocks_come_from_w_alone(k, count, widest, monkeypat
     n = 2 * k
     d = n * n
     blocks = _weight_blocks(breuer_hall(np.kron(np.eye(k), SIGMA_Y)).choi, n, n)
-    assert len(blocks) == count
-    assert max(map(len, blocks)) == widest
+    assert len(blocks) == 2 * count
+    assert max(len(blocks[t]) + len(blocks[t + 1]) for t in range(0, len(blocks), 2)) == widest
     assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(d * d))
-    # the Re and Im columns of an entry share a block, and the diagonal is weight 0
+    # an entry's Im column sits in the block right after its Re column's,
+    # the other half of the same class, and the diagonal is weight 0
     p = (d * d - d) // 2
     owner = np.empty(d * d, dtype=int)
     for t, cols in enumerate(blocks):
         owner[cols] = t
-    assert np.array_equal(owner[d : d + p], owner[d + p :])
+    assert np.all(owner[d : d + p] % 2 == 0)
+    assert np.array_equal(owner[d : d + p] + 1, owner[d + p :])
     assert np.all(owner[:d] == 0)
 
 
@@ -591,10 +641,14 @@ def test_full_rank_first_block_is_refused_without_a_second_decomposition(monkeyp
     monkeypatch.setattr(linalg, "_decompose", counting_decompose)
     with pytest.raises(UnstableDimension, match="excludes the map's own Choi"):
         double_dual_nullspace(reduction(3), rng=np.random.default_rng(0))
-    # one decomposition per weight block of the first sample's rows, none of the second's
+    # one stacked decomposition per block width of the first sample's rows,
+    # none of the second's
     widths = [len(cols) for cols in _weight_blocks(reduction(3).choi, 3, 3)]
-    assert len(widths) == 10 and sum(widths) == 81
-    assert shapes == [(2 * 6 * 13, c) for c in widths]
+    assert len(widths) == 20 and sum(widths) == 81
+    per_width = dict.fromkeys(widths, 0)
+    for w in widths:
+        per_width[w] += 1
+    assert shapes == [(count, 2 * 6 * 13, w) for w, count in per_width.items()]
 
 
 def test_nullspace_dimension_change_is_refused(monkeypatch, capsys):
@@ -832,8 +886,9 @@ def test_exposedness_diagnostics_contract():
     assert diag["dim_at_k"] == diag["dim_at_2k"] == 1
     assert diag["choi_containment_residual"] <= 10 * 1e-8 * max(diag["sigma_max"], 1.0)
     assert rep.samples_used == diag["sample_count"]
-    # the rank ran in three weight blocks, the widest 8 of R_2's 16 columns
-    assert diag["weight_blocks"] == 3 and diag["largest_block"] == 8
+    # R_2's W is real: three weight classes, each split into its diagonal
+    # and Re columns and its Im columns, the widest 5 of the 16 columns
+    assert diag["weight_blocks"] == 6 and diag["largest_block"] == 5
 
 
 # a + b + c = 2 and bc = (1 - a)^2 with a = 1/2: exposed (Ha and Kye, OSID 2011)
@@ -1076,5 +1131,5 @@ def test_breuer_hall6_is_not_exposed():
         rep = exposedness_report(phi, rng=np.random.default_rng(seed))
         assert rep.verdict == "NOT_EXPOSED"
         assert rep.nullspace_dim == 15
-        assert rep.diagnostics["weight_blocks"] == 43
+        assert rep.diagnostics["weight_blocks"] == 86
         assert not is_ray_proportional(rep.counterexample, phi.choi)

@@ -110,6 +110,32 @@ def test_svd_nullspace_tall_rank_deficient():
     assert np.max(np.abs(M @ basis)) < 1e-12
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("rows", [40, 5])
+def test_svd_nullspace_stacks_blocks_of_one_width_bitwise(rows, dtype):
+    """Blocks of one width are decomposed as one stack, with the bits of ranking each on its own."""
+    rng = np.random.default_rng(12)
+    M = rng.standard_normal((rows, 24)).astype(dtype)
+    if dtype is complex:
+        M += 1j * rng.standard_normal((rows, 24))
+    cols = rng.permutation(24)
+    # widths 6, 6, 3, 6, 3: at 5 rows the 6-wide blocks are wide and the 3-wide tall
+    blocks = [np.sort(part) for part in np.split(cols, [6, 12, 15, 21])]
+    for block in blocks[:4]:
+        M[:, block[-1]] = M[:, block[0]] - 2 * M[:, block[1]]  # one null vector at least
+    rank, basis, sigma_max = svd_nullspace(M, blocks=blocks)
+    assert sigma_max == max(svd_nullspace(M[:, block])[2] for block in blocks)
+    parts = []
+    for block in blocks:
+        _, null, _ = svd_nullspace(M[:, block], scale=sigma_max)
+        part = np.zeros((24, null.shape[1]), dtype=dtype)
+        part[block] = null
+        parts.append(part)
+    assert np.array_equal(basis, np.hstack(parts))
+    assert rank == 24 - basis.shape[1] and basis.dtype == dtype
+    assert np.max(np.abs(M @ basis)) < 1e-12 * sigma_max
+
+
 def test_svd_nullspace_zero_matrix_and_bad_tol():
     rank, basis, _ = svd_nullspace(np.zeros((2, 2)))
     assert rank == 0 and basis.shape == (2, 2)
