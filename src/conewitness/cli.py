@@ -200,7 +200,8 @@ def matrix_from_obj(obj, what: str = "matrix") -> np.ndarray:
                 not isinstance(entry, (list, tuple))
                 or len(entry) != 2
                 or any(isinstance(u, bool) or not isinstance(u, (int, float)) for u in entry)
-                or not all(math.isfinite(float(u)) for u in entry)
+                # exact for an int: NaN, infinities and ints past float range all fail
+                or not all(abs(u) <= sys.float_info.max for u in entry)
             ):
                 raise ValueError(
                     f"{what}: entry ({i},{j}) must be a finite [re, im] pair"

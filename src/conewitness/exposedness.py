@@ -81,10 +81,6 @@ class DualFaceSample:
         return [ProductPair(x, y, float(v)) for x, y, v in zip(self.X, self.Y, self.values)]
 
 
-# the cone search's quick certifier; the full see-saw confirms what survives it
-SEARCH_SEESAW = SeeSawConfig(restarts=24, max_iters=200, stop_below=-1e-6)
-
-
 @dataclass(frozen=True, eq=False)
 class ExposednessReport:
     nullspace_dim: int
@@ -273,11 +269,11 @@ def _nullspace_with_diagnostics(phi, k, rng):
         return sample.X @ V.conj(), sample.Y @ V.conj()
 
     # the first sample's stationarity rows are ranked in the weight blocks
-    # of the pattern.  The null space of both samples is V1 null(C2 V1), with
-    # V1 spanning the first sample's null space.  C2 V1 holds the second
-    # sample's residuals of V1's elements, so C2 is never formed; C2 V1 is
-    # cut at the first sample's sigma_max, and no row of the first sample is
-    # decomposed twice
+    # of the pattern, and V1 spans their null space.  The second sample is
+    # ranked on C2 V1, its residuals of V1's elements, so C2 is never formed;
+    # C2 V1 is cut at the first sample's sigma_max.  Any rank it adds is
+    # refused, so the null space of both samples is V1's span, and V1 is
+    # returned as ranked: no basis turned by round-off reaches the search
     first = dual_face_samples(phi, k, rng)
     C = stationarity_rows(*pairs(first))
     blocks = _weight_blocks(pattern, n, m)
@@ -289,11 +285,7 @@ def _nullspace_with_diagnostics(phi, k, rng):
     second = dual_face_samples(phi, k, rng)
     # the residuals of V1's elements and of W's ray, from one product
     R2 = _stationarity_residuals(*pairs(second), coords_to_hermitian(np.vstack([V1.T, c]), d))
-    basis_coords = V1
-    if dim1:
-        _, V2, _ = svd_nullspace(R2[:, :-1], scale=sigma_max)
-        basis_coords = V1 @ V2
-    dim2 = basis_coords.shape[1]
+    dim2 = dim1 - svd_nullspace(R2[:, :-1], scale=sigma_max)[0] if dim1 else 0
     if dim1 != dim2:
         raise UnstableDimension(
             f"nullspace dim {dim1} at {k} samples vs {dim2} at {2 * k}"
@@ -303,7 +295,7 @@ def _nullspace_with_diagnostics(phi, k, rng):
     # stationarity rows are caught; and W's ray must lie in the ranked null
     # space, which a block partition the null space does not split breaks
     containment = float(np.linalg.norm(np.concatenate([C @ c, R2[:, -1]])))
-    off_ray = float(np.linalg.norm(c - basis_coords @ (basis_coords.T @ c)))
+    off_ray = float(np.linalg.norm(c - V1 @ (V1.T @ c)))
     for residual, bound in (
         (containment, 10 * NULLSPACE_REL_TOL * max(sigma_max, 1.0)),
         (off_ray, RAY_TOL),
@@ -313,7 +305,7 @@ def _nullspace_with_diagnostics(phi, k, rng):
                 f"sampled face excludes the map's own Choi (residual {residual:.3e})"
             )
 
-    basis_coords = basis_coords.T
+    basis_coords = V1.T
     if V is not None:
         H = frame_conjugate(coords_to_hermitian(basis_coords, d), V.conj().T)
         basis_coords = hermitian_to_coords(H)
@@ -342,7 +334,9 @@ def double_dual_nullspace(
     face satisfies.  The dimension is recomputed on a doubled sample, the
     second sample ranked inside the first sample's null space on its
     stationarity residuals, with no rows assembled, and must agree
-    (UnstableDimension otherwise).  The map's own Choi must satisfy both
+    (UnstableDimension otherwise).  As the second sample may add no rank,
+    the basis returned is the first sample's null space exactly as ranked.
+    The map's own Choi must satisfy both
     samples' rows and lie in the ranked null space (UnstableDimension
     otherwise).  The first sample is ranked one weight block of columns at
     a time, torus-weight classes split into Re and Im parts when W is real
@@ -377,13 +371,16 @@ def cone_search_off_ray(
 
     ``basis`` holds orthonormal coordinate rows ``(dim, (nm)^2)``, as ranked.
     Every seed is the map's ray tilted by 0.1, 0.3 or 0.7 (in turn) along a
-    random direction orthogonal to it.  A candidate is screened against the
-    cutting planes found so far (a negative pairing is an exact refutation),
-    then certified by a quick see-saw; a certified violation becomes a new
-    cutting plane, and the violated candidate is repaired along it a few
-    times before the next seed.  The full see-saw confirms what survives,
-    and the first confirmed candidate wins; None is a legitimate outcome and
-    the only possible one when dim < 2.  A zero map raises ZeroWitness.
+    random direction orthogonal to it, drawn in all ``(nm)^2`` coordinates
+    and projected onto the span, so a candidate depends on the span alone
+    and not on which orthonormal basis of it is passed.  A candidate is
+    screened against the cutting planes found so far (a negative pairing is
+    an exact refutation), then certified by the default see-saw; a certified
+    violation becomes a new cutting plane, and the violated candidate is
+    repaired along it a few times before the next seed.  The first
+    candidate the see-saw does not refute wins; None is a legitimate
+    outcome and the only possible one when dim < 2.  A zero map raises
+    ZeroWitness.
     """
     _require_ray(phi)
     budget = operator.index(budget)
@@ -409,8 +406,8 @@ def cone_search_off_ray(
     spent = 0
     tilts = itertools.cycle((0.1, 0.3, 0.7))
     while spent < budget:
-        # a seed: the ray tilted along a random direction orthogonal to it
-        u = rng.standard_normal(dim)
+        # a seed: the ray tilted along a random direction of the span, orthogonal to it
+        u = basis @ rng.standard_normal(d * d)
         u -= gamma_ray * (gamma_ray @ u)
         gamma = gamma_ray + next(tilts) * (u / np.linalg.norm(u))
         gamma = gamma / np.linalg.norm(gamma)
@@ -425,13 +422,9 @@ def cone_search_off_ray(
                 cand = ray_representative(coords_to_hermitian(gamma @ basis, d))
                 if is_ray_proportional(cand, phi.choi):
                     break
-                cand_map = map_from_choi(cand, n, m)
-                verdict, report = is_block_positive(cand_map, SEARCH_SEESAW, rng)
-                if verdict != "CERTIFIED_NOT_BP":
-                    confirm_verdict, _ = is_block_positive(cand_map, SeeSawConfig(), rng)
-                    if confirm_verdict == "EVIDENCE_BP":
-                        return cand
-                    break
+                verdict, report = is_block_positive(map_from_choi(cand, n, m), SeeSawConfig(), rng)
+                if verdict == "EVIDENCE_BP":
+                    return cand
                 # cutting plane: remember this violation and repair along it
                 z = product_vector(report.argmin.x, report.argmin.y)
                 plane = hermitian_to_coords(np.outer(z, z.conj()))[np.newaxis] @ basis.T

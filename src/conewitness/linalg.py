@@ -327,7 +327,7 @@ def hermitian_to_coords(A: np.ndarray) -> np.ndarray:
 
 
 def coords_to_hermitian(coords: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`hermitian_to_coords` for a single coordinate vector."""
+    """Inverse of :func:`hermitian_to_coords`: ``(..., d*d)`` coordinates to ``(..., d, d)`` matrices."""
     coords = np.asarray(coords, dtype=float)
     if coords.shape[-1] != d * d:
         raise ValueError(f"expected {d * d} coordinates, got {coords.shape[-1]}")

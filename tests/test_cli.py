@@ -264,6 +264,22 @@ def test_check_input_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["check", "detect", "exposedness"])
+def test_an_integer_beyond_float_range_is_a_bad_entry(tmp_path, capsys, command):
+    """A 401-digit integer literal as an entry exits 2 with the bad-entry message."""
+    obj = cli.matrix_to_obj(np.eye(4))
+    obj["data"][0][0] = [10**400, 0]
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(obj))
+    argv = {
+        "check": [str(bad), "--mode", "cp"],
+        "detect": [write_choi(tmp_path, np.eye(4) / 4, "state.json"), str(bad)],
+        "exposedness": [str(bad)],
+    }[command]
+    assert cli.main([command, *argv]) == 2
+    assert "entry (0,0) must be a finite [re, im] pair" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # detect
 

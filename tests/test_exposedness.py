@@ -367,7 +367,7 @@ def test_nullspace_rejects_undersampling(monkeypatch):
 
 
 def test_nullspace_basis_bits_match_stacked_c_order_blocks():
-    """The basis has the bits of C-order blocks ranked one by one and of the second sample's residuals."""
+    """The basis is V1, C-order blocks ranked one by one, bit for bit; the second sample adds no rank."""
     U = random_antisymmetric_unitary(4, np.random.default_rng(3))
     # the Haar BH_4 with its frame left off: a complex W with no zero entry is one block
     haar = breuer_hall(U)
@@ -390,12 +390,13 @@ def test_nullspace_basis_bits_match_stacked_c_order_blocks():
             part[cols] = null
             parts.append(part)
         V1 = np.hstack(parts)
-        # the second sample is ranked on its residuals of V1's elements
+        # the second sample, ranked on its residuals of V1's elements, only
+        # confirms V1's dimension; V1 itself is the basis
         R2 = exposedness._stationarity_residuals(second.X, second.Y, coords_to_hermitian(V1.T, d))
-        _, V2, _ = svd_nullspace(R2, scale=sigma_max)
+        rank2, _, _ = svd_nullspace(R2, scale=sigma_max)
         dim, basis = double_dual_nullspace(phi, rng=np.random.default_rng(11))
-        assert dim == V2.shape[1] <= V1.shape[1]
-        assert np.array_equal(basis, coords_to_hermitian((V1 @ V2).T, d))
+        assert rank2 == 0 and dim == V1.shape[1]
+        assert np.array_equal(basis, coords_to_hermitian(V1.T, d))
 
 
 @pytest.mark.parametrize("n, m", [(3, 3), (4, 4), (2, 3)])
@@ -753,31 +754,85 @@ def test_probe_pairings_equal_witness_pairing_per_basis_element():
     assert np.array_equal(got, np.concatenate([c[np.newaxis] @ rows.T for c in read]))
 
 
-def test_confirm_rejection_moves_the_search_to_its_next_seed(monkeypatch):
-    """A candidate the full-config see-saw rejects is dropped, and the search goes on.
+def test_a_refuted_candidate_becomes_a_cutting_plane_and_the_search_goes_on(monkeypatch):
+    """The search's one certifier refutes a candidate: its argmin becomes a cutting plane.
 
-    The next seed is the ray tilted along a fresh direction; the report
-    still finds a validated counterexample, off the rejected candidate's ray.
+    The first in-search certification is forced to CERTIFIED_NOT_BP; the
+    search goes on, and the report still finds a validated counterexample,
+    off the refuted candidate's ray.
     """
     phi = reduction(3)
     real = exposedness.is_block_positive
-    calls, rejected = [], []
+    to_coords = exposedness.hermitian_to_coords
+    calls, refuted, converted = [], [], []
 
-    def reject_first_confirm(cand_map, config, rng):
+    def refute_first_candidate(cand_map, config, rng):
         verdict, report = real(cand_map, config, rng)
-        if cand_map is not phi and config == SeeSawConfig() and not rejected:
-            calls.append("rejected")
-            rejected.append(cand_map.choi)
+        assert config == SeeSawConfig()
+        if cand_map is not phi and not refuted:
+            calls.append("refuted")
+            refuted.append((cand_map.choi, report.argmin))
             return "CERTIFIED_NOT_BP", report
-        calls.append("full" if config == SeeSawConfig() else "search")
+        calls.append(verdict)
         return verdict, report
 
-    monkeypatch.setattr(exposedness, "is_block_positive", reject_first_confirm)
+    def recording_coords(A):
+        converted.append(np.array(A))
+        return to_coords(A)
+
+    monkeypatch.setattr(exposedness, "is_block_positive", refute_first_candidate)
+    monkeypatch.setattr(exposedness, "hermitian_to_coords", recording_coords)
     rep = exposedness_report(phi, rng=np.random.default_rng(0))
     assert rep.verdict == "NOT_EXPOSED" and rep.nullspace_dim == 9
-    # the search ran on after the rejection before a later candidate was confirmed
-    assert calls.index("rejected") < calls.index("search", calls.index("rejected"))
-    assert not is_ray_proportional(rep.counterexample, rejected[0])
+    # the precondition, the refuted candidate, at least one more search
+    # certification, and the validation of the counterexample
+    assert calls[:2] == ["EVIDENCE_BP", "refuted"] and len(calls) >= 4
+    assert set(calls[2:]) == {"EVIDENCE_BP"}
+    # the cutting plane is the refuted candidate's argmin z, as |z><z|
+    cand, argmin = refuted[0]
+    z = product_vector(argmin.x, argmin.y)
+    assert any(A.shape == (9, 9) and np.array_equal(A, np.outer(z, z.conj())) for A in converted)
+    assert not is_ray_proportional(rep.counterexample, cand)
+
+
+def test_choi_101_at_budget_two_takes_the_cut_and_repair_path(monkeypatch):
+    """At budget 2 and seed 0, the search's certifier refutes one candidate and accepts its repair."""
+    phi = choi_family(1.0, 0.0, 1.0)
+    real = exposedness.is_block_positive
+    calls = []
+
+    def recording(cand_map, config, rng):
+        verdict, report = real(cand_map, config, rng)
+        calls.append((verdict, cand_map.choi))
+        return verdict, report
+
+    monkeypatch.setattr(exposedness, "is_block_positive", recording)
+    rep = exposedness_report(phi, budget=2, rng=np.random.default_rng(0))
+    assert (rep.verdict, rep.nullspace_dim) == ("NOT_EXPOSED", 14)
+    # the precondition, the search's two certifications, the validation
+    verdicts = [verdict for verdict, _ in calls]
+    assert verdicts == ["EVIDENCE_BP", "CERTIFIED_NOT_BP", "EVIDENCE_BP", "EVIDENCE_BP"]
+    cut, repaired, validated = (choi for _, choi in calls[1:])
+    assert np.array_equal(repaired, validated) and np.array_equal(rep.counterexample, repaired)
+    assert not is_ray_proportional(cut, repaired)
+
+
+@pytest.mark.parametrize(
+    "phi, budget",
+    [
+        pytest.param(reduction(3), 2000, id="reduction-3"),
+        pytest.param(reduction(4), 2000, id="reduction-4"),
+        pytest.param(choi_family(1.0, 0.0, 1.0), 2, id="choi-101-budget-2"),
+    ],
+)
+def test_cone_search_candidate_depends_on_the_span_alone(phi, budget):
+    """A basis turned by a random orthogonal matrix gives the same candidate to round-off."""
+    dim, basis = double_dual_nullspace(phi, rng=np.random.default_rng(0))
+    rows = hermitian_to_coords(basis)
+    Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((dim, dim)))
+    cand, turned = (cone_search_off_ray(phi, B, budget, np.random.default_rng(2)) for B in (rows, Q @ rows))
+    assert cand is not None and turned is not None
+    assert frobenius(cand - turned) <= 1e-12
 
 
 def test_report_searches_the_rows_double_dual_nullspace_converts(monkeypatch):
@@ -917,8 +972,9 @@ HA_KYE = choi_family(0.5, 0.19098300562505255, 1.3090169943749475)
             2000,
             id="raw-choi-reduction3-0",
         ),
-        # the first candidate is cut, and the repaired one is the counterexample:
-        # a budget of two leaves no other way to reach the verdict
+        # the first candidate is cut, and the repaired one is the counterexample
+        # (test_choi_101_at_budget_two_takes_the_cut_and_repair_path pins the
+        # path): a budget of two leaves no other way to reach the verdict
         pytest.param(
             choi_family(1.0, 0.0, 1.0), 0, "NOT_EXPOSED", 2, id="choi-101-0"
         ),
