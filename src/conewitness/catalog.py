@@ -6,9 +6,10 @@ family on M_3, Breuer-Hall maps built from antisymmetric unitaries, and the
 Robertson map they specialize to in M_4.
 
 The constructors of the transposition, reduction, Breuer-Hall and
-Robertson maps also attach the map's dual face in closed form, as a draw
-``face(count, rng) -> (X, Y)``.  The Breuer-Hall constructor attaches the
-Youla frame of its unitary as well (see :func:`youla_form`).
+Robertson maps also attach the map's dual face in closed form, as a
+:class:`conewitness.maps.Face`: a draw ``face(count, rng) -> (X, Y)`` and
+the family's positivity identity.  The Breuer-Hall constructor attaches
+the Youla frame of its unitary as well (see :func:`youla_form`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     OddDimension,
 )
 from .linalg import _row_norms, _unit_rows, frobenius, random_unitary
-from .maps import LinearMatrixMap, choi_from_apply
+from .maps import Face, LinearMatrixMap, choi_from_apply
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -73,6 +74,42 @@ def _unitary_face(U, count, rng):
     return X, Y
 
 
+# --- positivity identities -------------------------------------------------
+#
+# Each gives the family's pairing ``<y|phi(P_x)|y>`` at stacked pairs
+# ``(X, Y)``, one pair per row, as a formula that is nonnegative by
+# construction.
+
+
+def _inner(A, B):
+    """``<a, b>``, conjugate-linear in ``a``, for each pair of rows."""
+    return np.sum(A.conj() * B, axis=-1)
+
+
+def _transpose_pairing(X, Y):
+    """``|<conj(x), y>|^2``, the transposition's pairing."""
+    return np.abs(_inner(X.conj(), Y)) ** 2
+
+
+def _reduction_pairing(X, Y):
+    """``||x||^2 ||y||^2 - |<x, y>|^2``, the reduction map's pairing (Cauchy-Schwarz)."""
+    return _inner(X, X).real * _inner(Y, Y).real - np.abs(_inner(X, Y)) ** 2
+
+
+def _breuer_hall_pairing(U, X, Y):
+    """``||x||^2 ||y||^2 - |<x, y>|^2 - |<U conj(x), y>|^2``, the pairing of ``BH_U``.
+
+    ``x`` and ``U conj(x)`` are orthogonal (U is antisymmetric) and of equal
+    norm (U is unitary), so Bessel's inequality makes it nonnegative.
+    """
+    return _reduction_pairing(X, Y) - np.abs(_inner(X.conj() @ U.T, Y)) ** 2
+
+
+def _breuer_hall_face(U):
+    """The face of ``BH_U``, which the Robertson map shares with ``U = I_2 (x) sigma_y``."""
+    return Face(functools.partial(_unitary_face, U), functools.partial(_breuer_hall_pairing, U))
+
+
 # --- validation helpers ----------------------------------------------------
 
 
@@ -106,7 +143,8 @@ def transposition(n: int) -> LinearMatrixMap:
     """The transposition map ``X -> X^t`` on M_n."""
     if n < 1:
         raise DimensionMismatch("n must be at least 1")
-    return choi_from_apply(lambda E: E.T, n, n, functools.partial(_orthogonal_face, n))
+    face = Face(functools.partial(_orthogonal_face, n), _transpose_pairing)
+    return choi_from_apply(lambda E: E.T, n, n, face)
 
 
 def ad_map(V: np.ndarray) -> LinearMatrixMap:
@@ -134,7 +172,7 @@ def reduction(n: int) -> LinearMatrixMap:
     if n < 2:
         raise DimensionMismatch("the reduction map needs n >= 2")
     eye = np.eye(n)
-    face = functools.partial(_diagonal_face, n)
+    face = Face(functools.partial(_diagonal_face, n), _reduction_pairing)
     return choi_from_apply(lambda E: eye * np.trace(E) - E, n, n, face)
 
 
@@ -208,7 +246,7 @@ def breuer_hall(U: np.ndarray) -> LinearMatrixMap:
     n2 = U.shape[0]
     eye = np.eye(n2)
     Ud = U.conj().T
-    face = functools.partial(_unitary_face, U)
+    face = _breuer_hall_face(U)
     frame = youla_form(U)
     return choi_from_apply(lambda E: eye * np.trace(E) - E - U @ E.T @ Ud, n2, n2, face, frame)
 
@@ -258,7 +296,7 @@ def robertson() -> LinearMatrixMap:
         out[2:, :2] = -(X21 + r2(X12))
         return out
 
-    return choi_from_apply(act, 4, 4, functools.partial(_unitary_face, robertson_unitary()))
+    return choi_from_apply(act, 4, 4, _breuer_hall_face(robertson_unitary()))
 
 
 def robertson_unitary() -> np.ndarray:

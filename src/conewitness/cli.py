@@ -16,10 +16,11 @@ in which case the file is written atomically (temp file, then rename).
 
 Exit codes: 0 success (verdicts are data, not exit codes), 2 malformed
 input, invalid parameters or a problem too large for memory, 3 see-saw
-convergence failure, 4 exposedness input that fails block-positivity, 5
-verify-suite failure.  A flag that the chosen target does not read is
-refused with exit 2.  The env var CONEWITNESS_SEED supplies a default
-seed; an explicit --seed wins.
+convergence failure, 4 exposedness input that the see-saw finds not
+block-positive (a closed-form catalog map is positive by its family's
+identity and runs no see-saw for it), 5 verify-suite failure.  A flag
+that the chosen target does not read is refused with exit 2.  The env var
+CONEWITNESS_SEED supplies a default seed; an explicit --seed wins.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .positivity import (
     is_completely_positive,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 # each catalog map: its constructor and the flags it reads, in argument order
 CATALOG = {

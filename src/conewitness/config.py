@@ -48,3 +48,7 @@ SEESAW_STATIONARITY_TOL = 1e-12
 # a see-saw minimum below -VIOLATION_TOL certifies that a map is not
 # block-positive
 VIOLATION_TOL = 1e-9
+# largest |pairing - identity| at the tomographic product pairs, relative to
+# max(1, ||W||_F), for a map with a closed-form face to be positive by its
+# family's identity (see exposedness); past it the see-saw decides
+IDENTITY_TOL = 1e-12

@@ -26,7 +26,14 @@ from .catalog import (
     require_antisymmetric_unitary,
     require_unitary,
 )
-from .config import COUNTEREXAMPLE_FACE_TOL, FRAME_RTOL, NULLSPACE_REL_TOL, RAY_TOL, ZERO_TOL
+from .config import (
+    COUNTEREXAMPLE_FACE_TOL,
+    FRAME_RTOL,
+    IDENTITY_TOL,
+    NULLSPACE_REL_TOL,
+    RAY_TOL,
+    ZERO_TOL,
+)
 from .errors import (
     DimensionMismatch,
     InsufficientZeros,
@@ -47,6 +54,7 @@ from .linalg import (
     svd_nullspace,
 )
 from .maps import (
+    Face,
     LinearMatrixMap,
     apply,
     frame_conjugate,
@@ -443,14 +451,58 @@ def cone_search_off_ray(
     return None
 
 
+@functools.cache
+def _tomographic_pairs(n, m):
+    """Every pair of ``x`` in ``{e_i} + {e_i + e_j} + {e_i + i e_j}`` (i < j) and ``y`` likewise.
+
+    The ``n^2`` vectors' projectors span the Hermitian ``n x n`` matrices,
+    so the ``n^2 m^2`` pairs' ``|z><z|`` span the Hermitian ``nm x nm``
+    ones: two Hermitian matrices that pair alike at every pair are equal.
+    Pairs come ``x``-major, as read-only arrays ``(n^2 m^2, n)`` and
+    ``(n^2 m^2, m)``, built once per dimensions.
+    """
+
+    def vectors(d):
+        eye = np.eye(d, dtype=complex)
+        i, j = np.triu_indices(d, 1)
+        return np.concatenate([eye, eye[i] + eye[j], eye[i] + 1j * eye[j]])
+
+    X, Y = vectors(n), vectors(m)
+    X, Y = np.repeat(X, len(Y), axis=0), np.tile(Y, (len(X), 1))
+    X.flags.writeable = Y.flags.writeable = False
+    return X, Y
+
+
+def _positive_by_identity(phi):
+    """Whether the map's Choi matrix pairs as its face's positivity identity.
+
+    The identity is a formula that is nonnegative by construction (see
+    :class:`conewitness.maps.Face`), and W's pairing is compared with it
+    at :func:`_tomographic_pairs`, whose projectors span the Hermitian
+    matrices: agreement to ``IDENTITY_TOL * max(1, ||W||_F)`` at every pair
+    fixes W as the identity's matrix to that cutoff.  A map whose face has
+    no identity fails.  Nothing is drawn from a random generator.
+    """
+    if not isinstance(phi.face, Face):
+        return False
+    X, Y = _tomographic_pairs(phi.dim_in, phi.dim_out)
+    gap = np.abs(witness_pairing(phi.choi, X, Y) - phi.face.pairing(X, Y))
+    return float(gap.max()) <= IDENTITY_TOL * max(1.0, frobenius(phi.choi))
+
+
 def exposedness_report(
     phi: LinearMatrixMap,
     sample_count: int | None = None,
     budget: int = 2000,
     rng: np.random.Generator | None = None,
 ) -> ExposednessReport:
-    """Full verdict pipeline; requires the map to look block-positive first.
+    """Full verdict pipeline for a block-positive map.
 
+    A map whose Choi matrix pairs as its closed-form face's positivity
+    identity (see :func:`_positive_by_identity`) is positive by that
+    identity; any other map must look block-positive to the default
+    see-saw first, or NotBlockPositive is raised.  ``diagnostics.positivity``
+    says which: ``"identity"`` or ``"see-saw"``.
     Two samples of ``sample_count`` face pairs fix the null space (default
     and floor in :func:`_checked_sample_count`), and the cone search tries
     at most ``budget`` candidates in it.
@@ -467,13 +519,17 @@ def exposedness_report(
         rng = np.random.default_rng(0)
     k = _checked_sample_count(phi, sample_count)
 
-    verdict_bp, bp_report = is_block_positive(phi, SeeSawConfig(), rng)
-    if verdict_bp != "EVIDENCE_BP":
-        raise NotBlockPositive(
-            f"map has a product pair with pairing {bp_report.min_value:.6e}"
-        )
+    positivity = "identity"
+    if not _positive_by_identity(phi):
+        positivity = "see-saw"
+        verdict_bp, bp_report = is_block_positive(phi, SeeSawConfig(), rng)
+        if verdict_bp != "EVIDENCE_BP":
+            raise NotBlockPositive(
+                f"map has a product pair with pairing {bp_report.min_value:.6e}"
+            )
 
     dim, basis, diagnostics = _nullspace_with_diagnostics(phi, k, rng)
+    diagnostics["positivity"] = positivity
     verdict, cand, cand_report = "CERTIFIED_EXPOSED", None, None
     if dim != 1:
         verdict = "CONSISTENT_WITH_EXPOSED"

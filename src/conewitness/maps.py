@@ -47,14 +47,35 @@ def frame_conjugate(A: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class Face:
+    """A family's dual face in closed form: a draw on it and the pairing it belongs to.
+
+    Called as ``face(count, rng)``, it runs ``draw`` and gives ``count``
+    candidate pairs ``(X, Y)``, one pair per row (a draw may drop some).
+    ``pairing(X, Y)`` is the family's pairing ``<y|phi(P_x)|y>`` at stacked
+    pairs as a formula that is nonnegative by construction, so a map whose
+    Choi matrix pairs as it does is positive by that identity.
+    """
+
+    draw: Callable
+    pairing: Callable
+
+    def __call__(self, count, rng):
+        return self.draw(count, rng)
+
+
+@dataclass(frozen=True, eq=False)
 class LinearMatrixMap:
     """A linear map M_n -> M_m held as its Choi matrix plus dimensions.
 
     ``face`` is set by the constructors of families whose dual face has a
-    closed form: ``face(count, rng)`` draws ``count`` candidate pairs
-    ``(X, Y)`` from it, one pair per row.  Every drawn pair is still checked
-    against the Choi matrix before use.  ``None`` means the face is
-    harvested numerically.
+    closed form, as a :class:`Face`: ``face(count, rng)`` draws ``count``
+    candidate pairs ``(X, Y)`` from it, one pair per row, and
+    ``face.pairing`` is the family's positivity identity.  Every drawn pair
+    is still checked against the Choi matrix before use, and the identity
+    against the Choi matrix before it stands in for the see-saw; any other
+    callable ``face(count, rng)`` is a draw with no identity.  ``None``
+    means the face is harvested numerically.
 
     ``frame``, a unitary ``V``, is set by the Breuer-Hall constructor: the
     face's null space is ranked in the weight blocks of the Choi matrix
@@ -66,7 +87,7 @@ class LinearMatrixMap:
     dim_in: int
     dim_out: int
     choi: np.ndarray
-    face: Callable | None = None
+    face: Face | Callable | None = None
     frame: np.ndarray | None = None
 
     def __post_init__(self):

@@ -288,3 +288,28 @@ def test_closed_form_maps_carry_their_face():
     assert sample.source == "numeric"
     assert sample.X.shape == (20, 3) and sample.Y.shape == (20, 3)
     assert np.max(np.abs(witness_pairing(ray_representative(R.choi), sample.X, sample.Y))) <= ZERO_TOL
+
+
+_HAAR_U4 = random_antisymmetric_unitary(4, np.random.default_rng(1234))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(pytest.param(lambda n=n: reduction(n), id=f"reduction-{n}") for n in (2, 3, 4, 6)),
+        *(pytest.param(lambda n=n: transposition(n), id=f"transpose-{n}") for n in (2, 3, 4, 6)),
+        pytest.param(robertson, id="robertson"),
+        pytest.param(lambda: breuer_hall(_HAAR_U4), id="haar-bh4"),
+        pytest.param(lambda: breuer_hall(np.kron(np.eye(3), SIGMA_Y)), id="bh6"),
+    ],
+)
+def test_positivity_identity_equals_witness_pairing(build):
+    """Each closed-form family's identity is its map's pairing, and it is nonnegative."""
+    phi = build()
+    rng = np.random.default_rng(11)
+    G = rng.standard_normal((2, 200, phi.dim_in)) + 1j * rng.standard_normal((2, 200, phi.dim_in))
+    X, Y = G[0], G[1]
+    formula = phi.face.pairing(X, Y)
+    bound = 1e-12 * max(1.0, frobenius(phi.choi))
+    assert np.max(np.abs(formula - witness_pairing(phi.choi, X, Y))) <= bound
+    assert formula.min() >= -bound

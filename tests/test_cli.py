@@ -14,13 +14,14 @@ from conewitness.catalog import (
     SIGMA_Y,
     ad_map,
     breuer_hall,
+    choi_family,
     co_ad_map,
     random_antisymmetric_unitary,
     reduction,
     robertson_unitary,
     transposition,
 )
-from conewitness.maps import choi_of
+from conewitness.maps import LinearMatrixMap, choi_of
 from conewitness.positivity import ProductPair, SeeSawConfig
 
 
@@ -186,7 +187,7 @@ def test_check_block_positive(tmp_path):
     path = write_choi(tmp_path, choi_of(reduction(2)))
     code, doc, _ = run(["check", path, "--mode", "block-positive", "--seed", "3"], tmp_path)
     assert code == 0
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
     assert doc["verdict"] == "EVIDENCE_BP"
     assert doc["seed"] == 3
     assert doc["config"]["mode"] == "block-positive"
@@ -344,11 +345,19 @@ def test_exposedness_counterexample_embeds_report(tmp_path):
     assert doc["counterexample_report"]["min_value"] >= -1e-9
 
 
-def test_exposedness_rejects_non_bp(tmp_path, capsys):
+def test_exposedness_rejects_non_bp(tmp_path, capsys, monkeypatch):
     code = cli.main(
         ["exposedness", "choi-family", "--a", "0.5", "--b", "0.3", "--c", "0.7"]
     )
     assert code == 4
+    assert "not block-positive" in capsys.readouterr().err
+
+    # a closed-form face on a map that is not block-positive still exits 4
+    def faced_non_bp(n):
+        return LinearMatrixMap(3, 3, choi_family(0.5, 0.3, 0.7).choi, face=reduction(n).face)
+
+    monkeypatch.setitem(cli.CATALOG, "reduction", (faced_non_bp, ("n",)))
+    assert cli.main(["exposedness", "reduction", "--n", "3"]) == 4
     assert "not block-positive" in capsys.readouterr().err
 
 

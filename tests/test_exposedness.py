@@ -769,7 +769,7 @@ def test_a_refuted_candidate_becomes_a_cutting_plane_and_the_search_goes_on(monk
     def refute_first_candidate(cand_map, config, rng):
         verdict, report = real(cand_map, config, rng)
         assert config == SeeSawConfig()
-        if cand_map is not phi and not refuted:
+        if not refuted:
             calls.append("refuted")
             refuted.append((cand_map.choi, report.argmin))
             return "CERTIFIED_NOT_BP", report
@@ -784,10 +784,12 @@ def test_a_refuted_candidate_becomes_a_cutting_plane_and_the_search_goes_on(monk
     monkeypatch.setattr(exposedness, "hermitian_to_coords", recording_coords)
     rep = exposedness_report(phi, rng=np.random.default_rng(0))
     assert rep.verdict == "NOT_EXPOSED" and rep.nullspace_dim == 9
-    # the precondition, the refuted candidate, at least one more search
-    # certification, and the validation of the counterexample
-    assert calls[:2] == ["EVIDENCE_BP", "refuted"] and len(calls) >= 4
-    assert set(calls[2:]) == {"EVIDENCE_BP"}
+    # the reduction map is positive by its identity, so no see-saw runs for
+    # it: the refuted candidate, at least one more search certification, and
+    # the validation of the counterexample
+    assert rep.diagnostics["positivity"] == "identity"
+    assert calls[0] == "refuted" and len(calls) >= 3
+    assert set(calls[1:]) == {"EVIDENCE_BP"}
     # the cutting plane is the refuted candidate's argmin z, as |z><z|
     cand, argmin = refuted[0]
     z = product_vector(argmin.x, argmin.y)
@@ -923,8 +925,54 @@ def test_exposedness_breuer_hall_and_robertson_not_refuted():
 
 
 def test_exposedness_requires_block_positivity():
+    phi = choi_family(0.5, 0.3, 0.7)
     with pytest.raises(NotBlockPositive):
-        exposedness_report(choi_family(0.5, 0.3, 0.7), rng=np.random.default_rng(21))
+        exposedness_report(phi, rng=np.random.default_rng(21))
+    # a closed-form face attached to it changes nothing: W misses the face's
+    # identity, so the see-saw decides
+    faced = LinearMatrixMap(3, 3, phi.choi, face=reduction(3).face)
+    with pytest.raises(NotBlockPositive):
+        exposedness_report(faced, rng=np.random.default_rng(21))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tomographic_pairs_span_the_hermitian_matrices(n):
+    X, Y = exposedness._tomographic_pairs(n, n)
+    Z = product_vector(X, Y)
+    rows = hermitian_to_coords(Z[:, :, np.newaxis] * Z[:, np.newaxis, :].conj())
+    assert rows.shape == ((n * n) ** 2, (n * n) ** 2)
+    assert np.linalg.matrix_rank(rows) == (n * n) ** 2
+
+
+def test_closed_form_maps_are_positive_by_their_identity(monkeypatch):
+    """No see-saw runs before the exposedness pipeline of a closed-form map."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("the see-saw ran")
+
+    monkeypatch.setattr(exposedness, "is_block_positive", never)
+    haar = breuer_hall(random_antisymmetric_unitary(4, np.random.default_rng(1234)))
+    for phi in (transposition(3), robertson(), haar):
+        rep = exposedness_report(phi, rng=np.random.default_rng(0))
+        assert rep.verdict == "CERTIFIED_EXPOSED"
+        assert rep.diagnostics["positivity"] == "identity"
+
+
+@pytest.mark.parametrize(
+    "phi, verdict",
+    [
+        pytest.param(reduction(3), "NOT_EXPOSED", id="reduction-3"),
+        pytest.param(transposition(3), "CERTIFIED_EXPOSED", id="transpose-3"),
+    ],
+)
+def test_a_face_off_its_identity_falls_back_to_the_seesaw(phi, verdict):
+    """W + eps I fails its face's identity, so the see-saw decides, and the verdict stays."""
+    d = phi.dim_in * phi.dim_out
+    rep = exposedness_report(phi, rng=np.random.default_rng(0))
+    assert (rep.verdict, rep.diagnostics["positivity"]) == (verdict, "identity")
+    off = LinearMatrixMap(phi.dim_in, phi.dim_out, phi.choi + 1e-10 * np.eye(d), face=phi.face)
+    rep = exposedness_report(off, rng=np.random.default_rng(0))
+    assert (rep.verdict, rep.diagnostics["positivity"]) == (verdict, "see-saw")
 
 
 def test_exposedness_determinism():
