@@ -17,8 +17,9 @@ in which case the file is written atomically (temp file, then rename).
 Exit codes: 0 success (verdicts are data, not exit codes), 2 malformed
 input, invalid parameters or a problem too large for memory, 3 see-saw
 convergence failure, 4 exposedness input that the see-saw finds not
-block-positive (a closed-form catalog map is positive by its family's
-identity and runs no see-saw for it), 5 verify-suite failure.  A flag
+block-positive (a map positive by its closed-form family's identity, or
+completely positive or copositive by its Choi matrix's spectrum, runs no
+see-saw for it), 5 verify-suite failure.  A flag
 that the chosen target does not read is refused with exit 2.  The env var
 CONEWITNESS_SEED supplies a default seed; an explicit --seed wins.
 """
@@ -61,7 +62,7 @@ from .positivity import (
     is_completely_positive,
 )
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 # each catalog map: its constructor and the flags it reads, in argument order
 CATALOG = {

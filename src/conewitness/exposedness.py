@@ -70,6 +70,8 @@ from .positivity import (
     SeeSawConfig,
     _sweep,
     is_block_positive,
+    is_completely_copositive,
+    is_completely_positive,
     seesaw_endpoints,
 )
 
@@ -383,10 +385,11 @@ def cone_search_off_ray(
     and projected onto the span, so a candidate depends on the span alone
     and not on which orthonormal basis of it is passed.  A candidate is
     screened against the cutting planes found so far (a negative pairing is
-    an exact refutation), then certified by the default see-saw; a certified
-    violation becomes a new cutting plane, and the violated candidate is
-    repaired along it a few times before the next seed.  The first
-    candidate the see-saw does not refute wins; None is a legitimate
+    an exact refutation), then certified by :func:`_positivity`: a CP or
+    coCP candidate by its spectrum, any other by the default see-saw, whose
+    certified violation becomes a new cutting plane, and the violated
+    candidate is repaired along it a few times before the next seed.  The
+    first candidate the ladder certifies wins; None is a legitimate
     outcome and the only possible one when dim < 2.  A zero map raises
     ZeroWitness.
     """
@@ -430,8 +433,8 @@ def cone_search_off_ray(
                 cand = ray_representative(coords_to_hermitian(gamma @ basis, d))
                 if is_ray_proportional(cand, phi.choi):
                     break
-                verdict, report = is_block_positive(map_from_choi(cand, n, m), SeeSawConfig(), rng)
-                if verdict == "EVIDENCE_BP":
+                _, positive, report = _positivity(map_from_choi(cand, n, m), rng)
+                if positive:
                     return cand
                 # cutting plane: remember this violation and repair along it
                 z = product_vector(report.argmin.x, report.argmin.y)
@@ -490,6 +493,35 @@ def _positive_by_identity(phi):
     return float(gap.max()) <= IDENTITY_TOL * max(1.0, frobenius(phi.choi))
 
 
+def _positivity(phi, rng, identity=False):
+    """Whether the map is positive, by the first rung of a ladder that settles it.
+
+    Returns ``(kind, positive, evidence)``.  The exact rungs come first and
+    only certify; the see-saw comes last and alone can refute:
+
+    1. ``"identity"``, only with ``identity`` set (for the map itself): its
+       Choi matrix pairs as its face's identity (:func:`_positive_by_identity`);
+       ``evidence`` is None.
+    2. ``"cp"``: the Choi matrix is positive semidefinite
+       (``is_completely_positive``);
+    3. ``"cocp"``: its partial transpose is (``is_completely_copositive``).
+       A CP or coCP map is positive, and ``evidence`` is that smallest
+       eigenvalue, at least ``-PSD_ATOL * max(1, ||W||_F)``.
+    4. ``"see-saw"``: the default see-saw's verdict, ``evidence`` its
+       BlockPositivityReport.
+
+    Only the see-saw draws from ``rng``.
+    """
+    if identity and _positive_by_identity(phi):
+        return "identity", True, None
+    for kind, spectral in (("cp", is_completely_positive), ("cocp", is_completely_copositive)):
+        positive, lam = spectral(phi)
+        if positive:
+            return kind, True, lam
+    verdict, report = is_block_positive(phi, SeeSawConfig(), rng)
+    return "see-saw", verdict == "EVIDENCE_BP", report
+
+
 def exposedness_report(
     phi: LinearMatrixMap,
     sample_count: int | None = None,
@@ -498,17 +530,22 @@ def exposedness_report(
 ) -> ExposednessReport:
     """Full verdict pipeline for a block-positive map.
 
-    A map whose Choi matrix pairs as its closed-form face's positivity
-    identity (see :func:`_positive_by_identity`) is positive by that
-    identity; any other map must look block-positive to the default
-    see-saw first, or NotBlockPositive is raised.  ``diagnostics.positivity``
-    says which: ``"identity"`` or ``"see-saw"``.
+    The map is first settled positive by :func:`_positivity`: by its
+    closed-form face's identity, by complete positivity or copositivity,
+    or else by the default see-saw, which raises NotBlockPositive when it
+    finds a violation.  ``diagnostics.positivity`` names the rung:
+    ``"identity"``, ``"cp"``, ``"cocp"`` or ``"see-saw"``.
     Two samples of ``sample_count`` face pairs fix the null space (default
     and floor in :func:`_checked_sample_count`), and the cone search tries
     at most ``budget`` candidates in it.
     CERTIFIED_EXPOSED needs linear dimension one.  NOT_EXPOSED needs a
-    counterexample that survives independent re-validation: block-positive
-    evidence, off the map's ray, and vanishing on freshly drawn face pairs.
+    counterexample that survives independent re-validation: off the map's
+    ray, positive by the ladder's ``"cp"``, ``"cocp"`` or ``"see-saw"`` rung
+    (``diagnostics.counterexample_certificate``), and vanishing on freshly
+    drawn face pairs.  A spectral certificate states its smallest
+    eigenvalue as ``diagnostics.counterexample_min_eigenvalue`` and leaves
+    ``counterexample_report`` None; the see-saw's report is embedded, with
+    ``diagnostics.counterexample_min_pairing``.
     A zero map raises ZeroWitness before any see-saw.
     """
     _require_ray(phi)
@@ -519,14 +556,9 @@ def exposedness_report(
         rng = np.random.default_rng(0)
     k = _checked_sample_count(phi, sample_count)
 
-    positivity = "identity"
-    if not _positive_by_identity(phi):
-        positivity = "see-saw"
-        verdict_bp, bp_report = is_block_positive(phi, SeeSawConfig(), rng)
-        if verdict_bp != "EVIDENCE_BP":
-            raise NotBlockPositive(
-                f"map has a product pair with pairing {bp_report.min_value:.6e}"
-            )
+    positivity, positive, bp_report = _positivity(phi, rng, identity=True)
+    if not positive:
+        raise NotBlockPositive(f"map has a product pair with pairing {bp_report.min_value:.6e}")
 
     dim, basis, diagnostics = _nullspace_with_diagnostics(phi, k, rng)
     diagnostics["positivity"] = positivity
@@ -535,10 +567,16 @@ def exposedness_report(
         verdict = "CONSISTENT_WITH_EXPOSED"
         cand = cone_search_off_ray(phi, basis, budget, rng)
         if cand is not None:
-            ok, cand_report = _validate_counterexample(phi, cand, rng)
+            ok, certificate = _validate_counterexample(phi, cand, rng)
             if ok:
                 verdict = "NOT_EXPOSED"
-                diagnostics["counterexample_min_pairing"] = cand_report.min_value
+                kind, _, evidence = certificate
+                diagnostics["counterexample_certificate"] = kind
+                if kind == "see-saw":
+                    cand_report = evidence
+                    diagnostics["counterexample_min_pairing"] = evidence.min_value
+                else:
+                    diagnostics["counterexample_min_eigenvalue"] = evidence
             else:
                 diagnostics["rejected_candidate"] = True
                 cand, cand_report = None, None
@@ -553,17 +591,22 @@ def exposedness_report(
 
 
 def _validate_counterexample(phi, cand, rng):
-    """Re-check a candidate independently of the search that found it."""
+    """Re-check a candidate independently of the search that found it: ``(ok, certificate)``.
+
+    The candidate must lie off the map's ray (else ``(False, None)``), be
+    positive by :func:`_positivity`, whose ``(kind, positive, evidence)``
+    is the certificate, and vanish on a fresh face sample to
+    ``COUNTEREXAMPLE_FACE_TOL``.
+    """
     n, m = phi.dim_in, phi.dim_out
     if is_ray_proportional(cand, phi.choi):
         return False, None
-    cand_map = map_from_choi(cand, n, m)
-    verdict, report = is_block_positive(cand_map, SeeSawConfig(), rng)
-    if verdict != "EVIDENCE_BP":
-        return False, report
+    certificate = _positivity(map_from_choi(cand, n, m), rng)
+    if not certificate[1]:
+        return False, certificate
     fresh = dual_face_samples(phi, max(64, 2 * n * m), rng)
     residual = float(np.max(np.abs(witness_pairing(cand / frobenius(cand), fresh.X, fresh.Y))))
-    return residual <= COUNTEREXAMPLE_FACE_TOL, report
+    return residual <= COUNTEREXAMPLE_FACE_TOL, certificate
 
 
 def optimality_spanning_check(

@@ -187,7 +187,7 @@ def test_check_block_positive(tmp_path):
     path = write_choi(tmp_path, choi_of(reduction(2)))
     code, doc, _ = run(["check", path, "--mode", "block-positive", "--seed", "3"], tmp_path)
     assert code == 0
-    assert doc["schema_version"] == "2"
+    assert doc["schema_version"] == "3"
     assert doc["verdict"] == "EVIDENCE_BP"
     assert doc["seed"] == 3
     assert doc["config"]["mode"] == "block-positive"
@@ -334,6 +334,7 @@ def test_exposedness_catalog_target(tmp_path):
 
 
 def test_exposedness_counterexample_embeds_report(tmp_path):
+    """A see-saw certificate embeds its report; a spectral one states its eigenvalue instead."""
     code, doc, _ = run(
         ["exposedness", "reduction", "--n", "3", "--seed", "1"], tmp_path
     )
@@ -342,7 +343,20 @@ def test_exposedness_counterexample_embeds_report(tmp_path):
     assert doc["nullspace_dim"] == 9
     W = cli.matrix_from_obj(doc["counterexample"])
     assert W.shape == (9, 9)
+    assert doc["diagnostics"]["counterexample_certificate"] == "cocp"
+    assert doc["counterexample_report"] is None
+    pt = W.reshape(3, 3, 3, 3).transpose(2, 1, 0, 3).reshape(9, 9)
+    assert doc["diagnostics"]["counterexample_min_eigenvalue"] == np.linalg.eigvalsh(pt)[0] >= -1e-9
+    code, doc, _ = run(
+        ["exposedness", "choi-family", "--a", "1", "--b", "0", "--c", "1", "--budget", "2",
+         "--seed", "8"],
+        tmp_path,
+    )
+    assert code == 0
+    assert (doc["verdict"], doc["nullspace_dim"]) == ("NOT_EXPOSED", 14)
+    assert doc["diagnostics"]["counterexample_certificate"] == "see-saw"
     assert doc["counterexample_report"]["min_value"] >= -1e-9
+    assert doc["counterexample_report"]["min_value"] == doc["diagnostics"]["counterexample_min_pairing"]
 
 
 def test_exposedness_rejects_non_bp(tmp_path, capsys, monkeypatch):

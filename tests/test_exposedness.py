@@ -759,12 +759,17 @@ def test_a_refuted_candidate_becomes_a_cutting_plane_and_the_search_goes_on(monk
 
     The first in-search certification is forced to CERTIFIED_NOT_BP; the
     search goes on, and the report still finds a validated counterexample,
-    off the refuted candidate's ray.
+    off the refuted candidate's ray.  The ladder's spectral rungs are made
+    to decline, as every counterexample of the reduction map is coCP, so
+    that each certification reaches the see-saw.
     """
     phi = reduction(3)
     real = exposedness.is_block_positive
     to_coords = exposedness.hermitian_to_coords
     calls, refuted, converted = [], [], []
+
+    def decline(spectral):
+        return lambda cand_map: (False, spectral(cand_map)[1])
 
     def refute_first_candidate(cand_map, config, rng):
         verdict, report = real(cand_map, config, rng)
@@ -782,8 +787,11 @@ def test_a_refuted_candidate_becomes_a_cutting_plane_and_the_search_goes_on(monk
 
     monkeypatch.setattr(exposedness, "is_block_positive", refute_first_candidate)
     monkeypatch.setattr(exposedness, "hermitian_to_coords", recording_coords)
+    for name in ("is_completely_positive", "is_completely_copositive"):
+        monkeypatch.setattr(exposedness, name, decline(getattr(exposedness, name)))
     rep = exposedness_report(phi, rng=np.random.default_rng(0))
     assert rep.verdict == "NOT_EXPOSED" and rep.nullspace_dim == 9
+    assert rep.diagnostics["counterexample_certificate"] == "see-saw"
     # the reduction map is positive by its identity, so no see-saw runs for
     # it: the refuted candidate, at least one more search certification, and
     # the validation of the counterexample
@@ -811,6 +819,7 @@ def test_choi_101_at_budget_two_takes_the_cut_and_repair_path(monkeypatch):
     monkeypatch.setattr(exposedness, "is_block_positive", recording)
     rep = exposedness_report(phi, budget=2, rng=np.random.default_rng(0))
     assert (rep.verdict, rep.nullspace_dim) == ("NOT_EXPOSED", 14)
+    assert rep.diagnostics["counterexample_certificate"] == "see-saw"
     # the precondition, the search's two certifications, the validation
     verdicts = [verdict for verdict, _ in calls]
     assert verdicts == ["EVIDENCE_BP", "CERTIFIED_NOT_BP", "EVIDENCE_BP", "EVIDENCE_BP"]
@@ -959,20 +968,90 @@ def test_closed_form_maps_are_positive_by_their_identity(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "phi, verdict",
+    "phi, verdict, rung",
     [
-        pytest.param(reduction(3), "NOT_EXPOSED", id="reduction-3"),
-        pytest.param(transposition(3), "CERTIFIED_EXPOSED", id="transpose-3"),
+        pytest.param(reduction(3), "NOT_EXPOSED", "cocp", id="reduction-3"),
+        pytest.param(transposition(3), "CERTIFIED_EXPOSED", "cocp", id="transpose-3"),
+        pytest.param(
+            breuer_hall(random_antisymmetric_unitary(4, np.random.default_rng(1234))),
+            "CERTIFIED_EXPOSED",
+            "see-saw",
+            id="haar-bh-4",
+        ),
     ],
 )
-def test_a_face_off_its_identity_falls_back_to_the_seesaw(phi, verdict):
-    """W + eps I fails its face's identity, so the see-saw decides, and the verdict stays."""
+def test_a_face_off_its_identity_falls_back_to_the_seesaw(phi, verdict, rung):
+    """W + eps I fails its face's identity, so the rest of the ladder decides, and the verdict stays.
+
+    The reduction map and the transposition are coCP, and stay so with
+    eps I added; a Breuer-Hall map is neither CP nor coCP, so the see-saw
+    decides.
+    """
     d = phi.dim_in * phi.dim_out
     rep = exposedness_report(phi, rng=np.random.default_rng(0))
     assert (rep.verdict, rep.diagnostics["positivity"]) == (verdict, "identity")
-    off = LinearMatrixMap(phi.dim_in, phi.dim_out, phi.choi + 1e-10 * np.eye(d), face=phi.face)
+    W = phi.choi + 1e-10 * np.eye(d)
+    off = LinearMatrixMap(phi.dim_in, phi.dim_out, W, face=phi.face, frame=phi.frame)
     rep = exposedness_report(off, rng=np.random.default_rng(0))
-    assert (rep.verdict, rep.diagnostics["positivity"]) == (verdict, "see-saw")
+    assert (rep.verdict, rep.diagnostics["positivity"]) == (verdict, rung)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_reduction_counterexamples_are_cocp_with_no_seesaw(seed, monkeypatch):
+    """The reduction map's face holds coCP maps (Lemma 1): no see-saw runs in its reports.
+
+    Read from a file, as a bare Choi matrix with no closed-form face, the
+    map itself is settled positive as coCP too.
+    """
+
+    def never(*args, **kwargs):
+        raise AssertionError("the see-saw ran")
+
+    monkeypatch.setattr(exposedness, "is_block_positive", never)
+    read = map_from_choi(reduction(3).choi, 3, 3)
+    for phi, dim, positivity in (
+        (reduction(3), 9, "identity"),
+        (reduction(4), 36, "identity"),
+        (read, 9, "cocp"),
+    ):
+        rep = exposedness_report(phi, rng=np.random.default_rng(seed))
+        assert (rep.verdict, rep.nullspace_dim) == ("NOT_EXPOSED", dim)
+        assert rep.diagnostics["positivity"] == positivity
+        assert rep.diagnostics["counterexample_certificate"] == "cocp"
+        assert rep.counterexample_report is None
+        assert "counterexample_min_pairing" not in rep.diagnostics
+        # the stated eigenvalue is the smallest of the counterexample's partial transpose
+        W = rep.counterexample
+        d = phi.dim_in
+        pt = W.reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
+        lam = rep.diagnostics["counterexample_min_eigenvalue"]
+        assert lam == np.linalg.eigvalsh(pt)[0] and lam >= -1e-10 * max(1.0, frobenius(W))
+
+
+@pytest.mark.parametrize("side", ["cp", "cocp"])
+def test_the_spectral_rungs_refuse_a_slightly_negative_eigenvalue(side, monkeypatch):
+    """An eigenvalue of -1e-6 ||W||_F on the checked side sends the candidate to the see-saw."""
+    rng = np.random.default_rng(6)
+    G = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
+    B = G @ G.conj().T  # rank 4: five zero eigenvalues
+    v = np.linalg.eigh(B)[1][:, 0]
+    seesaw = []
+    monkeypatch.setattr(
+        exposedness, "is_block_positive", lambda *args: seesaw.append(args) or ("EVIDENCE_BP", None)
+    )
+
+    def ladder(B):
+        W = B if side == "cp" else B.reshape(3, 3, 3, 3).transpose(2, 1, 0, 3).reshape(9, 9)
+        return exposedness._positivity(map_from_choi(W, 3, 3), np.random.default_rng(0))
+
+    # at the boundary the rung certifies, and nothing reaches the see-saw
+    kind, positive, lam = ladder(B)
+    assert (kind, positive, seesaw) == (side, True, [])
+    assert lam >= -1e-10 * frobenius(B)
+    B_off = B - 1e-6 * frobenius(B) * np.outer(v, v.conj())
+    assert np.linalg.eigvalsh(B_off)[0] <= -0.99e-6 * frobenius(B_off)
+    kind, positive, _ = ladder(B_off)
+    assert (kind, positive, len(seesaw)) == ("see-saw", True, 1)
 
 
 def test_exposedness_determinism():
