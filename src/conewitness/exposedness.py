@@ -32,6 +32,7 @@ from .config import (
     IDENTITY_TOL,
     NULLSPACE_REL_TOL,
     RAY_TOL,
+    VIOLATION_TOL,
     ZERO_TOL,
 )
 from .errors import (
@@ -493,30 +494,34 @@ def _positive_by_identity(phi):
     return float(gap.max()) <= IDENTITY_TOL * max(1.0, frobenius(phi.choi))
 
 
-def _positivity(phi, rng, identity=False):
+def _positivity(phi, rng):
     """Whether the map is positive, by the first rung of a ladder that settles it.
 
     Returns ``(kind, positive, evidence)``.  The exact rungs come first and
     only certify; the see-saw comes last and alone can refute:
 
-    1. ``"identity"``, only with ``identity`` set (for the map itself): its
-       Choi matrix pairs as its face's identity (:func:`_positive_by_identity`);
-       ``evidence`` is None.
+    1. ``"identity"``: its Choi matrix pairs as its face's identity
+       (:func:`_positive_by_identity`); a map with no closed-form face, such
+       as a cone-search candidate, never takes this rung.  ``evidence`` is
+       None.
     2. ``"cp"``: the Choi matrix is positive semidefinite
        (``is_completely_positive``);
     3. ``"cocp"``: its partial transpose is (``is_completely_copositive``).
        A CP or coCP map is positive, and ``evidence`` is that smallest
-       eigenvalue, at least ``-PSD_ATOL * max(1, ||W||_F)``.
+       eigenvalue, at least ``-PSD_ATOL * max(1, ||W||_F)`` and at least
+       ``-VIOLATION_TOL``: every product pairing of the map is at least
+       that eigenvalue, so the see-saw could not refute a map that this
+       rung certifies.
     4. ``"see-saw"``: the default see-saw's verdict, ``evidence`` its
        BlockPositivityReport.
 
     Only the see-saw draws from ``rng``.
     """
-    if identity and _positive_by_identity(phi):
+    if _positive_by_identity(phi):
         return "identity", True, None
     for kind, spectral in (("cp", is_completely_positive), ("cocp", is_completely_copositive)):
         positive, lam = spectral(phi)
-        if positive:
+        if positive and lam >= -VIOLATION_TOL:
             return kind, True, lam
     verdict, report = is_block_positive(phi, SeeSawConfig(), rng)
     return "see-saw", verdict == "EVIDENCE_BP", report
@@ -556,7 +561,7 @@ def exposedness_report(
         rng = np.random.default_rng(0)
     k = _checked_sample_count(phi, sample_count)
 
-    positivity, positive, bp_report = _positivity(phi, rng, identity=True)
+    positivity, positive, bp_report = _positivity(phi, rng)
     if not positive:
         raise NotBlockPositive(f"map has a product pair with pairing {bp_report.min_value:.6e}")
 

@@ -18,7 +18,7 @@ from conewitness.catalog import (
     transposition,
     youla_form,
 )
-from conewitness.config import ANTISYM_ATOL, ZERO_TOL
+from conewitness.config import ANTISYM_ATOL, PSD_ATOL, VIOLATION_TOL, ZERO_TOL
 from conewitness.errors import (
     ConeWitnessError,
     DimensionMismatch,
@@ -1028,12 +1028,20 @@ def test_reduction_counterexamples_are_cocp_with_no_seesaw(seed, monkeypatch):
         assert lam == np.linalg.eigvalsh(pt)[0] and lam >= -1e-10 * max(1.0, frobenius(W))
 
 
+@pytest.mark.parametrize("large", [False, True], ids=["relative", "large-scale"])
 @pytest.mark.parametrize("side", ["cp", "cocp"])
-def test_the_spectral_rungs_refuse_a_slightly_negative_eigenvalue(side, monkeypatch):
-    """An eigenvalue of -1e-6 ||W||_F on the checked side sends the candidate to the see-saw."""
+def test_the_spectral_rungs_refuse_a_slightly_negative_eigenvalue(side, large, monkeypatch):
+    """An eigenvalue of -1e-6 ||W||_F on the checked side sends the candidate to the see-saw.
+
+    So does one of -1e-8 at ||W||_F = 1e3: it passes the relative PSD
+    cutoff (-1e-7), but lies below -VIOLATION_TOL, where the see-saw could
+    refute.
+    """
     rng = np.random.default_rng(6)
     G = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
     B = G @ G.conj().T  # rank 4: five zero eigenvalues
+    if large:
+        B *= 1e3 / frobenius(B)
     v = np.linalg.eigh(B)[1][:, 0]
     seesaw = []
     monkeypatch.setattr(
@@ -1047,9 +1055,13 @@ def test_the_spectral_rungs_refuse_a_slightly_negative_eigenvalue(side, monkeypa
     # at the boundary the rung certifies, and nothing reaches the see-saw
     kind, positive, lam = ladder(B)
     assert (kind, positive, seesaw) == (side, True, [])
-    assert lam >= -1e-10 * frobenius(B)
-    B_off = B - 1e-6 * frobenius(B) * np.outer(v, v.conj())
-    assert np.linalg.eigvalsh(B_off)[0] <= -0.99e-6 * frobenius(B_off)
+    assert lam >= max(-1e-10 * frobenius(B), -VIOLATION_TOL)
+    dip = 1e-8 if large else 1e-6 * frobenius(B)
+    B_off = B - dip * np.outer(v, v.conj())
+    lam_off = np.linalg.eigvalsh(B_off)[0]
+    assert lam_off <= -0.99 * dip
+    if large:
+        assert lam_off > -PSD_ATOL * frobenius(B_off) and lam_off < -VIOLATION_TOL
     kind, positive, _ = ladder(B_off)
     assert (kind, positive, len(seesaw)) == ("see-saw", True, 1)
 
