@@ -77,6 +77,11 @@ from .positivity import (
 )
 
 
+# complex entries per stationarity-assembly buffer (128 KiB): small enough
+# that the allocator reuses them from its heap rather than mapping fresh pages
+_ASSEMBLY_ENTRIES = 8192
+
+
 @dataclass(frozen=True, eq=False)
 class DualFaceSample:
     """Product pairs on which the map's pairing vanishes, one pair per row."""
@@ -197,23 +202,46 @@ def stationarity_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Rows come pair by pair, then slice by slice (the n slices
     ``e_i (x) y`` before the m slices ``conj(x) (x) e_k``), the real part
     of each condition before its imaginary part.  Only the entries the
-    coordinates read are formed.
+    coordinates read are formed, a chunk of pairs at a time in three
+    complex buffers of at most ``_ASSEMBLY_ENTRIES`` entries each (at least
+    one pair), updated in place and written straight into the rows: the
+    complex operations of ``(w z^H + z w^H) / 2`` and
+    ``(i w z^H - i z w^H) / 2`` in that order, so every bit, signed zeros
+    included, is that of those expressions.  The rows come column-major.
     """
     n, m = X.shape[1], Y.shape[1]
     d = n * m
-    zc = product_vector(X, Y).conj()[:, np.newaxis, :]  # (k, 1, nm)
+    zc = product_vector(X, Y).conj().T[:, :, np.newaxis]  # (nm, k, 1)
     ws = np.concatenate(
         [
             product_vector(np.eye(n), Y[:, np.newaxis, :]),
             product_vector(X[:, np.newaxis, :], np.eye(m)),
         ],
         axis=1,
-    )  # (k, n + m, nm)
+    ).transpose(2, 0, 1)  # (nm, k, n + m)
     a, b = _coordinate_entries(d)
-    wz = ws[..., a] * zc[..., b]  # entry (a, b) of w z^H
-    wz_h = (ws[..., b] * zc[..., a]).conj()  # entry (a, b) of z w^H
-    parts = np.stack([(wz + wz_h) / 2, (1j * wz - 1j * wz_h) / 2], axis=-2)
-    return _entries_to_coords(parts, d).reshape(-1, d * d)
+    # coordinate-major: the rows come column-major, the layout on which the
+    # containment product C @ c keeps its bits, and each block's columns
+    # are gathered from contiguous memory
+    rows = np.empty((d * d,) + ws.shape[1:] + (2,))
+    step = max(1, _ASSEMBLY_ENTRIES // (a.size * ws.shape[2]))
+    for lo in range(0, ws.shape[1], step):
+        w, z = ws[:, lo : lo + step], zc[:, lo : lo + step]
+        wz = np.take(w, a, axis=0)
+        wz *= z[b]  # entry (a, b) of w z^H
+        zw = np.take(w, b, axis=0)
+        zw *= z[a]
+        np.conjugate(zw, out=zw)  # entry (a, b) of z w^H
+        skew = np.multiply(1j, wz)
+        wz += zw
+        wz /= 2  # the real part's entries
+        np.multiply(1j, zw, out=zw)
+        skew -= zw
+        skew /= 2  # the imaginary part's entries
+        for part, E in enumerate((wz, skew)):
+            out = np.moveaxis(rows[:, lo : lo + step, :, part], 0, -1)
+            _entries_to_coords(np.moveaxis(E, 0, -1), d, out=out)
+    return rows.reshape(d * d, -1).T
 
 
 def _stationarity_residuals(X, Y, H):

@@ -61,15 +61,47 @@ def require_hermitian(A: np.ndarray) -> np.ndarray:
 
 
 def _decompose(M):
-    """Singular values and ``V^H`` of ``M`` or of each matrix of a stack, via a tall matrix's R factor."""
-    rows, cols = M.shape[-2:]
+    """Singular values of ``M`` or of each matrix of a stack, and the matrix they were read from.
+
+    A tall matrix is replaced by its Householder ``R`` factor, which has the
+    same singular values and right singular vectors; any other matrix is
+    kept as it is.  Only the values are computed here (LAPACK's ``gesdd``
+    with no vectors); :func:`_right_vectors` reads the vectors of the
+    returned matrix when a null space needs them.
+    """
     try:
-        if rows > cols:
+        if M.shape[-2] > M.shape[-1]:
             M = np.linalg.qr(M, mode="r")
-        _, s, vh = np.linalg.svd(M, full_matrices=rows < cols)
+        return np.linalg.svd(M, compute_uv=False), M
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
         raise ConvergenceFailure(str(exc)) from exc
-    return s, vh
+
+
+def _right_vectors(R):
+    """``V^H`` of ``R`` or of each matrix of a stack, complete for a wide matrix."""
+    try:
+        return np.linalg.svd(R, full_matrices=R.shape[-2] < R.shape[-1])[2]
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
+        raise ConvergenceFailure(str(exc)) from exc
+
+
+def _checked_blocks(blocks, cols):
+    """``blocks``, or one block of every column, refused unless they partition ``range(cols)``."""
+    if blocks is None:
+        return [np.arange(cols)]
+    if not len(blocks):
+        raise ValueError("blocks must partition the columns, got no blocks")
+    flat = np.concatenate(blocks)
+    if flat.ndim != 1 or flat.dtype.kind not in "iu" or not min(map(len, blocks)):
+        raise ValueError("every block must be a nonempty 1-D array of column indices")
+    if flat.min() < 0 or flat.max() >= cols:
+        raise ValueError(f"block column indices must lie in [0, {cols})")
+    count = np.bincount(flat, minlength=cols)
+    if count.max() > 1:
+        raise ValueError(f"blocks overlap: column {int(np.argmax(count > 1))} is in more than one block")
+    if count.min() == 0:
+        raise ValueError(f"blocks miss column {int(np.argmin(count))}")
+    return blocks
 
 
 def svd_nullspace(M: np.ndarray, *, scale: float | None = None, blocks=None):
@@ -77,14 +109,13 @@ def svd_nullspace(M: np.ndarray, *, scale: float | None = None, blocks=None):
 
     ``M`` may be real or complex; a complex ``M`` gets a complex basis.
 
-    ``blocks``, a partition of the columns into index arrays, ranks each
-    block's columns on their own: exact whenever the null space is the
+    ``blocks``, a partition of the columns into nonempty index arrays, ranks
+    each block's columns on their own: exact whenever the null space is the
     direct sum of its parts in the blocks (as :func:`_weight_blocks`
     guarantees), and far cheaper than one decomposition of every column.
-    Blocks of one width are decomposed as one stack, one QR and one SVD
-    call per distinct width; LAPACK runs the same routine on each matrix of
-    a stack, so every block gets the bits of its own call.  The default is
-    one block of every column, ``M`` itself.
+    Blocks that do not partition the columns (overlapping, missing or
+    out-of-range columns, an empty block, no blocks) raise ValueError.  The
+    default is one block of every column, ``M`` itself.
 
     Singular values at most ``NULLSPACE_REL_TOL * scale`` count as zero;
     ``scale`` defaults to ``sigma_max``, the largest singular value of any
@@ -95,42 +126,59 @@ def svd_nullspace(M: np.ndarray, *, scale: float | None = None, blocks=None):
     Returns ``(rank, basis, sigma_max)`` where ``basis`` has orthonormal
     columns spanning the null space (shape ``(cols, cols - rank)``, block
     by block in the order given, each block's vectors zero off its columns)
-    and ``sigma_max`` is the same whatever ``scale`` is, all from one
-    decomposition per block.
+    and ``sigma_max`` is the same whatever ``scale`` is.
 
-    A tall matrix is decomposed through its Householder ``R`` factor: the
-    SVD of ``R`` has the same singular values and ``V`` (Chan's R-SVD, which
-    LAPACK's ``gesdd`` runs internally on a tall enough matrix anyway), and
-    neither ``Q`` nor a rows x cols ``U`` is ever formed.  A wide matrix
-    needs the full ``V``, whose trailing rows beyond the row count span part
-    of the null space.  NumPy hands LAPACK a column-major copy of every
-    matrix, so the layout of ``M`` (or of a stack) never changes the bits.
+    The values come first: blocks of one width are reduced as one stack, one
+    QR (for tall blocks) and one values-only SVD call per distinct width
+    (:func:`_decompose`), and ``sigma_max``, the cutoff and every rank are
+    read from those values.  A block with no value above the cutoff is null
+    throughout, and its basis is the identity on its columns.  Only the
+    blocks with values on both sides of the cutoff get right singular
+    vectors, from one SVD of their ``R`` factors per width.  LAPACK runs
+    the same routine on each matrix of a stack, so every block gets the
+    bits of its own call.  The SVD of ``R`` has the same values and ``V``
+    as that of the tall block (Chan's R-SVD, which ``gesdd`` runs
+    internally on a tall enough matrix anyway), and neither ``Q`` nor a
+    rows x cols ``U`` is ever formed.  A wide block needs the full ``V``,
+    whose trailing rows beyond the row count span part of the null space.
+    NumPy hands LAPACK a column-major copy of every matrix, so the layout
+    of ``M`` (or of a stack) never changes the bits.
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex if np.iscomplexobj(M) else float))
     if M.size == 0:
         raise ValueError("svd_nullspace requires a nonempty matrix")
     if scale is not None and not scale >= 0.0:
         raise ValueError(f"scale must be nonnegative, got {scale}")
-    if blocks is None:
-        blocks = [np.arange(M.shape[1])]
+    blocks = _checked_blocks(blocks, M.shape[1])
     by_width = {}
     for t, cols in enumerate(blocks):
         by_width.setdefault(len(cols), []).append(t)
-    parts = [None] * len(blocks)
-    for ts in by_width.values():
+    stacks = [
         # one (blocks, rows, width) stack per width, gathered as rows of M^T
-        s, vh = _decompose(M.T[np.stack([blocks[t] for t in ts])].swapaxes(-1, -2))
-        for i, t in enumerate(ts):
-            parts[t] = s[i], vh[i]
-    smax = max(float(s[0]) for s, _ in parts)
+        (ts, *_decompose(M.T[np.stack([blocks[t] for t in ts])].swapaxes(-1, -2)))
+        for ts in by_width.values()
+    ]
+    smax = max(float(s[:, 0].max()) for _, s, _ in stacks)
     cutoff = NULLSPACE_REL_TOL * (smax if scale is None else scale)
-    ranks = [int(np.count_nonzero(s > cutoff)) for s, _ in parts]
+    ranks, nulls = [0] * len(blocks), [None] * len(blocks)
+    for ts, s, R in stacks:
+        rank = np.count_nonzero(s > cutoff, axis=1)
+        width = R.shape[-1]
+        for t, r in zip(ts, rank.tolist()):
+            ranks[t] = r
+            if r == 0:
+                nulls[t] = np.eye(width, dtype=M.dtype)
+        # right vectors only for the blocks with values on both sides of the
+        # cutoff, restacked
+        short = np.flatnonzero((rank > 0) & (rank < width))
+        for i, vh in zip(short, _right_vectors(R[short]) if short.size else ()):
+            nulls[ts[i]] = vh[rank[i] :].conj().T
     basis = np.zeros((M.shape[1], M.shape[1] - sum(ranks)), dtype=M.dtype)
     j = 0
-    for cols, (_, vh), rank in zip(blocks, parts, ranks):
-        null = vh[rank:].conj().T
-        basis[cols, j : j + null.shape[1]] = null
-        j += null.shape[1]
+    for cols, null in zip(blocks, nulls):
+        if null is not None:
+            basis[cols, j : j + null.shape[1]] = null
+            j += null.shape[1]
     return sum(ranks), basis, smax
 
 
@@ -312,10 +360,21 @@ def _pattern_blocks(n, m, pattern, real):
     return tuple(blocks)
 
 
-def _entries_to_coords(E: np.ndarray, d: int) -> np.ndarray:
-    """Coordinates from the entries :func:`_coordinate_entries` lists, along the last axis."""
-    upper = E[..., d:]
-    return np.concatenate([E[..., :d].real, _SQRT2 * upper.real, _SQRT2 * upper.imag], axis=-1)
+def _entries_to_coords(E: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Coordinates from the entries :func:`_coordinate_entries` lists, along the last axis.
+
+    Written into ``out``, a real array of shape ``E.shape[:-1] + (d*d,)``,
+    when one is given; else into a new array whose axes keep the memory
+    order of ``E``'s, the layout a concatenation of its parts would have,
+    on which the BLAS products of the coordinates keep their bits.
+    """
+    if out is None:
+        out = np.empty_like(E, dtype=float, shape=E.shape[:-1] + (d * d,))
+    p = E.shape[-1] - d
+    out[..., :d] = E[..., :d].real
+    np.multiply(_SQRT2, E[..., d:].real, out=out[..., d : d + p])
+    np.multiply(_SQRT2, E[..., d:].imag, out=out[..., d + p :])
+    return out
 
 
 def hermitian_to_coords(A: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from conewitness.catalog import (
     transposition,
     youla_form,
 )
-from conewitness.config import ANTISYM_ATOL, PSD_ATOL, VIOLATION_TOL, ZERO_TOL
+from conewitness.config import ANTISYM_ATOL, NULLSPACE_REL_TOL, PSD_ATOL, VIOLATION_TOL, ZERO_TOL
 from conewitness.errors import (
     ConeWitnessError,
     DimensionMismatch,
@@ -323,6 +323,48 @@ def test_constraint_rows_match_per_pair_reference():
         assert np.array_equal(stationarity_rows(sample.X, sample.Y), want_stat)
 
 
+def _stationarity_rows_reference(X, Y):
+    """The stationarity rows as plain complex expressions, one temporary per operation."""
+    n, m = X.shape[1], Y.shape[1]
+    d = n * m
+    zc = product_vector(X, Y).conj()[:, np.newaxis, :]
+    ws = np.concatenate(
+        [product_vector(np.eye(n), Y[:, np.newaxis, :]), product_vector(X[:, np.newaxis, :], np.eye(m))],
+        axis=1,
+    )
+    a, b = _coordinate_entries(d)
+    wz = ws[..., a] * zc[..., b]
+    wz_h = (ws[..., b] * zc[..., a]).conj()
+    parts = np.stack([(wz + wz_h) / 2, (1j * wz - 1j * wz_h) / 2], axis=-2)
+    upper = parts[..., d:]
+    coords = [parts[..., :d].real, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag]
+    return np.concatenate(coords, axis=-1).reshape(-1, d * d)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: reduction(3),
+        lambda: reduction(4),
+        lambda: transposition(3),
+        robertson,
+        lambda: breuer_hall(random_antisymmetric_unitary(4, np.random.default_rng(1234))),
+    ],
+    ids=["reduction-3", "reduction-4", "transpose-3", "robertson", "haar-bh4"],
+)
+def test_stationarity_rows_are_the_complex_expressions_bit_for_bit(make):
+    """The rows built in place carry every bit of the plain complex expressions, signed zeros included."""
+    phi = make()
+    sample = dual_face_samples(phi, 23, np.random.default_rng(5))
+    X, Y = sample.X, sample.Y
+    if phi.frame is not None:  # the pairs as ranked, carried into the Youla frame
+        X, Y = X @ phi.frame.conj(), Y @ phi.frame.conj()
+    got, want = stationarity_rows(X, Y), _stationarity_rows_reference(X, Y)
+    assert got.shape == want.shape == (2 * 23 * (phi.dim_in + phi.dim_out), (phi.dim_in * phi.dim_out) ** 2)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.any((want == 0.0) & np.signbit(want))
+
+
 # ---------------------------------------------------------------------------
 # null spaces
 
@@ -623,6 +665,45 @@ def test_filling_a_zero_of_w_coarsens_the_blocks_and_keeps_the_nullity(monkeypat
     dim = double_dual_nullspace(phi, rng=np.random.default_rng(0))[0]
     monkeypatch.setattr(exposedness, "_weight_blocks", lambda *args: coarse)
     assert double_dual_nullspace(phi, rng=np.random.default_rng(0))[0] == dim == 9
+
+
+def test_robertson_face_gets_right_vectors_for_one_block_only(monkeypatch):
+    """Robertson's face is one ray: of its 26 blocks only one is decomposed with vectors.
+
+    Its basis is that block's own SVD with vectors, bit for bit.  The
+    second sample's rank reads its 1 x 1 residual matrix's value alone,
+    which is at most the cutoff, so it needs no vectors either.
+    """
+    phi = robertson()
+    k = exposedness._checked_sample_count(phi, None)
+    sample = dual_face_samples(phi, k, np.random.default_rng(0))
+    C = stationarity_rows(sample.X, sample.Y)
+    blocks = _weight_blocks(phi.choi, 4, 4)
+    assert len(blocks) == 26
+    stacks = []
+    right_vectors = linalg._right_vectors
+
+    def counting_right_vectors(R):
+        stacks.append(R.shape)
+        return right_vectors(R)
+
+    monkeypatch.setattr(linalg, "_right_vectors", counting_right_vectors)
+    rank, basis, sigma_max = svd_nullspace(C, blocks=blocks)
+    assert rank == 255 and len(stacks) == 1 and stacks[0][0] == 1
+    cutoff = NULLSPACE_REL_TOL * sigma_max
+    parts = []
+    for cols in blocks:
+        R = np.linalg.qr(C[:, cols], mode="r")
+        r = np.count_nonzero(np.linalg.svd(R, compute_uv=False) > cutoff)
+        part = np.zeros((256, len(cols) - r))
+        part[cols] = np.linalg.svd(R)[2][r:].T
+        parts.append(part)
+    want = np.hstack(parts)
+    assert np.array_equal(basis.view(np.uint64), want.view(np.uint64))
+
+    stacks.clear()
+    assert double_dual_nullspace(phi, rng=np.random.default_rng(0))[0] == 1
+    assert stacks == [(1, 26, 26)]
 
 
 def test_full_rank_first_block_is_refused_without_a_second_decomposition(monkeypatch):

@@ -171,10 +171,13 @@ def test_svd_nullspace_scale_sets_the_cutoff():
     assert frobenius(basis.T @ basis - np.eye(5)) < 1e-12
     # sigma_max stays the matrix's own, whatever the scale
     assert sigma_max_scaled == sigma_max
-    # without scale: the bits of the R-factor SVD cut at its own largest value
+    # without scale: rank and sigma_max are the bits of the R factor's
+    # values-only SVD cut at its own largest value, the basis the bits of
+    # the R factor's SVD with vectors
     for A in (M, N, rng.standard_normal((3, 7))):
         R = np.linalg.qr(A, mode="r") if A.shape[0] > A.shape[1] else A
-        _, s, vh = np.linalg.svd(R, full_matrices=A.shape[0] < A.shape[1])
+        s = np.linalg.svd(R, compute_uv=False)
+        vh = np.linalg.svd(R, full_matrices=A.shape[0] < A.shape[1])[2]
         want_rank = int(np.count_nonzero(s > 1e-8 * s[0]))
         for got in (svd_nullspace(A), svd_nullspace(A, scale=None)):
             assert got[0] == want_rank and got[2] == s[0]
@@ -203,6 +206,58 @@ def test_svd_nullspace_blocks_rank_each_column_block():
     one = svd_nullspace(M, blocks=[np.arange(6)])
     assert one[0] == 4 and one[2] == svd_nullspace(M)[2]
     assert np.array_equal(one[1], whole)
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([np.arange(3)], "blocks miss column 3"),
+        ([np.arange(4), np.arange(3, 5)], "blocks overlap: column 3 is in more than one block"),
+        ([], "got no blocks"),
+        ([np.arange(5), np.array([], dtype=int)], "nonempty 1-D array of column indices"),
+        ([np.arange(4), np.array([5])], r"must lie in \[0, 5\)"),
+        ([np.arange(4), np.array([-1])], r"must lie in \[0, 5\)"),
+        ([np.arange(4.0), np.array([4.0])], "nonempty 1-D array of column indices"),
+    ],
+    ids=["missing", "overlap", "none", "empty-block", "out-of-range", "negative", "float"],
+)
+def test_svd_nullspace_refuses_blocks_that_do_not_partition_the_columns(blocks, message):
+    """Blocks must split the columns into nonempty parts; anything else is a ValueError that names the defect."""
+    M = np.random.default_rng(3).standard_normal((3, 5))
+    with pytest.raises(ValueError, match=message):
+        svd_nullspace(M, blocks=blocks)
+    # a partition in any order, given as lists, is accepted: each block is
+    # no wider than the 3 rows, so each has full rank
+    rank, basis, _ = svd_nullspace(M, blocks=[[4, 0], [2, 1, 3]])
+    assert rank == 5 and basis.shape == (5, 0)
+
+
+def test_svd_nullspace_decomposes_values_first_and_vectors_only_where_rank_falls_short(monkeypatch):
+    """Every block's values come from one values-only SVD per width.
+
+    Only a block with values on both sides of the cutoff gets vectors; a
+    block with none above it is null throughout, its basis the identity.
+    """
+    rng = np.random.default_rng(8)
+    M = rng.standard_normal((30, 14))
+    M[:, 5] = M[:, 3] + M[:, 4]  # the second width-3 block has a null vector
+    M[:, 12:] = 1e-12 * rng.standard_normal((30, 2))  # the width-2 block has no value above the cutoff
+    blocks = [np.arange(3), np.arange(3, 6), np.arange(6, 12), np.arange(12, 14)]
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append((a.shape, kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    rank, basis, sigma_max = svd_nullspace(M, blocks=blocks)
+    assert rank == 11 and basis.shape == (14, 3)
+    assert calls == [((2, 3, 3), False), ((1, 6, 6), False), ((1, 2, 2), False), ((1, 3, 3), True)]
+    assert sigma_max == max(svd(np.linalg.qr(M[:, cols], mode="r"), compute_uv=False)[0] for cols in blocks)
+    want = svd(np.linalg.qr(M[:, 3:6], mode="r"))[2][2:].conj().T
+    assert np.array_equal(basis[3:6, :1], want) and not basis[:3].any() and not basis[6:12].any()
+    assert np.array_equal(basis[12:, 1:], np.eye(2)) and not basis[:12, 1:].any()
 
 
 def test_random_unitary_is_unitary():
