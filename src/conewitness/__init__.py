@@ -44,6 +44,7 @@ from .linalg import (
     svd_nullspace,
 )
 from .maps import (
+    Face,
     LinearMatrixMap,
     apply,
     choi_from_apply,

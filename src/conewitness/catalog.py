@@ -6,15 +6,17 @@ family on M_3, Breuer-Hall maps built from antisymmetric unitaries, and the
 Robertson map they specialize to in M_4.
 
 The constructors of the transposition, reduction, Breuer-Hall and
-Robertson maps also attach the map's dual face in closed form, as a
-:class:`conewitness.maps.Face`: a draw ``face(count, rng) -> (X, Y)`` and
-the family's positivity identity.  The Breuer-Hall constructor attaches
-the Youla frame of its unitary as well (see :func:`youla_form`).
+Robertson maps attach the map's closed form as its
+:class:`conewitness.maps.Face`: a draw on the dual face, the family's
+positivity identity and, for Breuer-Hall, the Youla frame of its unitary
+(:func:`youla_form`).  The Robertson and reduction maps are built once per
+process (per dimension), with read-only Choi matrices.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -105,9 +107,10 @@ def _breuer_hall_pairing(U, X, Y):
     return _reduction_pairing(X, Y) - np.abs(_inner(X.conj() @ U.T, Y)) ** 2
 
 
-def _breuer_hall_face(U):
+def _breuer_hall_face(U, frame=None):
     """The face of ``BH_U``, which the Robertson map shares with ``U = I_2 (x) sigma_y``."""
-    return Face(functools.partial(_unitary_face, U), functools.partial(_breuer_hall_pairing, U))
+    draw = functools.partial(_unitary_face, U)
+    return Face(draw, functools.partial(_breuer_hall_pairing, U), frame)
 
 
 # --- validation helpers ----------------------------------------------------
@@ -118,7 +121,7 @@ def require_unitary(U: np.ndarray) -> np.ndarray:
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise NotUnitary(f"expected a square matrix, got shape {U.shape}")
     defect = frobenius(U.conj().T @ U - np.eye(U.shape[0]))
-    if defect > ANTISYM_ATOL:
+    if not defect <= ANTISYM_ATOL:
         raise NotUnitary(f"unitarity defect {defect:.3e}")
     return U
 
@@ -130,7 +133,7 @@ def require_antisymmetric_unitary(U: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"expected a square matrix, got shape {U.shape}")
     if U.shape[0] % 2 != 0:
         raise OddDimension("antisymmetric unitaries exist only in even dimension")
-    if frobenius(U + U.T) > ANTISYM_ATOL:
+    if not frobenius(U + U.T) <= ANTISYM_ATOL:
         raise NotAntisymmetric(f"antisymmetry defect {frobenius(U + U.T):.3e}")
     require_unitary(U)
     return U
@@ -168,12 +171,19 @@ def co_ad_map(V: np.ndarray) -> LinearMatrixMap:
 
 
 def reduction(n: int) -> LinearMatrixMap:
-    """The reduction map ``R(X) = I tr X - X`` on M_n."""
+    """The reduction map ``R(X) = I tr X - X`` on M_n, built once per integer ``n``, read-only."""
+    return _reduction(operator.index(n))
+
+
+@functools.cache
+def _reduction(n):
     if n < 2:
         raise DimensionMismatch("the reduction map needs n >= 2")
     eye = np.eye(n)
     face = Face(functools.partial(_diagonal_face, n), _reduction_pairing)
-    return choi_from_apply(lambda E: eye * np.trace(E) - E, n, n, face)
+    phi = choi_from_apply(lambda E: eye * np.trace(E) - E, n, n, face)
+    phi.choi.flags.writeable = False
+    return phi
 
 
 def choi_family(a: float, b: float, c: float) -> LinearMatrixMap:
@@ -240,15 +250,14 @@ def breuer_hall(U: np.ndarray) -> LinearMatrixMap:
     """``X -> I tr X - X - U X^t U*`` for an antisymmetric unitary U.
 
     With ``U = V K V^t`` (:func:`youla_form`), ``BH_U = Ad_V o BH_K o Ad_V*``,
-    so the map carries the frame ``V``, which takes it to ``BH_K``.
+    so the map's face carries the frame ``V``, which takes it to ``BH_K``.
     """
     U = require_antisymmetric_unitary(U)
     n2 = U.shape[0]
     eye = np.eye(n2)
     Ud = U.conj().T
-    face = _breuer_hall_face(U)
-    frame = youla_form(U)
-    return choi_from_apply(lambda E: eye * np.trace(E) - E - U @ E.T @ Ud, n2, n2, face, frame)
+    face = _breuer_hall_face(U, youla_form(U))
+    return choi_from_apply(lambda E: eye * np.trace(E) - E - U @ E.T @ Ud, n2, n2, face)
 
 
 def youla_form(U: np.ndarray) -> np.ndarray:
@@ -276,8 +285,9 @@ def youla_form(U: np.ndarray) -> np.ndarray:
     return V
 
 
+@functools.cache
 def robertson() -> LinearMatrixMap:
-    """The Robertson map on M_4, written in 2 x 2 blocks.
+    """The Robertson map on M_4, written in 2 x 2 blocks, built once and read-only.
 
     Diagonal output blocks carry the trace of the opposite input block; the
     off-diagonal blocks are ``-(X_12 + R_2(X_21))`` and its mirror.
@@ -296,7 +306,9 @@ def robertson() -> LinearMatrixMap:
         out[2:, :2] = -(X21 + r2(X12))
         return out
 
-    return choi_from_apply(act, 4, 4, _breuer_hall_face(robertson_unitary()))
+    phi = choi_from_apply(act, 4, 4, _breuer_hall_face(robertson_unitary()))
+    phi.choi.flags.writeable = False
+    return phi
 
 
 def robertson_unitary() -> np.ndarray:

@@ -16,7 +16,7 @@ HERMITIAN_RTOL = 1e-12
 # Frobenius bound on ||U + U^t||_F and ||U^dag U - I||_F for antisymmetric
 # unitaries
 ANTISYM_ATOL = 1e-10
-# relative bound for a map's frame V (see maps.LinearMatrixMap), with two
+# relative bound for a face's frame V (see maps.Face), with two
 # uses: ||V^dag V - I||_F must be at most FRAME_RTOL * max(1, ||W||_F), and
 # entries of the carried Choi matrix L W L^dag at most that count as zero
 # in the pattern its weight blocks are read from.  It is ten times

@@ -55,7 +55,6 @@ from .linalg import (
     svd_nullspace,
 )
 from .maps import (
-    Face,
     LinearMatrixMap,
     apply,
     frame_conjugate,
@@ -153,7 +152,7 @@ def dual_face_samples(
 
     X, Y, values = np.empty((0, n), complex), np.empty((0, m), complex), np.empty(0)
     if phi.face is not None:
-        X, Y, values = _accept(W_hat, *phi.face(count, rng))
+        X, Y, values = _accept(W_hat, *phi.face.draw(count, rng))
         if values.size == count:
             return DualFaceSample(X, Y, values, source="analytic")
 
@@ -283,15 +282,15 @@ def _checked_sample_count(phi, sample_count):
 def _nullspace_with_diagnostics(phi, k, rng):
     """Orthonormal null-space coordinate rows ``(dim, (nm)^2)`` of two ``k``-pair samples.
 
-    A map with a ``frame`` V is ranked in it: both samples' pairs are carried
-    by ``V^dag``, the blocks are read off ``frame_conjugate(W, V)`` with
-    entries at most ``FRAME_RTOL * max(1, ||W||_F)`` as zero, and as real
-    when every imaginary part is at most that, and the null space is carried
-    back by ``H -> L^dag H L``.
+    A map whose face has a ``frame`` V is ranked in it: both samples' pairs
+    are carried by ``V^dag``, the blocks are read off ``frame_conjugate(W, V)``
+    with entries at most ``FRAME_RTOL * max(1, ||W||_F)`` as zero, and as
+    real when every imaginary part is at most that, and the null space is
+    carried back by ``H -> L^dag H L``.
     """
     n, m = phi.dim_in, phi.dim_out
     d = n * m
-    V = phi.frame
+    V = None if phi.face is None else phi.face.frame
     # the map's own Choi matrix, in the frame the rows are built in, and the
     # same matrix as its blocks read it: its zero entries and its reality
     W = phi.choi if V is None else frame_conjugate(phi.choi, V)
@@ -381,10 +380,10 @@ def double_dual_nullspace(
     a time, torus-weight classes split into Re and Im parts when W is real
     (see :func:`conewitness.linalg._weight_blocks`), and both ranks count
     singular values at most ``NULLSPACE_REL_TOL`` times the largest of its
-    blocks' as zero.  A map with a ``frame`` is ranked in the blocks of its
-    Choi matrix carried into the frame, and its null space carried back
-    (see :class:`conewitness.maps.LinearMatrixMap`).  A zero map is refused
-    with ZeroWitness.
+    blocks' as zero.  A map whose face has a ``frame`` is ranked in the
+    blocks of its Choi matrix carried into the frame, and its null space
+    carried back (see :class:`conewitness.maps.Face`).  A zero map is
+    refused with ZeroWitness.
     """
     _require_ray(phi)
     if rng is None:
@@ -512,10 +511,10 @@ def _positive_by_identity(phi):
     :class:`conewitness.maps.Face`), and W's pairing is compared with it
     at :func:`_tomographic_pairs`, whose projectors span the Hermitian
     matrices: agreement to ``IDENTITY_TOL * max(1, ||W||_F)`` at every pair
-    fixes W as the identity's matrix to that cutoff.  A map whose face has
-    no identity fails.  Nothing is drawn from a random generator.
+    fixes W as the identity's matrix to that cutoff.  A map with no face
+    fails.  Nothing is drawn from a random generator.
     """
-    if not isinstance(phi.face, Face):
+    if phi.face is None:
         return False
     X, Y = _tomographic_pairs(phi.dim_in, phi.dim_out)
     gap = np.abs(witness_pairing(phi.choi, X, Y) - phi.face.pairing(X, Y))
@@ -670,7 +669,7 @@ def _checked_unit_vector(x, n2):
     x = np.asarray(x, dtype=complex)
     if x.shape != (n2,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({n2},)")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(x) - 1.0) <= 1e-9:
         raise NotUnitVector(f"x has norm {np.linalg.norm(x)!r}")
     return x
 
@@ -718,17 +717,9 @@ def verify_bh_structure(
 
     phi = breuer_hall(U)
     twin = co_ad_map(U)
-    remark1_residual = float(frobenius(phi.choi + twin.choi - _reduction_choi(n2)))
+    remark1_residual = float(frobenius(phi.choi + twin.choi - reduction(n2).choi))
     reports = [_bh_structure_at(phi, U, v, remark1_residual) for v in X]
     return reports if stacked else reports[0]
-
-
-@functools.cache
-def _reduction_choi(n2):
-    """The reduction map's Choi matrix, built once per dimension and read-only."""
-    W = reduction(n2).choi
-    W.flags.writeable = False
-    return W
 
 
 def _bh_structure_at(phi, U, x, remark1_residual):

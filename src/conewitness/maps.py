@@ -19,6 +19,8 @@ Conventions (used everywhere, documented only here):
 * Rays ``[phi] = {lam * phi, lam > 0}`` get a deterministic representative:
   trace normalized to ``n*m`` when ``Tr W > 0``, otherwise unit Frobenius
   norm with the first sizable real coordinate made positive.
+* A family's closed form is one :class:`Face`, the map's ``face``; a map
+  with no face is treated numerically throughout.
 """
 
 from __future__ import annotations
@@ -48,47 +50,39 @@ def frame_conjugate(A: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Face:
-    """A family's dual face in closed form: a draw on it and the pairing it belongs to.
+    """A family's closed form: a draw on its dual face, its positivity identity, its frame.
 
-    Called as ``face(count, rng)``, it runs ``draw`` and gives ``count``
-    candidate pairs ``(X, Y)``, one pair per row (a draw may drop some).
-    ``pairing(X, Y)`` is the family's pairing ``<y|phi(P_x)|y>`` at stacked
-    pairs as a formula that is nonnegative by construction, so a map whose
-    Choi matrix pairs as it does is positive by that identity.
+    ``draw(count, rng)`` gives ``count`` candidate pairs ``(X, Y)``, one
+    pair per row (a draw may drop some).  ``pairing(X, Y)`` is the family's
+    pairing ``<y|phi(P_x)|y>`` at stacked pairs as a formula that is
+    nonnegative by construction.  ``frame``, a unitary ``V`` or None, is the
+    frame the face is ranked in: the weight blocks of ``frame_conjugate(W, V)``.
     """
 
     draw: Callable
     pairing: Callable
+    frame: np.ndarray | None = None
 
-    def __call__(self, count, rng):
-        return self.draw(count, rng)
+    def __post_init__(self):
+        if self.frame is not None:
+            object.__setattr__(self, "frame", np.asarray(self.frame, dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
 class LinearMatrixMap:
     """A linear map M_n -> M_m held as its Choi matrix plus dimensions.
 
-    ``face`` is set by the constructors of families whose dual face has a
-    closed form, as a :class:`Face`: ``face(count, rng)`` draws ``count``
-    candidate pairs ``(X, Y)`` from it, one pair per row, and
-    ``face.pairing`` is the family's positivity identity.  Every drawn pair
-    is still checked against the Choi matrix before use, and the identity
-    against the Choi matrix before it stands in for the see-saw; any other
-    callable ``face(count, rng)`` is a draw with no identity.  ``None``
-    means the face is harvested numerically.
-
-    ``frame``, a unitary ``V``, is set by the Breuer-Hall constructor: the
-    face's null space is ranked in the weight blocks of the Choi matrix
-    carried into the frame, :func:`frame_conjugate` of W.  Like ``face`` it
-    is a hint, which can cost speed but not change a verdict.  A frame that
-    is not unitary to ``FRAME_RTOL`` is refused with NotUnitary.
+    ``face`` is a :class:`Face` or None (the face is harvested numerically);
+    anything else is a TypeError.  It is a hint, which can cost speed but not
+    change a verdict: drawn pairs and the identity are checked against W
+    before use.  A frame that is not unitary to ``FRAME_RTOL * max(1, ||W||_F)``
+    is refused with NotUnitary, one that does not fit with DimensionMismatch.
     """
 
     dim_in: int
     dim_out: int
     choi: np.ndarray
-    face: Face | Callable | None = None
-    frame: np.ndarray | None = None
+    face: Face | None = None
 
     def __post_init__(self):
         n, m = self.dim_in, self.dim_out
@@ -100,8 +94,10 @@ class LinearMatrixMap:
                 f"Choi matrix shape {W.shape} does not match dims ({n}, {m})"
             )
         object.__setattr__(self, "choi", W)
-        if self.frame is not None:
-            object.__setattr__(self, "frame", _check_frame(self.frame, W, n, m))
+        if not isinstance(self.face, Face | None):
+            raise TypeError(f"face must be a Face or None, got {type(self.face).__name__}")
+        if self.face is not None and self.face.frame is not None:
+            _check_frame(self.face.frame, W, n, m)
 
     def __add__(self, other: "LinearMatrixMap") -> "LinearMatrixMap":
         return add(self, other)
@@ -114,15 +110,13 @@ class LinearMatrixMap:
 
 
 def _check_frame(V, W, n, m):
-    """``V`` as a complex array, refused unless it is a unitary that fits the map."""
-    V = np.asarray(V, dtype=complex)
+    """Refuse ``V`` unless it is a unitary that fits the map."""
     if n != m or V.shape != (n, n):
         raise DimensionMismatch(f"a frame of shape {V.shape} does not fit a map M_{n} -> M_{m}")
     bound = FRAME_RTOL * max(1.0, frobenius(W))
     defect = frobenius(V.conj().T @ V - np.eye(n))
-    if defect > bound:
+    if not defect <= bound:
         raise NotUnitary(f"frame unitarity defect {defect:.3e} exceeds bound {bound:.3e}")
-    return V
 
 
 def choi_of(phi: LinearMatrixMap) -> np.ndarray:
@@ -135,12 +129,12 @@ def map_from_choi(W: np.ndarray, dim_in: int, dim_out: int) -> LinearMatrixMap:
     return LinearMatrixMap(dim_in, dim_out, np.asarray(W, dtype=complex))
 
 
-def choi_from_apply(fn, dim_in: int, dim_out: int, face=None, frame=None) -> LinearMatrixMap:
+def choi_from_apply(fn, dim_in: int, dim_out: int, face=None) -> LinearMatrixMap:
     """Build a map from its action on matrix units.
 
     ``fn`` receives each ``e_ij`` (as an ``n x n`` array) and must return the
     ``m x m`` image.  This is how every catalog constructor evaluates its
-    defining formula; ``face`` and ``frame`` are passed through to the map.
+    defining formula; ``face`` is passed through to the map.
     """
     n, m = dim_in, dim_out
     T = np.zeros((n, m, n, m), dtype=complex)
@@ -149,7 +143,7 @@ def choi_from_apply(fn, dim_in: int, dim_out: int, face=None, frame=None) -> Lin
             unit = np.zeros((n, n), dtype=complex)
             unit[i, j] = 1.0
             T[i, :, j, :] = np.asarray(fn(unit), dtype=complex)
-    return LinearMatrixMap(n, m, T.reshape(n * m, n * m), face, frame)
+    return LinearMatrixMap(n, m, T.reshape(n * m, n * m), face)
 
 
 def apply(phi: LinearMatrixMap, X: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from conewitness.catalog import (
     youla_form,
 )
 from conewitness.errors import (
+    DimensionMismatch,
     NegativeParameter,
     NotAntisymmetric,
     NotPositiveMap,
@@ -34,6 +35,7 @@ from conewitness.config import ZERO_TOL
 from conewitness.exposedness import dual_face_samples
 from conewitness.linalg import frobenius, random_unitary
 from conewitness.maps import (
+    Face,
     LinearMatrixMap,
     apply,
     choi_from_apply,
@@ -107,6 +109,27 @@ def test_reduction_formula():
     # R2 equals conjugation of the transpose by sigma_y
     assert frobenius(choi_of(R2) - choi_of(co_ad_map(SIGMA_Y))) < 1e-13
     with pytest.raises(Exception):
+        reduction(1)
+
+
+def test_robertson_and_reduction_are_built_once_and_read_only():
+    """One instance per process (per n), a read-only Choi matrix, and writable copies through choi_of."""
+    assert robertson() is robertson()
+    R3 = reduction(3)
+    assert reduction(3) is R3 and reduction(np.int64(3)) is R3 and reduction(4) is not R3
+    for phi in (robertson(), R3):
+        assert not phi.choi.flags.writeable
+        with pytest.raises(ValueError):
+            phi.choi[0, 0] = 0.0
+        W = choi_of(phi)
+        assert W.flags.writeable and np.array_equal(W, phi.choi)
+        W[0, 0] += 1.0
+        assert W[0, 0] != phi.choi[0, 0]
+    # 3.0 == 3 and both hash alike, but a float is no dimension
+    for bad in (3.0, np.float64(3.0)):
+        with pytest.raises(TypeError):
+            reduction(bad)
+    with pytest.raises(DimensionMismatch):
         reduction(1)
 
 
@@ -256,12 +279,12 @@ def test_closed_form_maps_carry_their_face():
     V = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     for phi in (transposition(3), reduction(3), breuer_hall(U), robertson()):
         assert phi.face is not None
-        X, Y = phi.face(20, np.random.default_rng(0))
+        X, Y = phi.face.draw(20, np.random.default_rng(0))
         assert X.shape == (20, phi.dim_in) and Y.shape == (20, phi.dim_out)
         values = witness_pairing(ray_representative(phi.choi), X, Y)
         assert np.max(np.abs(values)) <= ZERO_TOL
         # the face is a partial of a module-level draw, so the map pickles
-        X2, Y2 = pickle.loads(pickle.dumps(phi)).face(20, np.random.default_rng(0))
+        X2, Y2 = pickle.loads(pickle.dumps(phi)).face.draw(20, np.random.default_rng(0))
         assert np.array_equal(X, X2) and np.array_equal(Y, Y2)
 
     R = reduction(3)
@@ -276,14 +299,14 @@ def test_closed_form_maps_carry_their_face():
     ):
         assert phi.face is None
 
-    # a wrong face cannot reach a sample: its pairs fail the pairing check
-    # and the numeric harvest fills the whole sample
+    # a face whose draw misses W cannot reach a sample: its pairs fail the
+    # pairing check and the numeric harvest fills the whole sample
     e = np.eye(3, dtype=complex)
 
     def off_face(count, rng):
         return np.tile(e[0], (count, 1)), np.tile(e[1], (count, 1))
 
-    wrong = LinearMatrixMap(3, 3, choi_of(R), face=off_face)
+    wrong = LinearMatrixMap(3, 3, choi_of(R), face=Face(off_face, R.face.pairing))
     sample = dual_face_samples(wrong, 20, np.random.default_rng(0))
     assert sample.source == "numeric"
     assert sample.X.shape == (20, 3) and sample.Y.shape == (20, 3)

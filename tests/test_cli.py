@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from conewitness import cli, exposedness
+from conewitness import catalog, cli
 from conewitness.catalog import (
     SIGMA_Y,
     ad_map,
@@ -569,16 +569,15 @@ def test_verify_bh_structure_takes_its_dimension_from_u(tmp_path, capsys):
     assert code == 0 and doc["config"]["dim"] == 4
 
 
-def test_verify_bh_structure_builds_the_reduction_map_once(tmp_path, monkeypatch):
+def test_verify_bh_structure_builds_the_reduction_map_once(tmp_path):
     """Without --u every trial draws its own U, and the reduction map is built once per run."""
     argv = ["verify", "--suite", "bh-structure", "--trials", "5", "--seed", "3"]
     _, _, before = run(argv, tmp_path)
-    builds = []
-    monkeypatch.setattr(exposedness, "reduction", lambda n: builds.append(n) or reduction(n))
-    exposedness._reduction_choi.cache_clear()
+    catalog._reduction.cache_clear()
     code, doc, raw = run(argv, tmp_path)
     assert code == 0 and doc["passed"] is True
-    assert builds == [4]
+    info = catalog._reduction.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
     assert raw == before
 
 

@@ -1,6 +1,7 @@
 """Dual-face sampling, null spaces, cone search, and the exposedness verdicts."""
 
 import json
+import pickle
 import warnings
 
 import numpy as np
@@ -13,6 +14,8 @@ from conewitness.catalog import (
     co_ad_map,
     random_antisymmetric_unitary,
     reduction,
+    require_antisymmetric_unitary,
+    require_unitary,
     robertson,
     robertson_unitary,
     transposition,
@@ -23,6 +26,7 @@ from conewitness.errors import (
     ConeWitnessError,
     DimensionMismatch,
     InsufficientZeros,
+    NotAntisymmetric,
     NotBlockPositive,
     NotUnitVector,
     NotUnitary,
@@ -43,6 +47,7 @@ from conewitness.linalg import (
     svd_nullspace,
 )
 from conewitness.maps import (
+    Face,
     LinearMatrixMap,
     choi_of,
     is_ray_proportional,
@@ -64,6 +69,12 @@ from conewitness.exposedness import (
     verify_bh_structure,
     verify_lemma1,
 )
+
+
+def _with_frame(phi, frame=None):
+    """``phi`` with its face's frame replaced by ``frame``; by default left off."""
+    face = Face(phi.face.draw, phi.face.pairing, frame)
+    return LinearMatrixMap(phi.dim_in, phi.dim_out, phi.choi, face)
 
 
 def random_hermitian(d, rng):
@@ -357,8 +368,9 @@ def test_stationarity_rows_are_the_complex_expressions_bit_for_bit(make):
     phi = make()
     sample = dual_face_samples(phi, 23, np.random.default_rng(5))
     X, Y = sample.X, sample.Y
-    if phi.frame is not None:  # the pairs as ranked, carried into the Youla frame
-        X, Y = X @ phi.frame.conj(), Y @ phi.frame.conj()
+    V = phi.face.frame
+    if V is not None:  # the pairs as ranked, carried into the Youla frame
+        X, Y = X @ V.conj(), Y @ V.conj()
     got, want = stationarity_rows(X, Y), _stationarity_rows_reference(X, Y)
     assert got.shape == want.shape == (2 * 23 * (phi.dim_in + phi.dim_out), (phi.dim_in * phi.dim_out) ** 2)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -412,8 +424,7 @@ def test_nullspace_basis_bits_match_stacked_c_order_blocks():
     """The basis is V1, C-order blocks ranked one by one, bit for bit; the second sample adds no rank."""
     U = random_antisymmetric_unitary(4, np.random.default_rng(3))
     # the Haar BH_4 with its frame left off: a complex W with no zero entry is one block
-    haar = breuer_hall(U)
-    one_block = LinearMatrixMap(4, 4, haar.choi, haar.face)
+    one_block = _with_frame(breuer_hall(U))
     for phi, n, n_blocks in ((robertson(), 4, 26), (one_block, 4, 1), (reduction(3), 3, 20)):
         d = n * n
         k = d * d // (4 * n - 3) + 4  # face pairs per sample
@@ -454,7 +465,8 @@ def test_stationarity_residuals_equal_the_assembled_rows(n, m):
         # pairs of a Haar BH_4's face carried into its Youla frame, as ranked
         phi = breuer_hall(random_antisymmetric_unitary(4, rng))
         sample = dual_face_samples(phi, k, rng)
-        samples.append((sample.X @ phi.frame.conj(), sample.Y @ phi.frame.conj()))
+        V = phi.face.frame
+        samples.append((sample.X @ V.conj(), sample.Y @ V.conj()))
     H = np.stack([random_hermitian(d, rng) * scale for scale in (1e-3, 1.0, 40.0)])
     for X, Y in samples:
         C = stationarity_rows(X, Y)
@@ -469,8 +481,7 @@ def test_stationarity_residuals_equal_the_assembled_rows(n, m):
 def test_a_complex_w_is_never_split_and_a_forced_split_is_refused(monkeypatch, capsys):
     """The unframed Haar BH_4 stays one block; a Re/Im split its null space does not respect is refused."""
     U = random_antisymmetric_unitary(4, np.random.default_rng(1234))
-    haar = breuer_hall(U)
-    phi = LinearMatrixMap(4, 4, haar.choi, haar.face)
+    phi = _with_frame(breuer_hall(U))
     assert np.any(phi.choi.imag) and np.all(phi.choi != 0)
     assert len(_weight_blocks(phi.choi, 4, 4)) == 1
     rep = exposedness_report(phi, rng=np.random.default_rng(0))
@@ -550,7 +561,7 @@ def test_haar_breuer_hall_is_ranked_in_its_youla_frame(tmp_path, capsys, monkeyp
     assert diag["weight_blocks"] == 26 and diag["largest_block"] == 26
     framed = [exposedness_report(phi, rng=np.random.default_rng(seed)) for seed in range(5)]
     monkeypatch.setattr(exposedness, "_weight_blocks", _one_block)
-    off = LinearMatrixMap(4, 4, phi.choi, phi.face)
+    off = _with_frame(phi)
     whole = [exposedness_report(off, rng=np.random.default_rng(seed)) for seed in range(5)]
     assert [(r.verdict, r.nullspace_dim) for r in framed] == [
         (r.verdict, r.nullspace_dim) for r in whole
@@ -584,24 +595,56 @@ def test_a_frame_is_a_hint_that_never_changes_a_verdict():
     """A unitary frame that does not sparsify W costs speed only; one that is not unitary, or does not fit, is refused."""
     V = random_unitary(4, np.random.default_rng(3))
     # reduction is unitarily covariant: its W carried by any V is its own W
-    rep = exposedness_report(LinearMatrixMap(4, 4, reduction(4).choi, frame=V), rng=np.random.default_rng(0))
+    rep = exposedness_report(_with_frame(reduction(4), V), rng=np.random.default_rng(0))
     assert (rep.verdict, rep.nullspace_dim, rep.diagnostics["weight_blocks"]) == ("NOT_EXPOSED", 36, 56)
     U = random_antisymmetric_unitary(4, np.random.default_rng(7))
     phi = breuer_hall(U)
-    assert np.array_equal(phi.frame, youla_form(U))
+    assert np.array_equal(phi.face.frame, youla_form(U))
     # another BH_4's Youla frame leaves this W dense: one block, the unframed verdict
-    other = breuer_hall(random_antisymmetric_unitary(4, np.random.default_rng(8))).frame
+    other = breuer_hall(random_antisymmetric_unitary(4, np.random.default_rng(8))).face.frame
     framed, unframed = (
-        exposedness_report(LinearMatrixMap(4, 4, phi.choi, phi.face, frame), rng=np.random.default_rng(0))
+        exposedness_report(_with_frame(phi, frame), rng=np.random.default_rng(0))
         for frame in (other, None)
     )
     assert (framed.verdict, framed.nullspace_dim) == (unframed.verdict, unframed.nullspace_dim)
     assert (framed.verdict, framed.nullspace_dim) == ("CERTIFIED_EXPOSED", 1)
     assert "weight_blocks" not in framed.diagnostics
     with pytest.raises(NotUnitary):
-        LinearMatrixMap(4, 4, phi.choi, frame=2 * phi.frame)
+        _with_frame(phi, 2 * phi.face.frame)
     with pytest.raises(DimensionMismatch):
-        LinearMatrixMap(4, 4, phi.choi, frame=np.eye(3))
+        _with_frame(phi, np.eye(3))
+
+
+def test_a_haar_breuer_hall_map_pickles_with_its_frame_in_its_face():
+    """The unpickled Haar BH_4 carries its Youla frame in its face and gives the same report bytes."""
+    U = random_antisymmetric_unitary(4, np.random.default_rng(1234))
+    phi = breuer_hall(U)
+    copy = pickle.loads(pickle.dumps(phi))
+    assert np.array_equal(copy.face.frame, youla_form(U))
+    reports = [
+        cli.canonical_json(exposedness_report(m, rng=np.random.default_rng(7))) for m in (phi, copy)
+    ]
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["diagnostics"]["weight_blocks"] == 26
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: require_unitary(np.full((4, 4), np.nan)), NotUnitary, id="unitary"),
+        pytest.param(
+            lambda: require_antisymmetric_unitary(np.full((4, 4), np.nan)),
+            NotAntisymmetric,
+            id="antisymmetric-unitary",
+        ),
+        pytest.param(lambda: verify_lemma1(np.eye(4), np.full(4, np.nan)), NotUnitVector, id="unit-vector"),
+        pytest.param(lambda: _with_frame(reduction(4), np.full((4, 4), np.nan)), NotUnitary, id="frame"),
+    ],
+)
+def test_nan_input_is_refused_with_its_documented_error(call, error):
+    """A NaN defect is no pass: every check is ``not defect <= bound``."""
+    with pytest.raises(error):
+        call()
 
 
 def test_haar_breuer_hall6_nullspace_in_its_youla_frame():
@@ -1072,7 +1115,7 @@ def test_a_face_off_its_identity_falls_back_to_the_seesaw(phi, verdict, rung):
     rep = exposedness_report(phi, rng=np.random.default_rng(0))
     assert (rep.verdict, rep.diagnostics["positivity"]) == (verdict, "identity")
     W = phi.choi + 1e-10 * np.eye(d)
-    off = LinearMatrixMap(phi.dim_in, phi.dim_out, W, face=phi.face, frame=phi.frame)
+    off = LinearMatrixMap(phi.dim_in, phi.dim_out, W, face=phi.face)
     rep = exposedness_report(off, rng=np.random.default_rng(0))
     assert (rep.verdict, rep.diagnostics["positivity"]) == (verdict, rung)
 

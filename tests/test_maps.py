@@ -6,6 +6,7 @@ import pytest
 from conewitness.errors import DimensionMismatch, NonRealPairing
 from conewitness.linalg import frobenius, random_unit_vector
 from conewitness.maps import (
+    Face,
     LinearMatrixMap,
     add,
     apply,
@@ -181,3 +182,17 @@ def test_is_ray_proportional_positive_multiples_only():
     assert is_ray_proportional(2.5 * W, W)
     assert not is_ray_proportional(-W, W)
     assert not is_ray_proportional(W + 0.1 * random_hermitian(4, rng), W)
+
+
+def test_face_must_be_a_face_or_none():
+    """A bare callable is no face: a map's closed form is one Face or nothing."""
+    W = np.eye(4, dtype=complex)
+
+    def draw(count, rng):
+        return np.eye(2)[[0] * count], np.eye(2)[[1] * count]
+
+    with pytest.raises(TypeError, match="face must be a Face or None"):
+        LinearMatrixMap(2, 2, W, face=draw)
+    face = Face(draw, lambda X, Y: np.zeros(len(X)))
+    assert LinearMatrixMap(2, 2, W, face=face).face is face
+    assert LinearMatrixMap(2, 2, W).face is None
