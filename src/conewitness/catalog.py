@@ -8,9 +8,10 @@ Robertson map they specialize to in M_4.
 The constructors of the transposition, reduction, Breuer-Hall and
 Robertson maps attach the map's closed form as its
 :class:`conewitness.maps.Face`: a draw on the dual face, the family's
-positivity identity and, for Breuer-Hall, the Youla frame of its unitary
-(:func:`youla_form`).  The Robertson and reduction maps are built once per
-process (per dimension), with read-only Choi matrices.
+positivity identity, for Breuer-Hall the Youla frame of its unitary
+(:func:`youla_form`), and signed permutations that fix its Choi matrix.
+The Robertson and reduction maps are built once per process (per
+dimension), with read-only Choi matrices.
 """
 
 from __future__ import annotations
@@ -110,7 +111,39 @@ def _breuer_hall_pairing(U, X, Y):
 def _breuer_hall_face(U, frame=None):
     """The face of ``BH_U``, which the Robertson map shares with ``U = I_2 (x) sigma_y``."""
     draw = functools.partial(_unitary_face, U)
-    return Face(draw, functools.partial(_breuer_hall_pairing, U), frame)
+    return Face(draw, functools.partial(_breuer_hall_pairing, U), frame, _pair_symmetries(U.shape[0]))
+
+
+# --- symmetries ------------------------------------------------------------
+#
+# Signed permutations (sigma, signs) of C^n, ``O e_i = signs[i] e_sigma[i]``,
+# that generate a group of real orthogonal O with ``O (x) O`` fixing the
+# family's Choi matrix (see :class:`conewitness.maps.Face`).
+
+
+def _symmetric_group(n):
+    """The swap (0 1) and the n-cycle, unsigned: every permutation fixes the transposition and reduction maps."""
+    if n < 2:
+        return ()
+    return (((1, 0, *range(2, n)), (1,) * n), ((*range(1, n), 0), (1,) * n))
+
+
+def _pair_symmetries(n):
+    """Generators of the signed permutations O with ``O K O^t = K``, ``K = I (x) [[0, -1], [1, 0]]``.
+
+    The swaps of adjacent index pairs ``(2j, 2j+1)`` and ``(2j+2, 2j+3)``
+    permute K's 2 x 2 blocks, and the swap (0 1) with signs (-1, +1) turns
+    the first block by a right angle, which commutes with it.  Such an O
+    fixes ``BH_K``'s Choi matrix as ``O (x) O``, and the Robertson map's
+    too, as its ``U = I_2 (x) sigma_y`` is ``iK``.
+    """
+    plus = (1,) * n
+    swaps = []
+    for j in range(0, n - 2, 2):
+        sigma = list(range(n))
+        sigma[j : j + 4] = [j + 2, j + 3, j, j + 1]
+        swaps.append((tuple(sigma), plus))
+    return (*swaps, ((1, 0, *range(2, n)), (-1, *plus[1:])))
 
 
 # --- validation helpers ----------------------------------------------------
@@ -146,7 +179,7 @@ def transposition(n: int) -> LinearMatrixMap:
     """The transposition map ``X -> X^t`` on M_n."""
     if n < 1:
         raise DimensionMismatch("n must be at least 1")
-    face = Face(functools.partial(_orthogonal_face, n), _transpose_pairing)
+    face = Face(functools.partial(_orthogonal_face, n), _transpose_pairing, None, _symmetric_group(n))
     return choi_from_apply(lambda E: E.T, n, n, face)
 
 
@@ -180,7 +213,7 @@ def _reduction(n):
     if n < 2:
         raise DimensionMismatch("the reduction map needs n >= 2")
     eye = np.eye(n)
-    face = Face(functools.partial(_diagonal_face, n), _reduction_pairing)
+    face = Face(functools.partial(_diagonal_face, n), _reduction_pairing, None, _symmetric_group(n))
     phi = choi_from_apply(lambda E: eye * np.trace(E) - E, n, n, face)
     phi.choi.flags.writeable = False
     return phi

@@ -45,9 +45,12 @@ from .errors import (
     ZeroWitness,
 )
 from .linalg import (
+    _SQRT2,
     _coordinate_entries,
-    _entries_to_coords,
+    _product_permutation,
+    _transported,
     _weight_blocks,
+    _weight_orbits,
     fix_phase,
     frobenius,
     hermitian_to_coords,
@@ -185,7 +188,7 @@ def dual_face_samples(
     return DualFaceSample(X, Y, values, source="numeric")
 
 
-def stationarity_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def stationarity_rows(X: np.ndarray, Y: np.ndarray, columns: np.ndarray | None = None) -> np.ndarray:
     """First-order rows satisfied by every member of the double-dual face.
 
     A block-positive element that vanishes at a face pair attains a minimum
@@ -200,16 +203,25 @@ def stationarity_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
     Rows come pair by pair, then slice by slice (the n slices
     ``e_i (x) y`` before the m slices ``conj(x) (x) e_k``), the real part
-    of each condition before its imaginary part.  Only the entries the
-    coordinates read are formed, a chunk of pairs at a time in three
-    complex buffers of at most ``_ASSEMBLY_ENTRIES`` entries each (at least
-    one pair), updated in place and written straight into the rows: the
-    complex operations of ``(w z^H + z w^H) / 2`` and
-    ``(i w z^H - i z w^H) / 2`` in that order, so every bit, signed zeros
-    included, is that of those expressions.  The rows come column-major.
+    of each condition before its imaginary part.  ``columns``, strictly
+    ascending coordinate indices, gives only those columns, in that order;
+    the default is every column.  Only the entries the columns read are
+    formed, a chunk of pairs at a time in three complex buffers of at most
+    ``_ASSEMBLY_ENTRIES`` entries each (at least one pair), updated in place
+    and written straight into the rows: the complex operations of
+    ``(w z^H + z w^H) / 2`` and ``(i w z^H - i z w^H) / 2`` in that order,
+    so every bit, signed zeros included, is that of those expressions,
+    whichever columns are asked for.  The rows come column-major.
     """
     n, m = X.shape[1], Y.shape[1]
     d = n * m
+    if columns is not None:
+        columns = np.asarray(columns)
+        if columns.ndim != 1 or columns.dtype.kind not in "iu":
+            raise ValueError("columns must be a 1-D array of coordinate indices")
+        columns = columns.astype(np.int64).tobytes()
+    a, b, parts = _column_reads(d, columns)
+    (diag, at), (re, at_re), (im, at_im) = parts
     zc = product_vector(X, Y).conj().T[:, :, np.newaxis]  # (nm, k, 1)
     ws = np.concatenate(
         [
@@ -218,11 +230,10 @@ def stationarity_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         ],
         axis=1,
     ).transpose(2, 0, 1)  # (nm, k, n + m)
-    a, b = _coordinate_entries(d)
     # coordinate-major: the rows come column-major, the layout on which the
     # containment product C @ c keeps its bits, and each block's columns
     # are gathered from contiguous memory
-    rows = np.empty((d * d,) + ws.shape[1:] + (2,))
+    rows = np.empty((im.stop,) + ws.shape[1:] + (2,))
     step = max(1, _ASSEMBLY_ENTRIES // (a.size * ws.shape[2]))
     for lo in range(0, ws.shape[1], step):
         w, z = ws[:, lo : lo + step], zc[:, lo : lo + step]
@@ -238,9 +249,48 @@ def stationarity_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         skew -= zw
         skew /= 2  # the imaginary part's entries
         for part, E in enumerate((wz, skew)):
-            out = np.moveaxis(rows[:, lo : lo + step, :, part], 0, -1)
-            _entries_to_coords(np.moveaxis(E, 0, -1), d, out=out)
-    return rows.reshape(d * d, -1).T
+            out = rows[:, lo : lo + step, :, part]
+            out[diag] = E.real[at]
+            np.multiply(_SQRT2, E.real[at_re], out=out[re])
+            np.multiply(_SQRT2, E.imag[at_im], out=out[im])
+    return rows.reshape(rows.shape[0], -1).T
+
+
+@functools.lru_cache(maxsize=64)
+def _column_reads(d, columns):
+    """The entries that coordinate ``columns`` read, and where each column reads its entry.
+
+    ``columns`` is the bytes of strictly ascending int64 coordinate
+    indices, or None for every column.  Returns ``(a, b, parts)``: the row
+    and column indices of the entries to form, read-only, and for the
+    diagonal, Re and Im columns in turn (in that order as the columns
+    ascend) a pair ``(rows, at)``, the slice of the output columns they
+    fill and the entries they read, a slice where those are contiguous.
+    Columns that are not strictly ascending in ``[0, d^2)`` raise ValueError.
+    """
+    a, b = _coordinate_entries(d)
+    p = a.size - d
+    cols = np.arange(d * d) if columns is None else np.frombuffer(columns, dtype=np.int64)
+    if not cols.size or cols[0] < 0 or cols[-1] >= d * d or np.any(np.diff(cols) <= 0):
+        raise ValueError(f"columns must be strictly ascending indices in [0, {d * d})")
+    entry = np.where(cols < d + p, cols, cols - p)
+    used = np.zeros(a.size, dtype=bool)
+    used[entry] = True
+    used = np.flatnonzero(used)
+    cuts = [0, *np.searchsorted(cols, [d, d + p]).tolist(), cols.size]
+    parts = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        at = np.searchsorted(used, entry[lo:hi])
+        if not at.size:
+            at = slice(0, 0)
+        elif at[-1] - at[0] == at.size - 1:
+            at = slice(int(at[0]), int(at[-1]) + 1)
+        else:
+            at.flags.writeable = False
+        parts.append((slice(lo, hi), at))
+    a, b = a[used], b[used]
+    a.flags.writeable = b.flags.writeable = False
+    return a, b, tuple(parts)
 
 
 def _stationarity_residuals(X, Y, H):
@@ -279,6 +329,20 @@ def _checked_sample_count(phi, sample_count):
     return k
 
 
+def _symmetries_fixing(W, symmetries, floor):
+    """The ``symmetries`` whose ``O (x) O`` fixes ``W`` to ``floor``, entry by entry.
+
+    ``(O (x) O) W (O (x) O)^t`` has ``sign[a] sign[b] W[a, b]`` at
+    ``(pi[a], pi[b])``; a NaN difference keeps no symmetry.
+    """
+    kept = []
+    for sigma, signs in symmetries:
+        pi, sign = _product_permutation(sigma, signs)
+        if np.abs(W[pi][:, pi] * (sign[:, np.newaxis] * sign) - W).max() <= floor:
+            kept.append((sigma, signs))
+    return tuple(kept)
+
+
 def _nullspace_with_diagnostics(phi, k, rng):
     """Orthonormal null-space coordinate rows ``(dim, (nm)^2)`` of two ``k``-pair samples.
 
@@ -287,6 +351,15 @@ def _nullspace_with_diagnostics(phi, k, rng):
     with entries at most ``FRAME_RTOL * max(1, ||W||_F)`` as zero, and as
     real when every imaginary part is at most that, and the null space is
     carried back by ``H -> L^dag H L``.
+
+    The face's ``symmetries`` join the weight blocks into orbits
+    (:func:`conewitness.linalg._weight_orbits`), but only those that fix W
+    where the blocks are read: exactly on a map with no frame, to the same
+    floor in a frame, since a face is a hint attached to any W.  Rows are
+    built and ranked for the orbits' representatives only; every other
+    block's basis is its representative's, permuted and sign-flipped
+    (:func:`conewitness.linalg._transported`).  A map with no face, or
+    with no symmetry left, ranks every block, the same code path.
     """
     n, m = phi.dim_in, phi.dim_out
     d = n * m
@@ -294,29 +367,33 @@ def _nullspace_with_diagnostics(phi, k, rng):
     # the map's own Choi matrix, in the frame the rows are built in, and the
     # same matrix as its blocks read it: its zero entries and its reality
     W = phi.choi if V is None else frame_conjugate(phi.choi, V)
-    pattern = W
+    pattern, floor = W, 0.0
     if V is not None:
         floor = FRAME_RTOL * max(1.0, frobenius(W))
         pattern = np.where(np.abs(W) > floor, W, 0.0)
         if np.abs(W.imag).max() <= floor:
             pattern = pattern.real
+    blocks = _weight_blocks(pattern, n, m)
+    symmetries = () if phi.face is None else phi.face.symmetries
+    orbits = _weight_orbits(blocks, _symmetries_fixing(W, symmetries, floor))
 
     def pairs(sample):
         if V is None:
             return sample.X, sample.Y
         return sample.X @ V.conj(), sample.Y @ V.conj()
 
-    # the first sample's stationarity rows are ranked in the weight blocks
-    # of the pattern, and V1 spans their null space.  The second sample is
-    # ranked on C2 V1, its residuals of V1's elements, so C2 is never formed;
-    # C2 V1 is cut at the first sample's sigma_max.  Any rank it adds is
-    # refused, so the null space of both samples is V1's span, and V1 is
-    # returned as ranked: no basis turned by round-off reaches the search
+    # the first sample's stationarity rows, on the representatives' columns,
+    # are ranked in their weight blocks, and V1, carried to every block,
+    # spans their null space.  The second sample is ranked on C2 V1, its
+    # residuals of V1's elements, so C2 is never formed; C2 V1 is cut at the
+    # first sample's sigma_max.  Any rank it adds is refused, so the null
+    # space of both samples is V1's span, and V1 is returned as ranked and
+    # carried: no basis turned by round-off reaches the search
     first = dual_face_samples(phi, k, rng)
-    C = stationarity_rows(*pairs(first))
-    blocks = _weight_blocks(pattern, n, m)
-    rank1, V1, sigma_max = svd_nullspace(C, blocks=blocks)
-    dim1 = d * d - rank1
+    C = stationarity_rows(*pairs(first), columns=orbits.columns)
+    _, null, sigma_max = svd_nullspace(C, blocks=orbits.ranked)
+    V1 = _transported(orbits, null)
+    dim1 = V1.shape[1]
 
     c = hermitian_to_coords(ray_representative(W))
     c = c / np.linalg.norm(c)
@@ -330,15 +407,16 @@ def _nullspace_with_diagnostics(phi, k, rng):
         )
 
     # W's residuals read the ranked rows themselves, so rows that are not
-    # stationarity rows are caught; and W's ray must lie in the ranked null
-    # space, which a block partition the null space does not split breaks
-    containment = float(np.linalg.norm(np.concatenate([C @ c, R2[:, -1]])))
+    # stationarity rows are caught; and W's ray must lie in the carried null
+    # space, which a block partition the null space does not split, or a
+    # transport that does not carry it, breaks
+    containment = float(np.linalg.norm(np.concatenate([C @ c[orbits.columns], R2[:, -1]])))
     off_ray = float(np.linalg.norm(c - V1 @ (V1.T @ c)))
     for residual, bound in (
         (containment, 10 * NULLSPACE_REL_TOL * max(sigma_max, 1.0)),
         (off_ray, RAY_TOL),
     ):
-        if residual > bound:
+        if not residual <= bound:
             raise UnstableDimension(
                 f"sampled face excludes the map's own Choi (residual {residual:.3e})"
             )
@@ -357,6 +435,8 @@ def _nullspace_with_diagnostics(phi, k, rng):
     if len(blocks) > 1:
         diagnostics["weight_blocks"] = len(blocks)
         diagnostics["largest_block"] = max(map(len, blocks))
+        if symmetries:
+            diagnostics["weight_orbits"] = len(orbits.ranked)
     return dim2, basis_coords, diagnostics
 
 
@@ -378,12 +458,14 @@ def double_dual_nullspace(
     samples' rows and lie in the ranked null space (UnstableDimension
     otherwise).  The first sample is ranked one weight block of columns at
     a time, torus-weight classes split into Re and Im parts when W is real
-    (see :func:`conewitness.linalg._weight_blocks`), and both ranks count
-    singular values at most ``NULLSPACE_REL_TOL`` times the largest of its
-    blocks' as zero.  A map whose face has a ``frame`` is ranked in the
-    blocks of its Choi matrix carried into the frame, and its null space
-    carried back (see :class:`conewitness.maps.Face`).  A zero map is
-    refused with ZeroWitness.
+    (see :func:`conewitness.linalg._weight_blocks`), one block per orbit
+    of the face's symmetries that fix W, the others carried from it, and
+    both ranks count singular values at most ``NULLSPACE_REL_TOL`` times
+    the largest of its ranked blocks' as zero.  A map whose face has a
+    ``frame`` is ranked in the blocks of its Choi matrix carried into the
+    frame, and its null space carried back (see
+    :class:`conewitness.maps.Face`).  A zero map is refused with
+    ZeroWitness.
     """
     _require_ray(phi)
     if rng is None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -360,16 +361,178 @@ def _pattern_blocks(n, m, pattern, real):
     return tuple(blocks)
 
 
-def _entries_to_coords(E: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
+@functools.cache
+def _product_permutation(sigma, signs):
+    """``O (x) O`` as a signed permutation ``(pi, sign)`` of the basis of ``C^n (x) C^n``.
+
+    ``O e_i = signs[i] e_sigma[i]`` sends basis vector ``(i, k)``, index
+    ``i*n + k``, to ``signs[i] signs[k]`` times ``(sigma[i], sigma[k])``.
+    ``sigma`` and ``signs`` are tuples; the arrays are computed once per
+    pair and read-only.
+    """
+    sigma, signs = np.array(sigma), np.array(signs)
+    pi, sign = (sigma[:, np.newaxis] * sigma.size + sigma).ravel(), np.outer(signs, signs).ravel()
+    pi.flags.writeable = sign.flags.writeable = False
+    return pi, sign
+
+
+def _coordinate_permutation(pi, sign):
+    """``A -> L A L^t`` on the coordinates of Hermitian matrices, ``L e_a = sign[a] e_pi[a]``.
+
+    Entry ``(a, b)`` goes to ``(pi[a], pi[b])`` times ``sign[a] sign[b]``,
+    and one carried below the diagonal is read conjugated, which negates
+    its Im coordinate.  Returns ``(image, negated)``: coordinate ``c`` goes
+    to coordinate ``image[c]``, negated where ``negated[c]``.
+    """
+    d = pi.size
+    a, b = _coordinate_entries(d)
+    p = a.size - d
+    entry = np.empty((d, d), dtype=np.int64)
+    entry[a, b] = entry[b, a] = np.arange(a.size)
+    image = entry[pi[a], pi[b]]
+    negated = sign[a] * sign[b] < 0
+    below = pi[a] > pi[b]
+    return np.concatenate([image, image[d:] + p]), np.concatenate([negated, (negated ^ below)[d:]])
+
+
+class _Orbits(NamedTuple):
+    """The weight blocks joined into orbits; see :func:`_weight_orbits`."""
+
+    columns: np.ndarray  # the representatives' columns, ascending
+    ranked: tuple  # each representative's columns, as positions in ``columns``
+    owner: np.ndarray  # the representative of each position in ``columns``
+    block_orbit: np.ndarray  # the orbit of each block
+    orbits: tuple  # per orbit: (its blocks, their columns, source positions, negated or None)
+
+
+def _weight_orbits(blocks, generators) -> _Orbits:
+    """``blocks`` joined into orbits of ``generators``, each block with its way back to its orbit's first.
+
+    Each generator ``(sigma, signs)`` is a signed permutation ``O`` of C^n,
+    ``O e_i = signs[i] e_sigma[i]``, that the caller has found to fix W as
+    ``O (x) O``.  It then maps the face, and so the face's null space N, to
+    itself, acting on the coordinates of C^n (x) C^n's Hermitian matrices
+    as a signed permutation (:func:`_coordinate_permutation`).  It also
+    permutes W's torus-weight classes; a generator that does not carry
+    every block onto a block (as with a partition coarser than the classes)
+    is dropped.  The kept ones carry block t's part of N onto its image's,
+    so only each orbit's first block, its representative, is ranked: every
+    other block's basis is the representative's, its rows permuted and
+    negated (:func:`_transported`).  Orbits are found by following one
+    generator at a time from block to block, on index maps and signs, so
+    no dense action is built and the group is never enumerated.
+
+    Returns ``_Orbits``: the representatives' ``columns``, ascending, which
+    are all the columns when every block is its own representative; the
+    ``ranked`` blocks to pass to :func:`svd_nullspace`, each
+    representative's columns as positions in ``columns``, in block order;
+    the ``owner`` of each position, the index of its representative among
+    ``ranked``; the orbit of each block; and per orbit, its blocks, their
+    columns ``(blocks, width)``, the positions in ``columns`` each column
+    reads and which of those reads are negated (None when none are).
+    Cached per partition and generators, read-only.
+    """
+    flat = np.concatenate(blocks).astype(np.int64)
+    return _block_orbits(tuple(map(len, blocks)), flat.tobytes(), tuple(generators))
+
+
+@functools.lru_cache(maxsize=64)
+def _block_orbits(widths, flat, generators):
+    flat = np.frombuffer(flat, dtype=np.int64)
+    starts = np.cumsum((0,) + widths[:-1])
+    blocks = np.split(flat, starts[1:])
+    owner = np.empty(flat.size, dtype=np.int64)
+    owner[flat] = np.repeat(np.arange(len(widths)), widths)
+    position = np.empty(flat.size, dtype=np.int64)
+    position[flat] = np.arange(flat.size) - np.repeat(starts, widths)
+    moves = []
+    for sigma, signs in generators:
+        image, negated = _coordinate_permutation(*_product_permutation(sigma, signs))
+        to = owner[image[flat]]
+        target = to[starts]
+        if np.array_equal(to, np.repeat(target, widths)) and np.array_equal(
+            np.sort(target), np.arange(len(widths))
+        ):
+            moves.append((image, negated, target))
+    # each block's representative, and where and with which signs its
+    # columns read the representative's
+    source = [None] * len(widths)
+    for t in range(len(widths)):
+        if source[t] is not None:
+            continue
+        source[t] = (t, np.arange(widths[t]), np.zeros(widths[t], dtype=bool))
+        queue = [t]
+        for u in queue:
+            r, reads, neg = source[u]
+            for image, negated, target in moves:
+                v = int(target[u])
+                if source[v] is None:
+                    at = position[image[blocks[u]]]
+                    v_reads, v_neg = np.empty_like(reads), np.empty_like(neg)
+                    v_reads[at] = reads
+                    v_neg[at] = neg ^ negated[blocks[u]]
+                    source[v] = (r, v_reads, v_neg)
+                    queue.append(v)
+    reps = [t for t, (r, _, _) in enumerate(source) if r == t]
+    orbit_of = {r: i for i, r in enumerate(reps)}
+    block_orbit = np.array([orbit_of[r] for r, _, _ in source])
+    columns = np.sort(np.concatenate([blocks[r] for r in reps]))
+    ranked = tuple(np.searchsorted(columns, blocks[r]) for r in reps)
+    rep_of = np.empty(columns.size, dtype=np.int64)
+    orbits = []
+    for i, positions in enumerate(ranked):
+        rep_of[positions] = i
+        members = np.flatnonzero(block_orbit == i)
+        neg = np.stack([source[t][2] for t in members])
+        orbits.append((
+            members,
+            np.stack([blocks[t] for t in members]),
+            positions[np.stack([source[t][1] for t in members])],
+            neg if neg.any() else None,
+        ))
+    for array in (columns, rep_of, block_orbit, *ranked, *(x for o in orbits for x in o if x is not None)):
+        array.flags.writeable = False
+    return _Orbits(columns, ranked, rep_of, block_orbit, tuple(orbits))
+
+
+def _transported(orbits: _Orbits, null: np.ndarray) -> np.ndarray:
+    """Every block's null-space basis, scattered to full rows, from the representatives' ``null``.
+
+    ``null`` is :func:`svd_nullspace`'s basis of the ``orbits.ranked``
+    blocks of the rows on ``orbits.columns``: each representative's vectors
+    in turn, zero off its positions, so a vector's first nonzero row names
+    its representative.  Each block's vectors are its representative's,
+    read at its source positions and negated where its orbit says, with no
+    other floating-point operation, and the blocks come in order as
+    :func:`svd_nullspace` scatters them.  With every block its own
+    representative, ``null`` itself is the basis.
+    """
+    if len(orbits.ranked) == orbits.block_orbit.size:
+        return null
+    k = np.bincount(orbits.owner[np.argmax(null != 0, axis=0)], minlength=len(orbits.ranked))
+    start = np.cumsum(k) - k
+    per_block = k[orbits.block_orbit]
+    offset = np.cumsum(per_block) - per_block
+    size = sum(o[1].size for o in orbits.orbits)
+    basis = np.zeros((size, int(per_block.sum())), dtype=null.dtype)
+    for i, (members, cols, reads, negated) in enumerate(orbits.orbits):
+        if k[i]:
+            lanes = np.arange(k[i])
+            part = null[reads[:, :, np.newaxis], start[i] + lanes]
+            if negated is not None:
+                np.negative(part, out=part, where=negated[:, :, np.newaxis])
+            basis[cols[:, :, np.newaxis], offset[members, np.newaxis, np.newaxis] + lanes] = part
+    return basis
+
+
+def _entries_to_coords(E: np.ndarray, d: int) -> np.ndarray:
     """Coordinates from the entries :func:`_coordinate_entries` lists, along the last axis.
 
-    Written into ``out``, a real array of shape ``E.shape[:-1] + (d*d,)``,
-    when one is given; else into a new array whose axes keep the memory
-    order of ``E``'s, the layout a concatenation of its parts would have,
-    on which the BLAS products of the coordinates keep their bits.
+    Written into a new array whose axes keep the memory order of ``E``'s,
+    the layout a concatenation of its parts would have, on which the BLAS
+    products of the coordinates keep their bits.
     """
-    if out is None:
-        out = np.empty_like(E, dtype=float, shape=E.shape[:-1] + (d * d,))
+    out = np.empty_like(E, dtype=float, shape=E.shape[:-1] + (d * d,))
     p = E.shape[-1] - d
     out[..., :d] = E[..., :d].real
     np.multiply(_SQRT2, E[..., d:].real, out=out[..., d : d + p])

@@ -50,22 +50,38 @@ def frame_conjugate(A: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Face:
-    """A family's closed form: a draw on its dual face, its positivity identity, its frame.
+    """A family's closed form: a draw on its dual face, its positivity identity, its frame, its symmetries.
 
     ``draw(count, rng)`` gives ``count`` candidate pairs ``(X, Y)``, one
     pair per row (a draw may drop some).  ``pairing(X, Y)`` is the family's
     pairing ``<y|phi(P_x)|y>`` at stacked pairs as a formula that is
     nonnegative by construction.  ``frame``, a unitary ``V`` or None, is the
     frame the face is ranked in: the weight blocks of ``frame_conjugate(W, V)``.
+    ``symmetries`` lists signed permutations ``(sigma, signs)`` of C^n, each
+    the real orthogonal ``O e_i = signs[i] e_sigma[i]``, such that ``O (x) O``
+    fixes W (in the frame, when there is one); the weight blocks they carry
+    onto each other are ranked once per orbit.  Each is stored as two
+    tuples of ints, and one that is not a permutation with signs of one
+    length is refused with ValueError.
     """
 
     draw: Callable
     pairing: Callable
     frame: np.ndarray | None = None
+    symmetries: tuple = ()
 
     def __post_init__(self):
         if self.frame is not None:
             object.__setattr__(self, "frame", np.asarray(self.frame, dtype=complex))
+        object.__setattr__(self, "symmetries", tuple(map(_signed_permutation, self.symmetries)))
+
+
+def _signed_permutation(generator):
+    """``(sigma, signs)`` as two tuples of ints, refused unless a permutation with signs ±1 of one length."""
+    sigma, signs = (tuple(int(v) for v in part) for part in generator)
+    if sorted(sigma) != list(range(len(sigma))) or len(signs) != len(sigma) or not set(signs) <= {1, -1}:
+        raise ValueError(f"a symmetry must be a permutation and signs of one length, got {generator!r}")
+    return sigma, signs
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +92,8 @@ class LinearMatrixMap:
     anything else is a TypeError.  It is a hint, which can cost speed but not
     change a verdict: drawn pairs and the identity are checked against W
     before use.  A frame that is not unitary to ``FRAME_RTOL * max(1, ||W||_F)``
-    is refused with NotUnitary, one that does not fit with DimensionMismatch.
+    is refused with NotUnitary, one that does not fit with DimensionMismatch,
+    as is a symmetry of a face that does not fit (see :class:`Face`).
     """
 
     dim_in: int
@@ -98,6 +115,8 @@ class LinearMatrixMap:
             raise TypeError(f"face must be a Face or None, got {type(self.face).__name__}")
         if self.face is not None and self.face.frame is not None:
             _check_frame(self.face.frame, W, n, m)
+        if self.face is not None and any(len(sigma) != n or n != m for sigma, _ in self.face.symmetries):
+            raise DimensionMismatch(f"a face's symmetry does not fit a map M_{n} -> M_{m}")
 
     def __add__(self, other: "LinearMatrixMap") -> "LinearMatrixMap":
         return add(self, other)
@@ -198,7 +217,8 @@ def witness_pairing(W: np.ndarray, x: np.ndarray, y: np.ndarray) -> float | np.n
     :func:`product_vector`, give an array with one pairing per pair.  Every
     shape runs the same stacked matmuls, one BLAS ``gemv`` and dot per pair,
     so each entry equals its single-pair call bitwise.  NonRealPairing is
-    raised if any pairing has an imaginary residue above the bound.
+    raised if any pairing has an imaginary residue above the bound or
+    a NaN one.
     """
     W = np.asarray(W, dtype=complex)
     z = product_vector(x, y)
@@ -211,7 +231,7 @@ def witness_pairing(W: np.ndarray, x: np.ndarray, y: np.ndarray) -> float | np.n
     value = (z.conj()[..., np.newaxis, :] @ (W @ z[..., np.newaxis]))[..., 0, 0]
     imag = value.imag.ravel()
     imag = float(imag[np.argmax(np.abs(imag))]) if imag.size else 0.0
-    if abs(imag) > bound:
+    if not abs(imag) <= bound:
         raise NonRealPairing(
             f"imaginary residue {imag:.3e} exceeds bound {bound:.3e}"
         )

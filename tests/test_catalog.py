@@ -31,7 +31,8 @@ from conewitness.errors import (
     NotUnitary,
     OddDimension,
 )
-from conewitness.config import ZERO_TOL
+from conewitness import exposedness
+from conewitness.config import FRAME_RTOL, ZERO_TOL
 from conewitness.exposedness import dual_face_samples
 from conewitness.linalg import frobenius, random_unitary
 from conewitness.maps import (
@@ -314,6 +315,32 @@ def test_closed_form_maps_carry_their_face():
 
 
 _HAAR_U4 = random_antisymmetric_unitary(4, np.random.default_rng(1234))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(pytest.param(lambda n=n: reduction(n), id=f"reduction-{n}") for n in (2, 3, 4, 6)),
+        *(pytest.param(lambda n=n: transposition(n), id=f"transpose-{n}") for n in (2, 3, 4, 6)),
+        pytest.param(robertson, id="robertson"),
+        pytest.param(lambda: breuer_hall(_HAAR_U4), id="haar-bh4"),
+        pytest.param(lambda: breuer_hall(np.kron(np.eye(3), SIGMA_Y)), id="bh6"),
+    ],
+)
+def test_face_symmetries_fix_the_choi_matrix(build):
+    """Each closed-form family's symmetries fix its Choi matrix: exactly, or in its frame to the frame's floor.
+
+    The signs matter: Robertson's within-pair swap without its sign does not.
+    """
+    phi = build()
+    W, floor = phi.choi, 0.0
+    if phi.face.frame is not None:
+        W = frame_conjugate(W, phi.face.frame)
+        floor = FRAME_RTOL * max(1.0, frobenius(W))
+    assert phi.face.symmetries
+    assert exposedness._symmetries_fixing(W, phi.face.symmetries, floor) == phi.face.symmetries
+    if phi is robertson():
+        assert exposedness._symmetries_fixing(W, (((1, 0, 2, 3), (1, 1, 1, 1)),), floor) == ()
 
 
 @pytest.mark.parametrize(

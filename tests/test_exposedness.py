@@ -38,6 +38,7 @@ from conewitness.linalg import (
     _coordinate_entries,
     _entries_to_coords,
     _weight_blocks,
+    _weight_orbits,
     coords_to_hermitian,
     fix_phase,
     frobenius,
@@ -421,24 +422,39 @@ def test_nullspace_rejects_undersampling(monkeypatch):
 
 
 def test_nullspace_basis_bits_match_stacked_c_order_blocks():
-    """The basis is V1, C-order blocks ranked one by one, bit for bit; the second sample adds no rank."""
+    """The basis is V1, the representatives' C-order blocks ranked one by one and carried to their orbits, bit for bit.
+
+    The second sample adds no rank.
+    """
     U = random_antisymmetric_unitary(4, np.random.default_rng(3))
     # the Haar BH_4 with its frame left off: a complex W with no zero entry is one block
     one_block = _with_frame(breuer_hall(U))
-    for phi, n, n_blocks in ((robertson(), 4, 26), (one_block, 4, 1), (reduction(3), 3, 20)):
+    for phi, n, n_blocks, n_orbits in ((robertson(), 4, 26, 12), (one_block, 4, 1, 1), (reduction(3), 3, 20, 8)):
         d = n * n
         k = d * d // (4 * n - 3) + 4  # face pairs per sample
         rng = np.random.default_rng(11)
         first, second = (dual_face_samples(phi, k, rng) for _ in range(2))
         C1 = _per_pair_rows(first.X, first.Y)[1]
-        # the first sample's rows, ranked one weight block of columns at a
-        # time and cut at the largest block's norm, scattered back to full rows
+        # the first sample's rows, ranked one representative block of
+        # columns at a time and cut at the largest block's norm; each
+        # block's basis is its representative's rows, read and negated as
+        # its orbit records, scattered back to full rows
         weight_blocks = _weight_blocks(phi.choi, n, n)
         assert len(weight_blocks) == n_blocks
-        sigma_max = max(svd_nullspace(C1[:, cols])[2] for cols in weight_blocks)
+        assert exposedness._symmetries_fixing(phi.choi, phi.face.symmetries, 0.0) == phi.face.symmetries
+        orbits = _weight_orbits(weight_blocks, phi.face.symmetries)
+        assert len(orbits.ranked) == n_orbits
+        reps = [orbits.columns[positions] for positions in orbits.ranked]
+        sigma_max = max(svd_nullspace(C1[:, cols])[2] for cols in reps)
+        nulls = [svd_nullspace(C1[:, cols], scale=sigma_max)[1] for cols in reps]
         parts = []
-        for cols in weight_blocks:
-            _, null, _ = svd_nullspace(C1[:, cols], scale=sigma_max)
+        for t, cols in enumerate(weight_blocks):
+            i = orbits.block_orbit[t]
+            members, _, reads, negated = orbits.orbits[i]
+            row = list(members).index(t)
+            null = nulls[i][np.searchsorted(orbits.ranked[i], reads[row])]
+            if negated is not None:
+                null[negated[row]] *= -1.0
             part = np.zeros((d * d, null.shape[1]))
             part[cols] = null
             parts.append(part)
@@ -754,7 +770,9 @@ def test_full_rank_first_block_is_refused_without_a_second_decomposition(monkeyp
     noise = np.random.default_rng(0)
     rows = exposedness.stationarity_rows
     monkeypatch.setattr(
-        exposedness, "stationarity_rows", lambda X, Y: noise.standard_normal(rows(X, Y).shape)
+        exposedness,
+        "stationarity_rows",
+        lambda X, Y, columns=None: noise.standard_normal(rows(X, Y, columns).shape),
     )
     shapes = []
     decompose = linalg._decompose
@@ -766,14 +784,162 @@ def test_full_rank_first_block_is_refused_without_a_second_decomposition(monkeyp
     monkeypatch.setattr(linalg, "_decompose", counting_decompose)
     with pytest.raises(UnstableDimension, match="excludes the map's own Choi"):
         double_dual_nullspace(reduction(3), rng=np.random.default_rng(0))
-    # one stacked decomposition per block width of the first sample's rows,
-    # none of the second's
-    widths = [len(cols) for cols in _weight_blocks(reduction(3).choi, 3, 3)]
-    assert len(widths) == 20 and sum(widths) == 81
+    # one stacked decomposition per width of the first sample's
+    # representative blocks, none of the second's
+    phi = reduction(3)
+    orbits = _weight_orbits(_weight_blocks(phi.choi, 3, 3), phi.face.symmetries)
+    widths = [len(positions) for positions in orbits.ranked]
+    assert len(widths) == 8 and sum(widths) == orbits.columns.size == 37
     per_width = dict.fromkeys(widths, 0)
     for w in widths:
         per_width[w] += 1
     assert shapes == [(count, 2 * 6 * 13, w) for w, count in per_width.items()]
+
+
+@pytest.mark.parametrize(
+    "build, dim, n_orbits",
+    [
+        pytest.param(lambda: reduction(4), 36, 10, id="reduction-4"),
+        pytest.param(robertson, 1, 12, id="robertson"),
+        pytest.param(
+            lambda: breuer_hall(random_antisymmetric_unitary(4, np.random.default_rng(1234))), 1, 12, id="haar-bh4"
+        ),
+        pytest.param(lambda: breuer_hall(np.kron(np.eye(3), SIGMA_Y)), 15, 14, id="bh6"),
+    ],
+)
+def test_orbit_transport_is_exact_and_spans_each_blocks_own_null_space(build, dim, n_orbits, monkeypatch):
+    """Every block's basis is its representative's rows under the recorded signed permutation, bit for bit.
+
+    Each carried basis spans the null space that ranking the block's own
+    columns gives, and the nullities of all blocks sum to the map's.
+    """
+    phi = build()
+    calls, samples = [], []
+    transported, sample_face = exposedness._transported, exposedness.dual_face_samples
+
+    def recording_transport(orbits, null):
+        calls.append((orbits, null, transported(orbits, null)))
+        return calls[-1][-1]
+
+    def recording_samples(*args):
+        samples.append(sample_face(*args))
+        return samples[-1]
+
+    monkeypatch.setattr(exposedness, "_transported", recording_transport)
+    monkeypatch.setattr(exposedness, "dual_face_samples", recording_samples)
+    k = exposedness._checked_sample_count(phi, None)
+    got, _, diag = exposedness._nullspace_with_diagnostics(phi, k, np.random.default_rng(0))
+    ((orbits, null, V1),) = calls
+    assert got == dim == V1.shape[1]
+    assert diag["weight_orbits"] == len(orbits.ranked) == n_orbits
+    # each orbit's nullity, and where each block's vectors sit in V1
+    nullity = np.bincount(orbits.owner[np.argmax(null != 0, axis=0)], minlength=n_orbits)
+    per_block = nullity[orbits.block_orbit]
+    assert per_block.sum() == dim
+    offset = np.cumsum(per_block) - per_block
+    X, Y = samples[0].X, samples[0].Y
+    if phi.face.frame is not None:
+        X, Y = X @ phi.face.frame.conj(), Y @ phi.face.frame.conj()
+    C = stationarity_rows(X, Y)
+    for i, (members, cols, reads, negated) in enumerate(orbits.orbits):
+        lanes = np.arange(nullity[i])
+        rep = V1[cols[0][:, np.newaxis], offset[members[0]] + lanes]
+        for row, t in enumerate(members):
+            block = V1[cols[row][:, np.newaxis], offset[t] + lanes]
+            want = rep[np.searchsorted(orbits.ranked[i], reads[row])]
+            if negated is not None:
+                want[negated[row]] = -want[negated[row]]
+            assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
+            own = svd_nullspace(C[:, cols[row]], scale=diag["sigma_max"])[1]
+            assert own.shape[1] == nullity[i]
+            assert np.linalg.norm(own - block @ (block.T @ own)) <= 1e-10
+
+
+def test_symmetries_that_do_not_fix_w_are_dropped(monkeypatch):
+    """A face's symmetries that do not fix W rank every block, with the verdict and nullity of no symmetries.
+
+    Reduction-3's face on ``R_3 + 0.1 co_ad(A)``, A real antisymmetric,
+    still vanishes on y = x but breaks S_3.  ``(D (x) I) R_3 (D (x) I)``
+    keeps R_3's zero pattern, which S_3 permutes, but its face (harvested,
+    as y = x misses it) is not symmetric: forcing the symmetries on it
+    carries a wrong basis, which the second sample refuses.
+    """
+    R = reduction(3)
+    A = np.random.default_rng(5).standard_normal((3, 3))
+    D = np.kron(np.diag([1.0, 1.5, 2.0]), np.eye(3))
+    scaled = LinearMatrixMap(3, 3, D @ R.choi @ D, R.face)
+    for W in (R.choi + 0.1 * co_ad_map(A - A.T).choi, scaled.choi):
+        phi = LinearMatrixMap(3, 3, W, R.face)
+        plain = LinearMatrixMap(3, 3, W, Face(R.face.draw, R.face.pairing))
+        assert exposedness._symmetries_fixing(W, R.face.symmetries, 0.0) == ()
+        got, want = (exposedness_report(m, rng=np.random.default_rng(0)) for m in (phi, plain))
+        assert (got.verdict, got.nullspace_dim) == (want.verdict, want.nullspace_dim) == ("NOT_EXPOSED", 9)
+        assert got.diagnostics.pop("weight_orbits") == want.diagnostics["weight_blocks"]
+        assert got.diagnostics == want.diagnostics
+        assert np.array_equal(got.counterexample, want.counterexample)
+    assert want.diagnostics["weight_blocks"] == 20
+    monkeypatch.setattr(exposedness, "_symmetries_fixing", lambda W, symmetries, floor: symmetries)
+    with pytest.raises(UnstableDimension, match=r"^nullspace dim 9 at 13 samples vs \d+ at 26$"):
+        exposedness_report(scaled, rng=np.random.default_rng(0))
+
+
+def test_a_nan_containment_residual_is_refused(monkeypatch):
+    """A NaN residual is no pass: the containment check is ``not residual <= bound``."""
+    residuals = exposedness._stationarity_residuals
+
+    def nan_for_w(X, Y, H):
+        R = residuals(X, Y, H)
+        R[:, -1] = np.nan  # W's residuals, the last column
+        return R
+
+    monkeypatch.setattr(exposedness, "_stationarity_residuals", nan_for_w)
+    with pytest.raises(UnstableDimension, match=r"^sampled face excludes the map's own Choi \(residual nan\)$"):
+        double_dual_nullspace(reduction(3), rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "build, dim, n_orbits",
+    [
+        *(
+            pytest.param(lambda n=n: reduction(n), dim, orbits, id=f"reduction-{n}")
+            for n, dim, orbits in ((3, 9, 8), (4, 36, 10), (5, 100, 10))
+        ),
+        *(
+            pytest.param(lambda n=n: transposition(n), 1, orbits, id=f"transpose-{n}")
+            for n, orbits in ((3, 8), (4, 10), (5, 10))
+        ),
+    ],
+)
+def test_closed_form_nullity_curve(build, dim, n_orbits):
+    """Reduction-n has nullity C(n, 2)^2 and transposition-n nullity 1, at n = 3, 4 and 5."""
+    phi = build()
+    k = exposedness._checked_sample_count(phi, None)
+    got, _, diag = exposedness._nullspace_with_diagnostics(phi, k, np.random.default_rng(0))
+    assert (got, diag["dim_at_k"], diag["weight_orbits"]) == (dim, dim, n_orbits)
+
+
+def test_stationarity_rows_on_columns_are_the_full_rows_columns_bit_for_bit():
+    """Rows on ascending columns are those columns of the full rows, signed zeros included; other columns are refused."""
+    rng = np.random.default_rng(4)
+    phi = breuer_hall(random_antisymmetric_unitary(4, rng))
+    sample = dual_face_samples(phi, 9, rng)
+    X, Y = sample.X @ phi.face.frame.conj(), sample.Y @ phi.face.frame.conj()
+    C = stationarity_rows(X, Y)
+    reduction_orbits = _weight_orbits(_weight_blocks(reduction(4).choi, 4, 4), reduction(4).face.symmetries)
+    for cols in (
+        reduction_orbits.columns,
+        np.sort(rng.choice(256, size=40, replace=False)),
+        np.arange(256),
+        [0],
+        [255],
+        np.arange(16, 136),
+    ):
+        got = stationarity_rows(X, Y, cols)
+        assert got.flags.f_contiguous
+        assert np.array_equal(got.view(np.uint64), C[:, cols].view(np.uint64))
+    for bad in ([3, 2], [0, 0], [-1], [256], [], np.array([0.5]), np.eye(2, dtype=int)):
+        with pytest.raises(ValueError):
+            stationarity_rows(X, Y, bad)
 
 
 def test_nullspace_dimension_change_is_refused(monkeypatch, capsys):

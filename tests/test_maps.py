@@ -138,6 +138,27 @@ def test_witness_pairing_errors():
         witness_pairing(W, X, Y)
     with pytest.raises(DimensionMismatch):
         witness_pairing(np.eye(4), np.ones(3), np.ones(3))
+    # a NaN pairing is no pass: the check is ``not abs(imag) <= bound``
+    with pytest.raises(NonRealPairing, match="imaginary residue nan"):
+        witness_pairing(np.eye(4), np.array([np.nan, 1.0]), np.array([1.0, 0.0]))
+
+
+def test_face_symmetries_are_signed_permutations_that_fit():
+    """A face stores its symmetries as tuples of ints, refuses any that is not a signed permutation, and must fit its map."""
+
+    def nothing(*args):
+        return None
+
+    face = Face(nothing, nothing, None, [(np.array([1, 0, 2]), [1, -1, 1])])
+    assert face.symmetries == (((1, 0, 2), (1, -1, 1)),)
+    assert Face(nothing, nothing).symmetries == ()
+    for bad in (((0, 0, 2), (1, 1, 1)), ((1, 0, 2), (1, 2, 1)), ((1, 0), (1, 1, 1)), ((1, 0, 2), (1, np.nan, 1))):
+        with pytest.raises(ValueError):
+            Face(nothing, nothing, None, [bad])
+    assert LinearMatrixMap(3, 3, np.eye(9), face).face is face
+    for n, m in ((2, 2), (3, 2)):
+        with pytest.raises(DimensionMismatch):
+            LinearMatrixMap(n, m, np.eye(n * m), face)
 
 
 def test_compose_with_transpose():
