@@ -317,16 +317,17 @@ def test_closed_form_maps_carry_their_face():
 _HAAR_U4 = random_antisymmetric_unitary(4, np.random.default_rng(1234))
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        *(pytest.param(lambda n=n: reduction(n), id=f"reduction-{n}") for n in (2, 3, 4, 6)),
-        *(pytest.param(lambda n=n: transposition(n), id=f"transpose-{n}") for n in (2, 3, 4, 6)),
-        pytest.param(robertson, id="robertson"),
-        pytest.param(lambda: breuer_hall(_HAAR_U4), id="haar-bh4"),
-        pytest.param(lambda: breuer_hall(np.kron(np.eye(3), SIGMA_Y)), id="bh6"),
-    ],
-)
+# every family whose constructor attaches a closed-form face
+_CLOSED_FORM = [
+    *(pytest.param(lambda n=n: reduction(n), id=f"reduction-{n}") for n in (2, 3, 4, 6)),
+    *(pytest.param(lambda n=n: transposition(n), id=f"transpose-{n}") for n in (2, 3, 4, 6)),
+    pytest.param(robertson, id="robertson"),
+    pytest.param(lambda: breuer_hall(_HAAR_U4), id="haar-bh4"),
+    pytest.param(lambda: breuer_hall(np.kron(np.eye(3), SIGMA_Y)), id="bh6"),
+]
+
+
+@pytest.mark.parametrize("build", _CLOSED_FORM)
 def test_face_symmetries_fix_the_choi_matrix(build):
     """Each closed-form family's symmetries fix its Choi matrix: exactly, or in its frame to the frame's floor.
 
@@ -343,16 +344,7 @@ def test_face_symmetries_fix_the_choi_matrix(build):
         assert exposedness._symmetries_fixing(W, (((1, 0, 2, 3), (1, 1, 1, 1)),), floor) == ()
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        *(pytest.param(lambda n=n: reduction(n), id=f"reduction-{n}") for n in (2, 3, 4, 6)),
-        *(pytest.param(lambda n=n: transposition(n), id=f"transpose-{n}") for n in (2, 3, 4, 6)),
-        pytest.param(robertson, id="robertson"),
-        pytest.param(lambda: breuer_hall(_HAAR_U4), id="haar-bh4"),
-        pytest.param(lambda: breuer_hall(np.kron(np.eye(3), SIGMA_Y)), id="bh6"),
-    ],
-)
+@pytest.mark.parametrize("build", _CLOSED_FORM)
 def test_positivity_identity_equals_witness_pairing(build):
     """Each closed-form family's identity is its map's pairing, and it is nonnegative."""
     phi = build()
