@@ -61,31 +61,6 @@ def require_hermitian(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _decompose(M):
-    """Singular values of ``M`` or of each matrix of a stack, and the matrix they were read from.
-
-    A tall matrix is replaced by its Householder ``R`` factor, which has the
-    same singular values and right singular vectors; any other matrix is
-    kept as it is.  Only the values are computed here (LAPACK's ``gesdd``
-    with no vectors); :func:`_right_vectors` reads the vectors of the
-    returned matrix when a null space needs them.
-    """
-    try:
-        if M.shape[-2] > M.shape[-1]:
-            M = np.linalg.qr(M, mode="r")
-        return np.linalg.svd(M, compute_uv=False), M
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
-        raise ConvergenceFailure(str(exc)) from exc
-
-
-def _right_vectors(R):
-    """``V^H`` of ``R`` or of each matrix of a stack, complete for a wide matrix."""
-    try:
-        return np.linalg.svd(R, full_matrices=R.shape[-2] < R.shape[-1])[2]
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
-        raise ConvergenceFailure(str(exc)) from exc
-
-
 def _checked_blocks(blocks, cols):
     """``blocks``, or one block of every column, refused unless they partition ``range(cols)``."""
     if blocks is None:
@@ -129,21 +104,16 @@ def svd_nullspace(M: np.ndarray, *, scale: float | None = None, blocks=None):
     by block in the order given, each block's vectors zero off its columns)
     and ``sigma_max`` is the same whatever ``scale`` is.
 
-    The values come first: blocks of one width are reduced as one stack, one
-    QR (for tall blocks) and one values-only SVD call per distinct width
-    (:func:`_decompose`), and ``sigma_max``, the cutoff and every rank are
-    read from those values.  A block with no value above the cutoff is null
-    throughout, and its basis is the identity on its columns.  Only the
-    blocks with values on both sides of the cutoff get right singular
-    vectors, from one SVD of their ``R`` factors per width.  LAPACK runs
-    the same routine on each matrix of a stack, so every block gets the
-    bits of its own call.  The SVD of ``R`` has the same values and ``V``
-    as that of the tall block (Chan's R-SVD, which ``gesdd`` runs
-    internally on a tall enough matrix anyway), and neither ``Q`` nor a
-    rows x cols ``U`` is ever formed.  A wide block needs the full ``V``,
-    whose trailing rows beyond the row count span part of the null space.
-    NumPy hands LAPACK a column-major copy of every matrix, so the layout
-    of ``M`` (or of a stack) never changes the bits.
+    Each block is ranked on its own, values first.  A tall block is replaced
+    by its ``R`` factor (``np.linalg.qr(mode="r")``), which has the same
+    singular values and right singular vectors, so neither ``Q`` nor a
+    rows x cols ``U`` is ever formed; then a values-only SVD gives its
+    values.  ``sigma_max``, the cutoff and every rank are read from those
+    values, and values that are not all finite raise ValueError.  A block
+    with no value above the cutoff is null throughout, its basis the
+    identity on its columns; a block of rank ``r`` below its width gets the
+    rows of ``V^H`` past ``r`` from an SVD with vectors (the full ``V`` of a
+    wide block); a block of full rank adds nothing.
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex if np.iscomplexobj(M) else float))
     if M.size == 0:
@@ -151,35 +121,26 @@ def svd_nullspace(M: np.ndarray, *, scale: float | None = None, blocks=None):
     if scale is not None and not scale >= 0.0:
         raise ValueError(f"scale must be nonnegative, got {scale}")
     blocks = _checked_blocks(blocks, M.shape[1])
-    by_width = {}
-    for t, cols in enumerate(blocks):
-        by_width.setdefault(len(cols), []).append(t)
-    stacks = [
-        # one (blocks, rows, width) stack per width, gathered as rows of M^T
-        (ts, *_decompose(M.T[np.stack([blocks[t] for t in ts])].swapaxes(-1, -2)))
-        for ts in by_width.values()
-    ]
-    smax = max(float(s[:, 0].max()) for _, s, _ in stacks)
-    cutoff = NULLSPACE_REL_TOL * (smax if scale is None else scale)
-    ranks, nulls = [0] * len(blocks), [None] * len(blocks)
-    for ts, s, R in stacks:
-        rank = np.count_nonzero(s > cutoff, axis=1)
-        width = R.shape[-1]
-        for t, r in zip(ts, rank.tolist()):
-            ranks[t] = r
+    try:
+        Rs = [M[:, cols] for cols in blocks]
+        Rs = [np.linalg.qr(R, mode="r") if R.shape[0] > R.shape[1] else R for R in Rs]
+        values = [np.linalg.svd(R, compute_uv=False) for R in Rs]
+        if not all(np.isfinite(s).all() for s in values):
+            raise ValueError("svd_nullspace requires finite entries")
+        smax = max(float(s[0]) for s in values)
+        cutoff = NULLSPACE_REL_TOL * (smax if scale is None else scale)
+        ranks = [int(np.count_nonzero(s > cutoff)) for s in values]
+        basis = np.zeros((M.shape[1], M.shape[1] - sum(ranks)), dtype=M.dtype)
+        j = 0
+        for cols, R, r in zip(blocks, Rs, ranks):
+            width = R.shape[1]
             if r == 0:
-                nulls[t] = np.eye(width, dtype=M.dtype)
-        # right vectors only for the blocks with values on both sides of the
-        # cutoff, restacked
-        short = np.flatnonzero((rank > 0) & (rank < width))
-        for i, vh in zip(short, _right_vectors(R[short]) if short.size else ()):
-            nulls[ts[i]] = vh[rank[i] :].conj().T
-    basis = np.zeros((M.shape[1], M.shape[1] - sum(ranks)), dtype=M.dtype)
-    j = 0
-    for cols, null in zip(blocks, nulls):
-        if null is not None:
-            basis[cols, j : j + null.shape[1]] = null
-            j += null.shape[1]
+                basis[cols, j : j + width] = np.eye(width)
+            elif r < width:
+                basis[cols, j : j + width - r] = np.linalg.svd(R, full_matrices=R.shape[0] < width)[2][r:].conj().T
+            j += width - r
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
     return sum(ranks), basis, smax
 
 

@@ -58,7 +58,7 @@ from conewitness.maps import (
     witness_pairing,
 )
 from conewitness.positivity import SeeSawConfig, is_block_positive
-from conewitness import cli, exposedness, linalg
+from conewitness import cli, exposedness
 from conewitness.exposedness import (
     DualFaceSample,
     cone_search_off_ray,
@@ -689,8 +689,8 @@ def test_breuer_hall_weight_blocks_come_from_w_alone(k, count, widest, monkeypat
     def no_decomposition(*args, **kwargs):
         raise AssertionError("a matrix was decomposed")
 
-    for module, name in ((linalg, "_decompose"), (np.linalg, "svd"), (np.linalg, "qr")):
-        monkeypatch.setattr(module, name, no_decomposition)
+    monkeypatch.setattr(np.linalg, "svd", no_decomposition)
+    monkeypatch.setattr(np.linalg, "qr", no_decomposition)
     n = 2 * k
     d = n * n
     blocks = _weight_blocks(breuer_hall(np.kron(np.eye(k), SIGMA_Y)).choi, n, n)
@@ -739,16 +739,17 @@ def test_robertson_face_gets_right_vectors_for_one_block_only(monkeypatch):
     C = stationarity_rows(sample.X, sample.Y)
     blocks = _weight_blocks(phi.choi, 4, 4)
     assert len(blocks) == 26
-    stacks = []
-    right_vectors = linalg._right_vectors
+    vector_svds = []
+    svd = np.linalg.svd
 
-    def counting_right_vectors(R):
-        stacks.append(R.shape)
-        return right_vectors(R)
+    def counting_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            vector_svds.append(a.shape)
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "_right_vectors", counting_right_vectors)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     rank, basis, sigma_max = svd_nullspace(C, blocks=blocks)
-    assert rank == 255 and len(stacks) == 1 and stacks[0][0] == 1
+    assert rank == 255 and vector_svds == [(26, 26)]
     cutoff = NULLSPACE_REL_TOL * sigma_max
     parts = []
     for cols in blocks:
@@ -760,9 +761,9 @@ def test_robertson_face_gets_right_vectors_for_one_block_only(monkeypatch):
     want = np.hstack(parts)
     assert np.array_equal(basis.view(np.uint64), want.view(np.uint64))
 
-    stacks.clear()
+    vector_svds.clear()
     assert double_dual_nullspace(phi, rng=np.random.default_rng(0))[0] == 1
-    assert stacks == [(1, 26, 26)]
+    assert vector_svds == [(26, 26)]
 
 
 def test_full_rank_first_block_is_refused_without_a_second_decomposition(monkeypatch):
@@ -774,26 +775,28 @@ def test_full_rank_first_block_is_refused_without_a_second_decomposition(monkeyp
         "stationarity_rows",
         lambda X, Y, columns=None: noise.standard_normal(rows(X, Y, columns).shape),
     )
-    shapes = []
-    decompose = linalg._decompose
+    calls = []
+    qr, svd = np.linalg.qr, np.linalg.svd
 
-    def counting_decompose(M):
-        shapes.append(M.shape)
-        return decompose(M)
+    def counting_qr(a, *args, **kwargs):
+        calls.append(("qr", a.shape))
+        return qr(a, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "_decompose", counting_decompose)
+    def counting_svd(a, *args, **kwargs):
+        calls.append(("svd", a.shape, kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     with pytest.raises(UnstableDimension, match="excludes the map's own Choi"):
         double_dual_nullspace(reduction(3), rng=np.random.default_rng(0))
-    # one stacked decomposition per width of the first sample's
-    # representative blocks, none of the second's
+    # one QR and one values-only SVD per representative block of the first
+    # sample, no vectors and nothing of the second's
     phi = reduction(3)
     orbits = _weight_orbits(_weight_blocks(phi.choi, 3, 3), phi.face.symmetries)
     widths = [len(positions) for positions in orbits.ranked]
     assert len(widths) == 8 and sum(widths) == orbits.columns.size == 37
-    per_width = dict.fromkeys(widths, 0)
-    for w in widths:
-        per_width[w] += 1
-    assert shapes == [(count, 2 * 6 * 13, w) for w, count in per_width.items()]
+    assert calls == [("qr", (2 * 6 * 13, w)) for w in widths] + [("svd", (w, w), False) for w in widths]
 
 
 @pytest.mark.parametrize(

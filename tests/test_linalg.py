@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conewitness import cli
 from conewitness.config import NULLSPACE_REL_TOL
-from conewitness.errors import NonHermitianInput
+from conewitness.errors import ConvergenceFailure, NonHermitianInput
 from conewitness.linalg import (
     _coordinate_entries,
     coords_to_hermitian,
@@ -112,27 +112,30 @@ def test_svd_nullspace_tall_rank_deficient():
 
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("rows", [40, 5])
-def test_svd_nullspace_stacks_blocks_of_one_width_bitwise(rows, dtype):
-    """Blocks of one width are decomposed as one stack, with the bits of ranking each on its own."""
+def test_svd_nullspace_gives_each_block_the_bits_of_its_own_call(rows, dtype):
+    """Every block's basis and values are those of ranking its columns alone at the same scale, bit for bit."""
     rng = np.random.default_rng(12)
-    M = rng.standard_normal((rows, 24)).astype(dtype)
+    M = rng.standard_normal((rows, 26)).astype(dtype)
     if dtype is complex:
-        M += 1j * rng.standard_normal((rows, 24))
-    cols = rng.permutation(24)
-    # widths 6, 6, 3, 6, 3: at 5 rows the 6-wide blocks are wide and the 3-wide tall
-    blocks = [np.sort(part) for part in np.split(cols, [6, 12, 15, 21])]
+        M += 1j * rng.standard_normal((rows, 26))
+    cols = rng.permutation(26)
+    # widths 6, 6, 3, 6, 3, 2: at 5 rows the 6-wide blocks are wide and the
+    # 3-wide tall
+    blocks = [np.sort(part) for part in np.split(cols, [6, 12, 15, 21, 24])]
     for block in blocks[:4]:
         M[:, block[-1]] = M[:, block[0]] - 2 * M[:, block[1]]  # one null vector at least
+    M[:, blocks[5]] *= 1e-12  # every value of the last block is below the cutoff
     rank, basis, sigma_max = svd_nullspace(M, blocks=blocks)
     assert sigma_max == max(svd_nullspace(M[:, block])[2] for block in blocks)
     parts = []
     for block in blocks:
         _, null, _ = svd_nullspace(M[:, block], scale=sigma_max)
-        part = np.zeros((24, null.shape[1]), dtype=dtype)
+        part = np.zeros((26, null.shape[1]), dtype=dtype)
         part[block] = null
         parts.append(part)
-    assert np.array_equal(basis, np.hstack(parts))
-    assert rank == 24 - basis.shape[1] and basis.dtype == dtype
+    assert np.array_equal(parts[5][blocks[5]], np.eye(2))
+    assert np.array_equal(basis.view(np.uint64), np.hstack(parts).view(np.uint64))
+    assert rank == 26 - basis.shape[1] and basis.dtype == dtype
     assert np.max(np.abs(M @ basis)) < 1e-12 * sigma_max
 
 
@@ -148,6 +151,23 @@ def test_svd_nullspace_zero_matrix_and_bad_tol():
         svd_nullspace(np.empty((0, 0)))
     with pytest.raises(ValueError):
         svd_nullspace(np.eye(2), scale=-1.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("blocks", [None, [[0, 1], [2, 3]]], ids=["alone", "in-one-block-of-two"])
+def test_svd_nullspace_refuses_non_finite_entries(bad, blocks):
+    """A non-finite entry gives singular values no cutoff can rank: refused, never a rank.
+
+    LAPACK turns an infinite entry of a square block into NaN values,
+    refused as a ValueError; a NaN entry may stop LAPACK itself
+    (ConvergenceFailure).
+    """
+    M = np.array([[bad, 0.0, 1.0, 2.0], [0.0, 1.0, 3.0, 4.0]])
+    if blocks is None:
+        M = M[:, :2]
+    for A in (M, M.astype(complex)):
+        with pytest.raises(ValueError if np.isinf(bad) else (ValueError, ConvergenceFailure)):
+            svd_nullspace(A, blocks=blocks)
 
 
 def test_svd_nullspace_scale_sets_the_cutoff():
@@ -233,7 +253,7 @@ def test_svd_nullspace_refuses_blocks_that_do_not_partition_the_columns(blocks, 
 
 
 def test_svd_nullspace_decomposes_values_first_and_vectors_only_where_rank_falls_short(monkeypatch):
-    """Every block's values come from one values-only SVD per width.
+    """Every block's values come from its own values-only SVD, all before any vectors.
 
     Only a block with values on both sides of the cutoff gets vectors; a
     block with none above it is null throughout, its basis the identity.
@@ -253,7 +273,7 @@ def test_svd_nullspace_decomposes_values_first_and_vectors_only_where_rank_falls
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     rank, basis, sigma_max = svd_nullspace(M, blocks=blocks)
     assert rank == 11 and basis.shape == (14, 3)
-    assert calls == [((2, 3, 3), False), ((1, 6, 6), False), ((1, 2, 2), False), ((1, 3, 3), True)]
+    assert calls == [((3, 3), False), ((3, 3), False), ((6, 6), False), ((2, 2), False), ((3, 3), True)]
     assert sigma_max == max(svd(np.linalg.qr(M[:, cols], mode="r"), compute_uv=False)[0] for cols in blocks)
     want = svd(np.linalg.qr(M[:, 3:6], mode="r"))[2][2:].conj().T
     assert np.array_equal(basis[3:6, :1], want) and not basis[:3].any() and not basis[6:12].any()
