@@ -45,12 +45,12 @@ from .errors import (
     ZeroWitness,
 )
 from .linalg import (
-    _SQRT2,
-    _coordinate_entries,
-    _product_permutation,
+    _column_reads,
+    _symmetries_fixing,
     _transported,
     _weight_blocks,
     _weight_orbits,
+    _write_coords,
     fix_phase,
     frobenius,
     hermitian_to_coords,
@@ -208,7 +208,8 @@ def stationarity_rows(X: np.ndarray, Y: np.ndarray, columns: np.ndarray | None =
     the default is every column.  Only the entries the columns read are
     formed, a chunk of pairs at a time in three complex buffers of at most
     ``_ASSEMBLY_ENTRIES`` entries each (at least one pair), updated in place
-    and written straight into the rows: the complex operations of
+    and written straight into the rows by the coordinates' one writer,
+    :func:`conewitness.linalg._write_coords`: the complex operations of
     ``(w z^H + z w^H) / 2`` and ``(i w z^H - i z w^H) / 2`` in that order,
     so every bit, signed zeros included, is that of those expressions,
     whichever columns are asked for.  The rows come column-major.
@@ -221,7 +222,6 @@ def stationarity_rows(X: np.ndarray, Y: np.ndarray, columns: np.ndarray | None =
             raise ValueError("columns must be a 1-D array of coordinate indices")
         columns = columns.astype(np.int64).tobytes()
     a, b, parts = _column_reads(d, columns)
-    (diag, at), (re, at_re), (im, at_im) = parts
     zc = product_vector(X, Y).conj().T[:, :, np.newaxis]  # (nm, k, 1)
     ws = np.concatenate(
         [
@@ -232,8 +232,9 @@ def stationarity_rows(X: np.ndarray, Y: np.ndarray, columns: np.ndarray | None =
     ).transpose(2, 0, 1)  # (nm, k, n + m)
     # coordinate-major: the rows come column-major, the layout on which the
     # containment product C @ c keeps its bits, and each block's columns
-    # are gathered from contiguous memory
-    rows = np.empty((im.stop,) + ws.shape[1:] + (2,))
+    # are gathered from contiguous memory; the last part's columns end at
+    # the column count
+    rows = np.empty((parts[-1][0].stop,) + ws.shape[1:] + (2,))
     step = max(1, _ASSEMBLY_ENTRIES // (a.size * ws.shape[2]))
     for lo in range(0, ws.shape[1], step):
         w, z = ws[:, lo : lo + step], zc[:, lo : lo + step]
@@ -249,48 +250,8 @@ def stationarity_rows(X: np.ndarray, Y: np.ndarray, columns: np.ndarray | None =
         skew -= zw
         skew /= 2  # the imaginary part's entries
         for part, E in enumerate((wz, skew)):
-            out = rows[:, lo : lo + step, :, part]
-            out[diag] = E.real[at]
-            np.multiply(_SQRT2, E.real[at_re], out=out[re])
-            np.multiply(_SQRT2, E.imag[at_im], out=out[im])
+            _write_coords(E, parts, rows[:, lo : lo + step, :, part])
     return rows.reshape(rows.shape[0], -1).T
-
-
-@functools.lru_cache(maxsize=64)
-def _column_reads(d, columns):
-    """The entries that coordinate ``columns`` read, and where each column reads its entry.
-
-    ``columns`` is the bytes of strictly ascending int64 coordinate
-    indices, or None for every column.  Returns ``(a, b, parts)``: the row
-    and column indices of the entries to form, read-only, and for the
-    diagonal, Re and Im columns in turn (in that order as the columns
-    ascend) a pair ``(rows, at)``, the slice of the output columns they
-    fill and the entries they read, a slice where those are contiguous.
-    Columns that are not strictly ascending in ``[0, d^2)`` raise ValueError.
-    """
-    a, b = _coordinate_entries(d)
-    p = a.size - d
-    cols = np.arange(d * d) if columns is None else np.frombuffer(columns, dtype=np.int64)
-    if not cols.size or cols[0] < 0 or cols[-1] >= d * d or np.any(np.diff(cols) <= 0):
-        raise ValueError(f"columns must be strictly ascending indices in [0, {d * d})")
-    entry = np.where(cols < d + p, cols, cols - p)
-    used = np.zeros(a.size, dtype=bool)
-    used[entry] = True
-    used = np.flatnonzero(used)
-    cuts = [0, *np.searchsorted(cols, [d, d + p]).tolist(), cols.size]
-    parts = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        at = np.searchsorted(used, entry[lo:hi])
-        if not at.size:
-            at = slice(0, 0)
-        elif at[-1] - at[0] == at.size - 1:
-            at = slice(int(at[0]), int(at[-1]) + 1)
-        else:
-            at.flags.writeable = False
-        parts.append((slice(lo, hi), at))
-    a, b = a[used], b[used]
-    a.flags.writeable = b.flags.writeable = False
-    return a, b, tuple(parts)
 
 
 def _stationarity_residuals(X, Y, H):
@@ -329,20 +290,6 @@ def _checked_sample_count(phi, sample_count):
     return k
 
 
-def _symmetries_fixing(W, symmetries, floor):
-    """The ``symmetries`` whose ``O (x) O`` fixes ``W`` to ``floor``, entry by entry.
-
-    ``(O (x) O) W (O (x) O)^t`` has ``sign[a] sign[b] W[a, b]`` at
-    ``(pi[a], pi[b])``; a NaN difference keeps no symmetry.
-    """
-    kept = []
-    for sigma, signs in symmetries:
-        pi, sign = _product_permutation(sigma, signs)
-        if np.abs(W[pi][:, pi] * (sign[:, np.newaxis] * sign) - W).max() <= floor:
-            kept.append((sigma, signs))
-    return tuple(kept)
-
-
 def _nullspace_with_diagnostics(phi, k, rng):
     """Orthonormal null-space coordinate rows ``(dim, (nm)^2)`` of two ``k``-pair samples.
 
@@ -365,15 +312,10 @@ def _nullspace_with_diagnostics(phi, k, rng):
     d = n * m
     V = None if phi.face is None else phi.face.frame
     # the map's own Choi matrix, in the frame the rows are built in, and the
-    # same matrix as its blocks read it: its zero entries and its reality
+    # floor its blocks and symmetries read it to
     W = phi.choi if V is None else frame_conjugate(phi.choi, V)
-    pattern, floor = W, 0.0
-    if V is not None:
-        floor = FRAME_RTOL * max(1.0, frobenius(W))
-        pattern = np.where(np.abs(W) > floor, W, 0.0)
-        if np.abs(W.imag).max() <= floor:
-            pattern = pattern.real
-    blocks = _weight_blocks(pattern, n, m)
+    floor = 0.0 if V is None else FRAME_RTOL * max(1.0, frobenius(W))
+    blocks = _weight_blocks(W, n, m, floor)
     symmetries = () if phi.face is None else phi.face.symmetries
     orbits = _weight_orbits(blocks, _symmetries_fixing(W, symmetries, floor))
 

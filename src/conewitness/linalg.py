@@ -1,8 +1,10 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream consumes these primitives: the Hermiticity check,
-SVD-based null spaces, Haar-random unit vectors and unitaries, and the real
-parameterization of Hermitian matrices used by the face constraint systems.
+SVD-based null spaces, Haar-random unit vectors and unitaries, the real
+parameterization of Hermitian matrices used by the face constraint systems
+(its one index table and its one writer), and the weight blocks and
+symmetry orbits that the null space is ranked in, read off W.
 
 All randomized functions take an explicit ``numpy.random.Generator``; there
 is no ambient RNG state anywhere in the library.
@@ -97,7 +99,8 @@ def svd_nullspace(M: np.ndarray, *, scale: float | None = None, blocks=None):
     ``scale`` defaults to ``sigma_max``, the largest singular value of any
     block.  A caller that ranks one set of rows projected onto another
     set's null space passes the other set's ``sigma_max``, so that both
-    ranks are cut at one absolute level.
+    ranks are cut at one absolute level.  A ``scale`` that is negative or
+    not finite raises ValueError.
 
     Returns ``(rank, basis, sigma_max)`` where ``basis`` has orthonormal
     columns spanning the null space (shape ``(cols, cols - rank)``, block
@@ -118,12 +121,12 @@ def svd_nullspace(M: np.ndarray, *, scale: float | None = None, blocks=None):
     M = np.atleast_2d(np.asarray(M, dtype=complex if np.iscomplexobj(M) else float))
     if M.size == 0:
         raise ValueError("svd_nullspace requires a nonempty matrix")
-    if scale is not None and not scale >= 0.0:
-        raise ValueError(f"scale must be nonnegative, got {scale}")
+    if scale is not None and not 0.0 <= scale < np.inf:
+        raise ValueError(f"scale must be nonnegative and finite, got {scale}")
     blocks = _checked_blocks(blocks, M.shape[1])
     try:
-        Rs = [M[:, cols] for cols in blocks]
-        Rs = [np.linalg.qr(R, mode="r") if R.shape[0] > R.shape[1] else R for R in Rs]
+        copies = (M[:, cols] for cols in blocks)  # each freed as soon as its QR is taken
+        Rs = [np.linalg.qr(R, mode="r") if R.shape[0] > R.shape[1] else R for R in copies]
         values = [np.linalg.svd(R, compute_uv=False) for R in Rs]
         if not all(np.isfinite(s).all() for s in values):
             raise ValueError("svd_nullspace requires finite entries")
@@ -228,6 +231,59 @@ def _coordinate_entries(d: int):
     return a, b
 
 
+@functools.lru_cache(maxsize=64)
+def _column_reads(d, columns):
+    """The entries that coordinate ``columns`` read, and where each column reads its entry.
+
+    ``columns`` is the bytes of strictly ascending int64 coordinate
+    indices, or None for every column.  Returns ``(a, b, parts)``: the row
+    and column indices of the entries to form, a subset of
+    :func:`_coordinate_entries` in its order, read-only, and for the
+    diagonal, Re and Im columns in turn (in that order as the columns
+    ascend) a pair ``(rows, at)``, the slice of the output columns they
+    fill and the entries they read, a slice where those are contiguous,
+    which :func:`_write_coords` takes.  Columns that are not strictly
+    ascending in ``[0, d^2)`` raise ValueError.
+    """
+    a, b = _coordinate_entries(d)
+    p = a.size - d
+    cols = np.arange(d * d) if columns is None else np.frombuffer(columns, dtype=np.int64)
+    if not cols.size or cols[0] < 0 or cols[-1] >= d * d or np.any(np.diff(cols) <= 0):
+        raise ValueError(f"columns must be strictly ascending indices in [0, {d * d})")
+    entry = np.where(cols < d + p, cols, cols - p)
+    used = np.zeros(a.size, dtype=bool)
+    used[entry] = True
+    used = np.flatnonzero(used)
+    cuts = [0, *np.searchsorted(cols, [d, d + p]).tolist(), cols.size]
+    parts = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        at = np.searchsorted(used, entry[lo:hi])
+        if not at.size:
+            at = slice(0, 0)
+        elif at[-1] - at[0] == at.size - 1:
+            at = slice(int(at[0]), int(at[-1]) + 1)
+        else:
+            at.flags.writeable = False
+        parts.append((slice(lo, hi), at))
+    a, b = a[used], b[used]
+    a.flags.writeable = b.flags.writeable = False
+    return a, b, tuple(parts)
+
+
+def _write_coords(E, parts, out):
+    """Write the coordinates of the entries ``E`` into ``out``, both along the first axis.
+
+    ``E`` holds the entries :func:`_column_reads` lists, ``parts`` its
+    ``(rows, at)`` pairs: the diagonal columns get ``E.real``, the Re and Im
+    columns ``sqrt(2)`` times ``E.real`` and ``E.imag``, each read at its
+    ``at`` and written in place, with no other temporary.
+    """
+    (diag, at), (re, at_re), (im, at_im) = parts
+    out[diag] = E.real[at]
+    np.multiply(_SQRT2, E.real[at_re], out=out[re])
+    np.multiply(_SQRT2, E.imag[at_im], out=out[im])
+
+
 def _integer_null_point(G) -> np.ndarray:
     """A generic point of the null space of the square integer matrix ``G``.
 
@@ -264,11 +320,17 @@ def _integer_null_point(G) -> np.ndarray:
     return point
 
 
-def _weight_blocks(W: np.ndarray, n: int, m: int) -> tuple:
+def _weight_blocks(W: np.ndarray, n: int, m: int, floor: float) -> tuple:
     """Coordinate columns of ``nm x nm`` Hermitian matrices, in blocks that split the face's null space.
 
+    ``W`` is read to ``floor``: an entry is nonzero where
+    ``|W[a, b]| > floor``, and ``W`` is real where every
+    ``|Im W[a, b]| <= floor``.  A map's own Choi matrix is read exactly, at
+    floor 0; one carried into a face's frame at that frame's floor, which
+    the frame's round-off stays below.
+
     Give basis vector ``(i, k)`` the weight ``mu = alpha_i + beta_k``, with
-    ``mu_a = mu_b`` wherever ``W[a, b] != 0`` exactly.  The diagonal unitaries
+    ``mu_a = mu_b`` wherever ``W[a, b]`` is nonzero.  The diagonal unitaries
     ``exp(i t mu)`` are then product unitaries that fix ``W``, so they map the
     dual face to itself and its null space N to itself, and entry ``(a, b)`` of a
     Hermitian matrix turns with weight ``mu_a - mu_b``.  N is therefore the
@@ -276,12 +338,11 @@ def _weight_blocks(W: np.ndarray, n: int, m: int) -> tuple:
     weights, and each class can be ranked on its own columns.  The Re and Im
     columns of an entry share its class; the diagonal is weight 0.
 
-    A real ``W`` (a real array, or an imaginary part that is exactly zero)
-    fixes the face under ``(x, y) -> (conj(x), conj(y))``, so N is fixed
-    under ``A -> conj(A)``, which keeps the diagonal and Re coordinates and
-    negates the Im ones.  Each class then splits once more, into its
-    diagonal and Re columns and its Im columns; the conjugation swaps
-    ``lambda`` and ``-lambda``, so it keeps every class.
+    A real ``W`` fixes the face under ``(x, y) -> (conj(x), conj(y))``, so
+    N is fixed under ``A -> conj(A)``, which keeps the diagonal and Re
+    coordinates and negates the Im ones.  Each class then splits once
+    more, into its diagonal and Re columns and its Im columns; the
+    conjugation swaps ``lambda`` and ``-lambda``, so it keeps every class.
 
     Classes are keyed by ``|mu_a - mu_b|`` at one generic point of the
     weight space, found from W's zero pattern alone.  Keys closer than a gap
@@ -292,7 +353,8 @@ def _weight_blocks(W: np.ndarray, n: int, m: int) -> tuple:
     computed once per zero pattern and reality and shared, so the arrays
     are read-only.
     """
-    return _pattern_blocks(n, m, np.packbits(W != 0).tobytes(), not W.imag.any())
+    nonzero, real = np.abs(W) > floor, bool(np.abs(W.imag).max() <= floor)
+    return _pattern_blocks(n, m, np.packbits(nonzero).tobytes(), real)
 
 
 @functools.lru_cache(maxsize=64)
@@ -335,6 +397,20 @@ def _product_permutation(sigma, signs):
     pi, sign = (sigma[:, np.newaxis] * sigma.size + sigma).ravel(), np.outer(signs, signs).ravel()
     pi.flags.writeable = sign.flags.writeable = False
     return pi, sign
+
+
+def _symmetries_fixing(W, symmetries, floor):
+    """The ``symmetries`` whose ``O (x) O`` fixes ``W`` to ``floor``, entry by entry.
+
+    ``(O (x) O) W (O (x) O)^t`` has ``sign[a] sign[b] W[a, b]`` at
+    ``(pi[a], pi[b])``; a NaN difference keeps no symmetry.
+    """
+    kept = []
+    for sigma, signs in symmetries:
+        pi, sign = _product_permutation(sigma, signs)
+        if np.abs(W[pi][:, pi] * (sign[:, np.newaxis] * sign) - W).max() <= floor:
+            kept.append((sigma, signs))
+    return tuple(kept)
 
 
 def _coordinate_permutation(pi, sign):
@@ -486,27 +562,21 @@ def _transported(orbits: _Orbits, null: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _entries_to_coords(E: np.ndarray, d: int) -> np.ndarray:
-    """Coordinates from the entries :func:`_coordinate_entries` lists, along the last axis.
-
-    Written into a new array whose axes keep the memory order of ``E``'s,
-    the layout a concatenation of its parts would have, on which the BLAS
-    products of the coordinates keep their bits.
-    """
-    out = np.empty_like(E, dtype=float, shape=E.shape[:-1] + (d * d,))
-    p = E.shape[-1] - d
-    out[..., :d] = E[..., :d].real
-    np.multiply(_SQRT2, E[..., d:].real, out=out[..., d : d + p])
-    np.multiply(_SQRT2, E[..., d:].imag, out=out[..., d + p :])
-    return out
-
-
 def hermitian_to_coords(A: np.ndarray) -> np.ndarray:
-    """Real coordinate vector(s) of Hermitian matrix(es), shape (..., d*d)."""
+    """Real coordinate vector(s) of Hermitian matrix(es), shape (..., d*d).
+
+    Written by :func:`_write_coords` into a new array whose axes keep the
+    memory order of the entries read (F-ordered for a stack ``(s, d, d)``),
+    the layout on which the BLAS products of the coordinates keep their
+    bits.
+    """
     A = np.asarray(A, dtype=complex)
     d = A.shape[-1]
-    a, b = _coordinate_entries(d)
-    return _entries_to_coords(A[..., a, b], d)
+    a, b, parts = _column_reads(d, None)
+    E = A[..., a, b]
+    out = np.empty_like(E, dtype=float, shape=E.shape[:-1] + (d * d,))
+    _write_coords(E.T, parts, out.T)
+    return out
 
 
 def coords_to_hermitian(coords: np.ndarray, d: int) -> np.ndarray:

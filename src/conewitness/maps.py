@@ -25,6 +25,7 @@ Conventions (used everywhere, documented only here):
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -88,6 +89,9 @@ def _signed_permutation(generator):
 class LinearMatrixMap:
     """A linear map M_n -> M_m held as its Choi matrix plus dimensions.
 
+    The dimensions are Python or numpy integers, stored as ints; a float
+    is a TypeError, a dimension below 1 a DimensionMismatch.
+
     ``face`` is a :class:`Face` or None (the face is harvested numerically);
     anything else is a TypeError.  It is a hint, which can cost speed but not
     change a verdict: drawn pairs and the identity are checked against W
@@ -102,7 +106,7 @@ class LinearMatrixMap:
     face: Face | None = None
 
     def __post_init__(self):
-        n, m = self.dim_in, self.dim_out
+        n, m = operator.index(self.dim_in), operator.index(self.dim_out)
         if n < 1 or m < 1:
             raise DimensionMismatch("dimensions must be positive")
         W = require_hermitian(self.choi)
@@ -110,7 +114,8 @@ class LinearMatrixMap:
             raise DimensionMismatch(
                 f"Choi matrix shape {W.shape} does not match dims ({n}, {m})"
             )
-        object.__setattr__(self, "choi", W)
+        for name, value in (("dim_in", n), ("dim_out", m), ("choi", W)):
+            object.__setattr__(self, name, value)
         if not isinstance(self.face, Face | None):
             raise TypeError(f"face must be a Face or None, got {type(self.face).__name__}")
         if self.face is not None and self.face.frame is not None:

@@ -35,10 +35,11 @@ from conewitness.errors import (
     ZeroWitness,
 )
 from conewitness.linalg import (
+    _column_reads,
     _coordinate_entries,
-    _entries_to_coords,
     _weight_blocks,
     _weight_orbits,
+    _write_coords,
     coords_to_hermitian,
     fix_phase,
     frobenius,
@@ -439,7 +440,7 @@ def test_nullspace_basis_bits_match_stacked_c_order_blocks():
         # columns at a time and cut at the largest block's norm; each
         # block's basis is its representative's rows, read and negated as
         # its orbit records, scattered back to full rows
-        weight_blocks = _weight_blocks(phi.choi, n, n)
+        weight_blocks = _weight_blocks(phi.choi, n, n, 0.0)
         assert len(weight_blocks) == n_blocks
         assert exposedness._symmetries_fixing(phi.choi, phi.face.symmetries, 0.0) == phi.face.symmetries
         orbits = _weight_orbits(weight_blocks, phi.face.symmetries)
@@ -499,15 +500,15 @@ def test_a_complex_w_is_never_split_and_a_forced_split_is_refused(monkeypatch, c
     U = random_antisymmetric_unitary(4, np.random.default_rng(1234))
     phi = _with_frame(breuer_hall(U))
     assert np.any(phi.choi.imag) and np.all(phi.choi != 0)
-    assert len(_weight_blocks(phi.choi, 4, 4)) == 1
+    assert len(_weight_blocks(phi.choi, 4, 4, 0.0)) == 1
     rep = exposedness_report(phi, rng=np.random.default_rng(0))
     assert (rep.verdict, rep.nullspace_dim) == ("CERTIFIED_EXPOSED", 1)
     assert "weight_blocks" not in rep.diagnostics
     # W's real part has W's zero pattern but splits every class: the ranked
     # null space misses W's ray, though W annihilates every ranked row
-    split = _weight_blocks(phi.choi.real, 4, 4)
+    split = _weight_blocks(phi.choi.real, 4, 4, 0.0)
     assert len(split) == 2
-    monkeypatch.setattr(exposedness, "_weight_blocks", lambda W, n, m: split)
+    monkeypatch.setattr(exposedness, "_weight_blocks", lambda W, n, m, floor: split)
     with pytest.raises(UnstableDimension, match=r"^sampled face excludes the map's own Choi \(residual \S+\)$"):
         exposedness_report(phi, rng=np.random.default_rng(0))
 
@@ -535,7 +536,7 @@ def test_projected_nullspace_spans_stacked_nullspace(seed):
         assert np.linalg.norm(B_new - B_old @ (B_old.T @ B_new), 2) <= 1e-10
 
 
-def _one_block(W, n, m):
+def _one_block(W, n, m, floor):
     """Every coordinate column in one block: the rank of the whole first sample."""
     return [np.arange((n * m) ** 2)]
 
@@ -555,7 +556,7 @@ def test_blocked_nullity_equals_one_block_nullity(seed, monkeypatch):
         HA_KYE,
         map_from_choi(choi_of(reduction(3)), 3, 3),
     )
-    counts = [len(_weight_blocks(phi.choi, phi.dim_in, phi.dim_out)) for phi in maps]
+    counts = [len(_weight_blocks(phi.choi, phi.dim_in, phi.dim_out, 0.0)) for phi in maps]
     # every W here is real but the Haar BH_4's, so its classes split in two
     assert counts == [20, 20, 56, 26, 26, 1, 20, 20, 20]
     blocked = [double_dual_nullspace(phi, rng=np.random.default_rng(seed))[0] for phi in maps]
@@ -569,7 +570,7 @@ def test_haar_breuer_hall_is_ranked_in_its_youla_frame(tmp_path, capsys, monkeyp
     U = random_antisymmetric_unitary(4, np.random.default_rng(1234))
     phi = breuer_hall(U)
     assert np.all(phi.choi != 0)
-    assert len(_weight_blocks(phi.choi, 4, 4)) == 1
+    assert len(_weight_blocks(phi.choi, 4, 4, 0.0)) == 1
     u_file = tmp_path / "u.json"
     u_file.write_text(cli.canonical_json(cli.matrix_to_obj(U)))
     assert cli.main(["exposedness", "breuer-hall", "--u", str(u_file), "--seed", "7"]) == 0
@@ -693,7 +694,7 @@ def test_breuer_hall_weight_blocks_come_from_w_alone(k, count, widest, monkeypat
     monkeypatch.setattr(np.linalg, "qr", no_decomposition)
     n = 2 * k
     d = n * n
-    blocks = _weight_blocks(breuer_hall(np.kron(np.eye(k), SIGMA_Y)).choi, n, n)
+    blocks = _weight_blocks(breuer_hall(np.kron(np.eye(k), SIGMA_Y)).choi, n, n, 0.0)
     assert len(blocks) == 2 * count
     assert max(len(blocks[t]) + len(blocks[t + 1]) for t in range(0, len(blocks), 2)) == widest
     assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(d * d))
@@ -715,7 +716,7 @@ def test_filling_a_zero_of_w_coarsens_the_blocks_and_keeps_the_nullity(monkeypat
     a, b = 1, 3  # entry ((0, 1), (1, 0)) of R_3's Choi matrix
     assert W[a, b] == 0 == W[b, a]
     W[a, b] = W[b, a] = 0.5
-    fine, coarse = _weight_blocks(phi.choi, 3, 3), _weight_blocks(W, 3, 3)
+    fine, coarse = _weight_blocks(phi.choi, 3, 3, 0.0), _weight_blocks(W, 3, 3, 0.0)
     assert len(coarse) < len(fine)
     owner = np.empty(81, dtype=int)
     for t, cols in enumerate(coarse):
@@ -737,7 +738,7 @@ def test_robertson_face_gets_right_vectors_for_one_block_only(monkeypatch):
     k = exposedness._checked_sample_count(phi, None)
     sample = dual_face_samples(phi, k, np.random.default_rng(0))
     C = stationarity_rows(sample.X, sample.Y)
-    blocks = _weight_blocks(phi.choi, 4, 4)
+    blocks = _weight_blocks(phi.choi, 4, 4, 0.0)
     assert len(blocks) == 26
     vector_svds = []
     svd = np.linalg.svd
@@ -793,7 +794,7 @@ def test_full_rank_first_block_is_refused_without_a_second_decomposition(monkeyp
     # one QR and one values-only SVD per representative block of the first
     # sample, no vectors and nothing of the second's
     phi = reduction(3)
-    orbits = _weight_orbits(_weight_blocks(phi.choi, 3, 3), phi.face.symmetries)
+    orbits = _weight_orbits(_weight_blocks(phi.choi, 3, 3, 0.0), phi.face.symmetries)
     widths = [len(positions) for positions in orbits.ranked]
     assert len(widths) == 8 and sum(widths) == orbits.columns.size == 37
     assert calls == [("qr", (2 * 6 * 13, w)) for w in widths] + [("svd", (w, w), False) for w in widths]
@@ -928,7 +929,7 @@ def test_stationarity_rows_on_columns_are_the_full_rows_columns_bit_for_bit():
     sample = dual_face_samples(phi, 9, rng)
     X, Y = sample.X @ phi.face.frame.conj(), sample.Y @ phi.face.frame.conj()
     C = stationarity_rows(X, Y)
-    reduction_orbits = _weight_orbits(_weight_blocks(reduction(4).choi, 4, 4), reduction(4).face.symmetries)
+    reduction_orbits = _weight_orbits(_weight_blocks(reduction(4).choi, 4, 4, 0.0), reduction(4).face.symmetries)
     for cols in (
         reduction_orbits.columns,
         np.sort(rng.choice(256, size=40, replace=False)),
@@ -1042,8 +1043,9 @@ def test_probe_pairings_equal_witness_pairing_per_basis_element():
     assert np.max(np.abs(got - want)) <= 1e-12
     # the full outer product gives, bitwise, the coordinates of the entries
     # z_a conj(z_b) that the coordinates read, formed one by one
-    a, b = _coordinate_entries(16)
-    read = _entries_to_coords(np.multiply(Z[:, a], Z[:, b].conj()), 16)
+    a, b, parts = _column_reads(16, None)
+    read = np.empty((len(Z), 256))
+    _write_coords(np.multiply(Z[:, a], Z[:, b].conj()).T, parts, read.T)
     assert np.array_equal(got, np.concatenate([c[np.newaxis] @ rows.T for c in read]))
 
 

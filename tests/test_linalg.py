@@ -151,6 +151,9 @@ def test_svd_nullspace_zero_matrix_and_bad_tol():
         svd_nullspace(np.empty((0, 0)))
     with pytest.raises(ValueError):
         svd_nullspace(np.eye(2), scale=-1.0)
+    # an infinite scale would cut every value, so every column would read null
+    with pytest.raises(ValueError, match="finite"):
+        svd_nullspace(np.eye(3), scale=np.inf)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
@@ -375,5 +378,8 @@ def test_hermitian_coords_batched():
     assert coords.shape == (5, 9)
     back = coords_to_hermitian(coords, 3)
     assert np.max(np.abs(back - stack)) < 1e-13
+    # each matrix's own bits, in the entries' memory order: F-ordered for a stack
+    assert np.array_equal(coords, np.stack([hermitian_to_coords(A) for A in stack]))
+    assert coords.flags.f_contiguous
     with pytest.raises(ValueError):
         coords_to_hermitian(np.zeros(5), 2)

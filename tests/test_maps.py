@@ -85,6 +85,14 @@ def test_apply_rejects_wrong_shape():
         LinearMatrixMap(2, 2, np.eye(5))
     with pytest.raises(DimensionMismatch):
         LinearMatrixMap(0, 2, np.zeros((0, 0)))
+    # dimensions are integers: a float is refused at construction, a numpy
+    # integer is stored as an int
+    with pytest.raises(TypeError):
+        LinearMatrixMap(2.0, 2.0, phi.choi)
+    with pytest.raises(TypeError):
+        LinearMatrixMap(2, 2.0, phi.choi)
+    same = LinearMatrixMap(np.int64(2), np.int32(2), phi.choi)
+    assert type(same.dim_in) is int and type(same.dim_out) is int
 
 
 def test_product_vector_conjugates_input_factor():
